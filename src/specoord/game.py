@@ -42,8 +42,7 @@ class PowerAllocation:
         object.__setattr__(self, "power", power)
         if power.ndim != 1:
             raise ValueError("power must be a 1-D vector")
-        if not np.all(np.isfinite(power)) or np.any(power < 0):
-            raise ValueError("powers must be finite and non-negative")
+        _check_power(power)
         if self.budget < 0:
             raise ValueError("budget must be >= 0")
         if self.mode not in (FULL_POWER, AT_MOST_POWER):
@@ -52,6 +51,11 @@ class PowerAllocation:
     @property
     def total(self) -> float:
         return float(self.power.sum())
+
+
+def _check_power(power: np.ndarray) -> None:
+    if not np.isfinite(power).all() or (power < 0).any():
+        raise ValueError("powers must be finite and non-negative")
 
 
 @dataclass(frozen=True)

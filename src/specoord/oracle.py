@@ -88,16 +88,20 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
 
 
 def _pareto_front(points: np.ndarray) -> np.ndarray:
-    """Rows not weakly dominated by any other row (maximisation)."""
-    order = np.lexsort((-points[:, 1], -points[:, 0]))
-    pts = points[order]
-    keep = []
-    best_y = -np.inf
-    for row in pts:
-        if row[1] > best_y:
-            keep.append(row)
-            best_y = row[1]
-    return np.array(keep)
+    """Rows not weakly dominated by any other row (maximisation).
+
+    Rows come out by descending x, one per x at most: the largest y among
+    the rows sharing that x, kept when it beats the y of every row with a
+    larger x.
+    """
+    order = np.argsort(points[:, 0])
+    x, y = points[order, 0], points[order, 1]
+    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+    x_desc = x[starts][::-1]
+    y_desc = np.maximum.reduceat(y, starts)[::-1]
+    best_before = np.r_[-np.inf, np.maximum.accumulate(y_desc)[:-1]]
+    keep = y_desc > best_before
+    return np.column_stack((x_desc[keep], y_desc[keep]))
 
 
 def dominates(a: RateRegionCurve, b: RateRegionCurve, tol: float = 0.0) -> bool:

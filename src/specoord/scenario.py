@@ -293,8 +293,9 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
         psd_path = os.path.join(out_dir, f"psd_{tag}.csv")
         with open(psd_path, "w", newline="") as fh:
             fh.write("freq_hz,psd_1,psd_2\n")
+            widths = grid.widths
             for k in range(grid.num_tones):
-                vals = [allocs[u].power[k] / grid.widths[k] for u in (0, 1)]
+                vals = [allocs[u].power[k] / widths[k] for u in (0, 1)]
                 fh.write(_fmt(grid.edges[k + 1]) + ""
                          .join("," + _fmt(v) for v in vals) + "\n")
         sinr_path = os.path.join(out_dir, f"sinr_{tag}.csv")
@@ -331,13 +332,14 @@ def emit_region_map(snr_range: tuple, h_range: tuple, resolution: int,
             else np.array([lo]))
     hs = (np.linspace(h_lo, h_hi, resolution) if resolution > 1
           else np.array([h_lo]))
-    count = 0
+    # The limits depend on snr alone: one pair per row of the map.
+    hs = hs.tolist()
+    h_strs = [_fmt(h) for h in hs]
     with open(path, "w", newline="") as fh:
         fh.write("h,snr,region,h_lim1,h_lim2\n")
-        for snr in snrs:
-            for h in hs:
-                g = symmetric.classify_game(float(h), float(snr))
-                fh.write(f"{_fmt(h)},{_fmt(snr)},{g.region.code},"
-                         f"{_fmt(g.h_lim1)},{_fmt(g.h_lim2)}\n")
-                count += 1
-    return count
+        for snr in snrs.tolist():
+            l1, l2 = symmetric.h_lim1(snr), symmetric.h_lim2(snr)
+            snr_str, tail = f",{_fmt(snr)},", f",{_fmt(l1)},{_fmt(l2)}\n"
+            fh.writelines(h_str + snr_str + symmetric.region_between(h, l1, l2).code
+                          + tail for h, h_str in zip(hs, h_strs))
+    return len(snrs) * len(hs)

@@ -124,15 +124,23 @@ def classify_game(h: float, snr: float) -> GameRegion:
     """
     _check_h_snr(h, snr)
     l1, l2 = h_lim1(snr), h_lim2(snr)
-    boundary = h == l1 or h == l2
+    return GameRegion(region=region_between(h, l1, l2),
+                      ordering=payoff_quad(h, snr).ordering(),
+                      boundary=h == l1 or h == l2, h_lim1=l1, h_lim2=l2)
+
+
+def region_between(h: float, l1: float, l2: float) -> Region:
+    """The region of coupling h given the limits h_lim1 = l1, h_lim2 = l2.
+
+    A (deadlock) below l1, C (chicken) above l2, B (prisoner's dilemma)
+    between them, limits included.  The limits depend on snr alone, so a
+    caller sweeping h at fixed snr computes them once per snr.
+    """
     if h < l1:
-        region = Region.DEADLOCK
-    elif h > l2:
-        region = Region.CHICKEN
-    else:
-        region = Region.PRISONERS_DILEMMA
-    return GameRegion(region=region, ordering=payoff_quad(h, snr).ordering(),
-                      boundary=boundary, h_lim1=l1, h_lim2=l2)
+        return Region.DEADLOCK
+    if h > l2:
+        return Region.CHICKEN
+    return Region.PRISONERS_DILEMMA
 
 
 def recommend_strategy(h: float, snr: float) -> str:

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
-from .game import AT_MOST_POWER, FULL_POWER, PowerAllocation, power_matrix
+from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation, _check_power,
+                   power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -52,8 +53,13 @@ class EffectiveNoise:
         object.__setattr__(self, "usable", usable)
         if values.shape != usable.shape or values.ndim != 1:
             raise ValueError("values and usable must be matching 1-D arrays")
-        if np.any(values[usable] <= 0) or not np.all(np.isfinite(values[usable])):
-            raise ValueError("usable effective noise must be finite and > 0")
+        _check_floor(values, usable)
+
+
+def _check_floor(values: np.ndarray, usable: np.ndarray) -> None:
+    v = values[usable]
+    if (v <= 0).any() or not np.isfinite(v).all():
+        raise ValueError("usable effective noise must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -78,22 +84,48 @@ def effective_noise(user: int, allocations: Sequence[PowerAllocation],
     """
     if gap < 1:
         raise ValueError("gap must be >= 1")
+    _check_noise_shape(channel, noise)
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
     p[user] = 0.0
-    interference = np.einsum("kj,jk->k", channel.gains[:, user, :], p)
     direct = channel.direct_gains(user)
     usable = direct > 0
-    values = np.full(channel.num_tones, np.inf)
-    values[usable] = gap * (interference[usable] + noise.values[user, usable]) / direct[usable]
+    values = _floor(channel.gains[:, user, :], p, direct, usable,
+                    noise.values[user], gap)
     return EffectiveNoise(user=user, values=values, usable=usable)
+
+
+def _check_noise_shape(channel: ChannelMatrixSet, noise: NoiseProfile) -> None:
+    want = (channel.num_users, channel.num_tones)
+    if noise.values.shape != want:
+        raise ValueError(f"noise has shape {noise.values.shape}, but the channel "
+                         f"needs (users, tones) = {want}")
+
+
+def _floor(gains_in: np.ndarray, p: np.ndarray, direct: np.ndarray,
+           usable: np.ndarray, noise_row: np.ndarray, gap: float) -> np.ndarray:
+    """Effective noise values of one receiver on plain arrays.
+
+    gains_in is the receiver's (K, N) slice of the gain stack and p the
+    (N, K) power matrix with the receiver's own row zeroed.  Unusable
+    tones get +inf.
+    """
+    interference = np.einsum("kj,jk->k", gains_in, p)
+    values = np.full(direct.size, np.inf)
+    values[usable] = gap * (interference[usable] + noise_row[usable]) / direct[usable]
+    return values
 
 
 def achievable_rate(power: np.ndarray, eff: EffectiveNoise,
                     grid: FrequencyGrid) -> float:
     """Rate of a power vector against an effective noise floor."""
+    return _rate(power, eff.values, eff.usable, grid.widths)
+
+
+def _rate(power: np.ndarray, values: np.ndarray, usable: np.ndarray,
+          w: np.ndarray) -> float:
     with np.errstate(invalid="ignore"):
-        ratio = np.where(eff.usable, power / eff.values, 0.0)
-    return float(np.sum(grid.widths * np.log1p(ratio)) / np.log(2.0))
+        ratio = np.where(usable, power / values, 0.0)
+    return float(np.sum(w * np.log1p(ratio)) / np.log(2.0))
 
 
 def waterfill_ra(eff: EffectiveNoise, budget: float,
@@ -105,41 +137,48 @@ def waterfill_ra(eff: EffectiveNoise, budget: float,
     have a floor at or above it.  Solved exactly by sorting the per-Hz
     floors and picking the active set in closed form.
     """
+    power, mu = _ra(eff.values, eff.usable, budget, grid.widths)
+    return PowerAllocation(eff.user, power, budget, FULL_POWER), mu
+
+
+def _ra(values: np.ndarray, usable: np.ndarray, budget: float,
+        w: np.ndarray) -> tuple[np.ndarray, float]:
+    """waterfill_ra on plain arrays: (power, mu)."""
     if budget < 0 or not np.isfinite(budget):
         raise ValueError("budget must be finite and >= 0")
-    k = eff.values.size
-    w = grid.widths
+    k = values.size
     if w.size != k:
         raise ValueError("effective noise does not match grid")
-    idx = np.nonzero(eff.usable)[0]
+    idx = usable.nonzero()[0]
     if idx.size == 0:
         if budget > 0:
             raise InfeasibleError("no usable tones to allocate power on",
                                   max_achievable=0.0)
-        return PowerAllocation(eff.user, np.zeros(k), budget, FULL_POWER), 0.0
+        return np.zeros(k), 0.0
 
-    nu = eff.values[idx] / w[idx]
+    n_u, w_u = values[idx], w[idx]
+    nu = n_u / w_u
     if budget == 0:
-        return (PowerAllocation(eff.user, np.zeros(k), budget, FULL_POWER),
-                float(nu.min()))
+        return np.zeros(k), float(nu.min())
 
-    order = np.argsort(nu, kind="stable")
+    order = nu.argsort(kind="stable")
     nu_s = nu[order]
-    n_s = eff.values[idx][order]
-    w_s = w[idx][order]
-    mu_candidates = (budget + np.cumsum(n_s)) / np.cumsum(w_s)
+    n_s = n_u[order]
+    w_s = w_u[order]
+    mu_candidates = (budget + n_s.cumsum()) / w_s.cumsum()
     # The feasible prefix is where the level clears the worst included floor.
-    m = int(np.nonzero(mu_candidates > nu_s)[0][-1]) + 1
-    active = order[:m]
-    mu = (budget + n_s[:m].sum()) / w_s[:m].sum()
+    m = int((mu_candidates > nu_s).nonzero()[0][-1]) + 1
+    active, w_act = idx[order[:m]], w_s[:m]
+    w_sum = w_act.sum()
+    mu = (budget + n_s[:m].sum()) / w_sum
     power = np.zeros(k)
-    power[idx[active]] = mu * w[idx[active]] - eff.values[idx[active]]
+    power[active] = mu * w_act - n_s[:m]
     # Remove the rounding residue by a uniform shift of the water level.
     deficit = budget - power.sum()
-    power[idx[active]] += deficit * w[idx[active]] / w_s[:m].sum()
-    mu += deficit / w_s[:m].sum()
+    power[active] += deficit * w_act / w_sum
+    mu += deficit / w_sum
     np.maximum(power, 0.0, out=power)
-    return PowerAllocation(eff.user, power, budget, FULL_POWER), float(mu)
+    return power, float(mu)
 
 
 def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
@@ -154,19 +193,25 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
     (carrying the best achievable rate) when the target exceeds the
     rate-adaptive rate at the full budget.
     """
+    power, mu = _fm(eff.values, eff.usable, budget, target_rate, grid.widths)
+    return PowerAllocation(eff.user, power, budget, AT_MOST_POWER), mu
+
+
+def _fm(values: np.ndarray, usable: np.ndarray, budget: float,
+        target_rate: float, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """waterfill_fm on plain arrays: (power, mu)."""
     if target_rate < 0:
         raise ValueError("target_rate must be >= 0")
-    k = eff.values.size
-    w = grid.widths
-    idx = np.nonzero(eff.usable)[0]
+    k = values.size
+    idx = usable.nonzero()[0]
     if target_rate == 0:
-        level = float((eff.values[idx] / w[idx]).min()) if idx.size else 0.0
-        return PowerAllocation(eff.user, np.zeros(k), budget, AT_MOST_POWER), level
+        level = float((values[idx] / w[idx]).min()) if idx.size else 0.0
+        return np.zeros(k), level
     if idx.size == 0:
         raise InfeasibleError("no usable tones", max_achievable=0.0)
 
-    full, mu_cap = waterfill_ra(eff, budget, grid)
-    max_rate = achievable_rate(full.power, eff, grid)
+    full, mu_cap = _ra(values, usable, budget, w)
+    max_rate = _rate(full, values, usable, w)
     if target_rate > max_rate:
         raise InfeasibleError(
             f"target rate {target_rate} exceeds achievable {max_rate}",
@@ -175,7 +220,7 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
     if target_rate == max_rate:
         mu = mu_cap
     else:
-        nu = eff.values[idx] / w[idx]
+        nu = values[idx] / w[idx]
         order = np.argsort(nu, kind="stable")
         nu_s = nu[order]
         w_s = w[idx][order]
@@ -189,8 +234,8 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
         m = int(np.argmax(fits)) + 1
         mu = float(levels[m - 1])
     power = np.zeros(k)
-    power[idx] = np.maximum(0.0, mu * w[idx] - eff.values[idx])
-    return PowerAllocation(eff.user, power, budget, AT_MOST_POWER), float(mu)
+    power[idx] = np.maximum(0.0, mu * w[idx] - values[idx])
+    return power, float(mu)
 
 
 def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -217,6 +262,9 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     budgets = [float(b) for b in budgets]
     if len(budgets) != n:
         raise ValueError("need one budget per user")
+    _check_noise_shape(channel, noise)
+    if gap < 1:
+        raise ValueError("gap must be >= 1")
     if mode not in ("ra", "fm"):
         raise ValueError("mode must be 'ra' or 'fm'")
     if schedule not in (GAUSS_SEIDEL, JACOBI):
@@ -239,34 +287,53 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
             raise ValueError("initial allocations must cover every user once")
         allocs.sort(key=lambda a: a.user)
 
+    # The loop works on one (N, K) power matrix and plain arrays; the
+    # dataclasses are built once, at return, with each user's last mode.
+    p = power_matrix(allocs, n, k)
+    modes: list[str | None] = [None] * n
+    w = channel.grid.widths
+    gains, noise_values = channel.gains, noise.values
+    gains_in = [gains[:, i, :] for i in range(n)]
+    direct = [channel.direct_gains(i) for i in range(n)]
+    usable = [d > 0 for d in direct]
     changes = []
     converged = False
     iterations = 0
     shortfall: set[int] = set()
     for sweep in range(max_iter):
-        snapshot = list(allocs)
-        basis = snapshot if schedule == JACOBI else allocs
+        basis = p.copy() if schedule == JACOBI else p
         delta = 0.0
         for i in range(n):
-            eff = effective_noise(i, basis, channel, noise, gap)
+            own = basis[i].copy()
+            basis[i] = 0.0
+            values = _floor(gains_in[i], basis, direct[i], usable[i],
+                            noise_values[i], gap)
+            basis[i] = own
+            _check_floor(values, usable[i])
             if targets[i] is None:
-                new, _ = waterfill_ra(eff, budgets[i], channel.grid)
+                power, _ = _ra(values, usable[i], budgets[i], w)
+                modes[i] = FULL_POWER
                 shortfall.discard(i)
             else:
                 try:
-                    new, _ = waterfill_fm(eff, budgets[i], targets[i], channel.grid)
+                    power, _ = _fm(values, usable[i], budgets[i], targets[i], w)
+                    modes[i] = AT_MOST_POWER
                     shortfall.discard(i)
                 except InfeasibleError:
-                    new, _ = waterfill_ra(eff, budgets[i], channel.grid)
+                    power, _ = _ra(values, usable[i], budgets[i], w)
+                    modes[i] = FULL_POWER
                     shortfall.add(i)
-            delta = max(delta, float(np.abs(new.power - snapshot[i].power).max()))
-            allocs[i] = new
+            _check_power(power)
+            delta = max(delta, float(np.abs(power - own).max()))
+            p[i] = power
         changes.append(delta)
         iterations = sweep + 1
         if delta <= tol * max(max(budgets), 1e-300):
             converged = True
             break
 
+    allocs = [a if m is None else PowerAllocation(i, p[i], budgets[i], m)
+              for i, (a, m) in enumerate(zip(allocs, modes))]
     return IwfReport(allocations=tuple(allocs), iterations=iterations,
                      converged=converged, changes=np.array(changes),
                      mode=mode, schedule=schedule,

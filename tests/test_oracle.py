@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from specoord.channel import ChannelMatrixSet, NoiseProfile, make_uniform_grid
 from specoord.dfdm import dfdm_vs_fmiwf_region
 from specoord.oracle import (RateRegionCurve, SearchSpaceError,
-                             brute_force_pareto, dominates)
+                             _pareto_front, brute_force_pareto, dominates)
 from specoord.symmetric import payoff_quad, symmetric_game_instance
 from specoord.waterfilling import (achievable_rate, effective_noise,
                                    waterfill_ra)
@@ -130,3 +132,28 @@ class TestDominates:
                                       near_user=1)
         assert not dominates(curves["fm-iwf"], oracle, tol=0.01)
         assert dominates(oracle, curves["fm-iwf"], tol=0.05)
+
+
+def pareto_front_loop(points):
+    """Row-by-row Pareto filter: the reference for oracle._pareto_front."""
+    order = np.lexsort((-points[:, 1], -points[:, 0]))
+    keep = []
+    best_y = -np.inf
+    for row in points[order]:
+        if row[1] > best_y:
+            keep.append(row)
+            best_y = row[1]
+    return np.array(keep)
+
+
+class TestParetoFront:
+    # Few distinct integer values force ties in x, in y and whole duplicate rows.
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=1, max_size=40))
+    def test_matches_loop_on_tie_heavy_clouds(self, rows):
+        points = np.array(rows + rows[: len(rows) // 2], dtype=float)
+        assert np.array_equal(_pareto_front(points), pareto_front_loop(points))
+
+    def test_matches_loop_on_a_large_cloud(self, rng):
+        points = np.round(rng.random((5000, 2)) * 50) / 7
+        assert np.array_equal(_pareto_front(points), pareto_front_loop(points))

@@ -9,7 +9,7 @@ from specoord.channel import (ChannelMatrixSet, NoiseProfile,
 from specoord.game import PowerAllocation, sinr_per_tone
 from specoord.scenario import (ConfigError, build_channel, emit_region_map,
                                load_config, run_scenario)
-from specoord.symmetric import h_lim1, h_lim2
+from specoord.symmetric import classify_game, h_lim1, h_lim2
 
 
 def base_config(tmp_path, **overrides):
@@ -220,6 +220,37 @@ class TestRegionMap:
         # one h_lim1 per snr level, decreasing in snr
         per_snr = sorted(set(lims1))
         assert all(b[1] < a[1] for a, b in zip(per_snr, per_snr[1:]))
+
+    @staticmethod
+    def classified_map(snr_range, h_range, resolution):
+        """The map written point by point through classify_game."""
+        snrs = np.geomspace(*snr_range, resolution)
+        hs = np.linspace(*h_range, resolution)
+        lines = ["h,snr,region,h_lim1,h_lim2\n"]
+        for snr in snrs:
+            for h in hs:
+                g = classify_game(float(h), float(snr))
+                lines.append("%.17g,%.17g,%s,%.17g,%.17g\n" % (
+                    h, snr, g.region.code, g.h_lim1, g.h_lim2))
+        return "".join(lines).encode()
+
+    @pytest.mark.parametrize("snr_range,h_range,resolution", [
+        ((0.1, 1e4), (0.0, 0.99), 23),
+        ((10.0, 10.0), (h_lim1(10.0), h_lim2(10.0)), 2),  # h on both limits
+    ])
+    def test_matches_classify_game_bytes(self, tmp_path, snr_range, h_range,
+                                         resolution):
+        path = tmp_path / "map.csv"
+        emit_region_map(snr_range, h_range, resolution, str(path))
+        assert path.read_bytes() == self.classified_map(snr_range, h_range,
+                                                        resolution)
+
+    def test_h_on_either_limit_is_region_b(self, tmp_path):
+        path = tmp_path / "map.csv"
+        emit_region_map((10.0, 10.0), (h_lim1(10.0), h_lim2(10.0)), 2, str(path))
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        assert {float(r[0]) for r in rows} == {h_lim1(10.0), h_lim2(10.0)}
+        assert [r[2] for r in rows] == ["B"] * 4
 
     def test_validation(self, tmp_path):
         path = str(tmp_path / "m.csv")

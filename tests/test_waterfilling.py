@@ -290,3 +290,116 @@ class TestIterateIwf:
         with pytest.raises(ValueError):
             iterate_iwf(channel, noise, [1.0, 1.0],
                         initial=[PowerAllocation(0, np.zeros(2), 1.0)] )
+
+
+class TestNoiseShape:
+    """A noise profile must hold one row per user and one column per tone."""
+
+    def setup_method(self):
+        grid = unit_grid(4)
+        gains = np.tile(np.array([[1.0, 0.2], [0.3, 1.0]]), (4, 1, 1))
+        self.channel = ChannelMatrixSet(gains, grid)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4)])
+    def test_iterate_iwf_rejects_mismatched_noise(self, shape):
+        noise = NoiseProfile(np.full(shape, 0.1))
+        with pytest.raises(ValueError, match=r"noise.*\(%d, %d\).*\(2, 4\)" % shape):
+            iterate_iwf(self.channel, noise, [1.0, 1.0])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4)])
+    def test_effective_noise_rejects_mismatched_noise(self, shape):
+        noise = NoiseProfile(np.full(shape, 0.1))
+        with pytest.raises(ValueError, match=r"noise.*\(%d, %d\).*\(2, 4\)" % shape):
+            effective_noise(0, [], self.channel, noise)
+
+
+def reference_iwf(channel, noise, budgets, mode="ra", targets=None,
+                  max_iter=500, tol=1e-10, schedule=GAUSS_SEIDEL,
+                  initial=None, gap=1.0):
+    """iterate_iwf written with the public per-user steps, one dataclass
+    per step: the loop the array version must reproduce bit for bit."""
+    n, k = channel.num_users, channel.num_tones
+    budgets = [float(b) for b in budgets]
+    targets = list(targets) if mode == "fm" else [None] * n
+    if initial is None:
+        allocs = [PowerAllocation(i, np.zeros(k), budgets[i], AT_MOST_POWER)
+                  for i in range(n)]
+    else:
+        allocs = sorted(initial, key=lambda a: a.user)
+    changes, converged, iterations, shortfall = [], False, 0, set()
+    for sweep in range(max_iter):
+        snapshot = list(allocs)
+        basis = snapshot if schedule == JACOBI else allocs
+        delta = 0.0
+        for i in range(n):
+            eff = effective_noise(i, basis, channel, noise, gap)
+            if targets[i] is None:
+                new, _ = waterfill_ra(eff, budgets[i], channel.grid)
+                shortfall.discard(i)
+            else:
+                try:
+                    new, _ = waterfill_fm(eff, budgets[i], targets[i], channel.grid)
+                    shortfall.discard(i)
+                except InfeasibleError:
+                    new, _ = waterfill_ra(eff, budgets[i], channel.grid)
+                    shortfall.add(i)
+            delta = max(delta, float(np.abs(new.power - snapshot[i].power).max()))
+            allocs[i] = new
+        changes.append(delta)
+        iterations = sweep + 1
+        if delta <= tol * max(max(budgets), 1e-300):
+            converged = True
+            break
+    return allocs, iterations, converged, np.array(changes), tuple(sorted(shortfall))
+
+
+class TestIterateIwfMatchesReference:
+    """The array loop gives the same bits as the per-user public steps."""
+
+    @staticmethod
+    def instance(seed, n=3, k=9):
+        rng = np.random.default_rng(seed)
+        gains = 0.4 * rng.random((k, n, n))
+        for i in range(n):
+            gains[:, i, i] = 0.5 + rng.random(k)
+        gains[rng.integers(k), 0, 0] = 0.0          # one masked tone
+        grid = FrequencyGrid(np.cumsum(np.r_[0.0, 0.5 + rng.random(k)]))
+        noise = NoiseProfile(0.02 + 0.1 * rng.random((n, k)))
+        return ChannelMatrixSet(gains, grid), noise, list(1.0 + rng.random(n))
+
+    @pytest.mark.parametrize("schedule", [GAUSS_SEIDEL, JACOBI])
+    @pytest.mark.parametrize("case", [
+        dict(mode="ra"),
+        dict(mode="ra", gap=2.0, max_iter=7),
+        dict(mode="fm", targets=[2.0, None, 1.5]),
+        dict(mode="fm", targets=[80.0, 1.0, None]),   # user 0 unreachable
+        dict(mode="ra", initial=True),
+        dict(mode="fm", targets=[2.0, None, 1.5], initial=True, max_iter=0),
+        dict(mode="ra", max_iter=0),
+    ])
+    def test_bit_identical(self, schedule, case):
+        channel, noise, budgets = self.instance(seed=11)
+        kwargs = dict(case, schedule=schedule)
+        if kwargs.get("initial"):
+            rng = np.random.default_rng(5)
+            kwargs["initial"] = [PowerAllocation(i, rng.random(channel.num_tones),
+                                                 budgets[i])
+                                 for i in (2, 0, 1)]
+        report = iterate_iwf(channel, noise, budgets, **kwargs)
+        allocs, iterations, converged, changes, shortfall = reference_iwf(
+            channel, noise, budgets, **kwargs)
+        assert report.iterations == iterations
+        assert report.converged == converged
+        assert report.changes.tobytes() == changes.tobytes()
+        assert report.shortfall_users == shortfall
+        for got, want in zip(report.allocations, allocs):
+            assert (got.user, got.mode, got.budget) == (want.user, want.mode,
+                                                        want.budget)
+            assert got.power.tobytes() == want.power.tobytes()
+        targets = case.get("targets")
+        if targets and case.get("max_iter", 1):
+            # The FM cases exercise both the fixed-margin response and the
+            # full-budget fallback of an unreachable target.
+            modes = [a.mode for a in report.allocations]
+            assert modes[1 if targets[0] == 80.0 else 0] == AT_MOST_POWER
+            assert (shortfall == (0,)) == (targets[0] == 80.0)
