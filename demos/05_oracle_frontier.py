@@ -9,7 +9,8 @@ operating curves of fixed-margin IWF and dynamic FDM underneath it.
 import numpy as np
 
 from specoord import (brute_force_pareto, dfdm_vs_fmiwf_region, dominates,
-                      effective_noise, symmetric_game_instance, waterfill_ra)
+                      effective_noise, far_alone, symmetric_game_instance,
+                      waterfill_ra)
 from specoord.waterfilling import achievable_rate
 
 H = 0.7
@@ -22,8 +23,7 @@ best = oracle.points[np.argmax(sums)]
 print(f"best sum rate {sums.max():.4f} at (r2, r1) = "
       f"({best[0]:.4f}, {best[1]:.4f}): the clean frequency split\n")
 
-far_eff = effective_noise(0, (), channel, noise)
-far_init, _ = waterfill_ra(far_eff, budgets[0], channel.grid)
+far_init = far_alone(channel, noise, 0, budgets[0])
 near_eff = effective_noise(1, [far_init], channel, noise)
 near_full, _ = waterfill_ra(near_eff, budgets[1], channel.grid)
 near_max = achievable_rate(near_full.power, near_eff, channel.grid)

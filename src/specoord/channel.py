@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -291,10 +291,28 @@ def write_noise_csv(noise: NoiseProfile, grid: FrequencyGrid, path) -> None:
     _write_rows(path, header, grid.edges[1:], noise.values.T)
 
 
-def _write_rows(path, header, freqs, matrix) -> None:
+def write_psd_csv(power, grid: FrequencyGrid, path) -> None:
+    """Per-Hz transmit PSDs, one column per user, from an (N, K) power matrix."""
+    power = np.asarray(power)
+    header = ["freq_hz"] + [f"psd_{i + 1}" for i in range(power.shape[0])]
+    _write_rows(path, header, grid.edges[1:], (power / grid.widths).T)
+
+
+# 17 significant digits read back as the same double; every CSV number uses it.
+_FLOAT = "%.17g"
+
+
+def format_float(value: float) -> str:
+    return _FLOAT % value
+
+
+def _write_rows(path, header, first, rest) -> None:
+    """Write an all-numeric CSV: a first column plus a (rows, cols) matrix."""
+    rest = np.asarray(rest)
+    line = ",".join([_FLOAT] * (1 + rest.shape[1])) + "\n"
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
-    for f, row in zip(freqs, matrix):
-        buf.write("%.17g" % f + "".join(",%.17g" % v for v in row) + "\n")
+    for f, row in zip(first, rest):
+        buf.write(line % (f, *row.tolist()))
     with open(path, "w", newline="") as fh:
         fh.write(buf.getvalue())

@@ -16,13 +16,12 @@ import sys
 import numpy as np
 
 from . import nearfar, scenario, symmetric
-from .channel import (ChannelCsvError, NoiseProfile, load_channel_csv,
-                      load_noise_csv)
-from .dfdm import dfdm_allocate
+from .channel import (ChannelCsvError, NoiseProfile, _write_rows,
+                      load_channel_csv, load_noise_csv, write_psd_csv)
+from .dfdm import dfdm_round
 from .game import capacity, is_nash_equilibrium
 from .oracle import SearchSpaceError, brute_force_pareto
-from .waterfilling import (InfeasibleError, effective_noise, iterate_iwf,
-                           waterfill_ra)
+from .waterfilling import InfeasibleError, iterate_iwf
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,15 +74,6 @@ def _add_instance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gap-db", type=float, default=0.0, help="SNR gap in dB")
 
 
-def _write_psd_csv(path: str, grid, allocations) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("freq_hz," + ",".join(f"psd_{a.user + 1}" for a in allocations) + "\n")
-        for k in range(grid.num_tones):
-            cells = ["%.17g" % grid.edges[k + 1]]
-            cells += ["%.17g" % (a.power[k] / grid.widths[k]) for a in allocations]
-            fh.write(",".join(cells) + "\n")
-
-
 def cmd_classify(args) -> int:
     g = symmetric.classify_game(args.h, args.snr)
     q = symmetric.payoff_quad(args.h, args.snr)
@@ -132,7 +122,8 @@ def cmd_iwf(args) -> int:
     nash = is_nash_equilibrium(report.allocations, channel, noise, gap=g)
     print(f"nash: {nash.is_nash}  worst unilateral gain: {nash.worst_gain:.3g} bit/s")
     if args.psd_out:
-        _write_psd_csv(args.psd_out, channel.grid, report.allocations)
+        write_psd_csv([a.power for a in report.allocations], channel.grid,
+                      args.psd_out)
         print(f"wrote {args.psd_out}")
     if not report.converged:
         return EXIT_INFEASIBLE
@@ -145,13 +136,7 @@ def cmd_dfdm(args) -> int:
         raise ChannelCsvError("dfdm expects a 2-user channel and two budgets")
     g = _gap(args)
     near, far = args.near_user, 1 - args.near_user
-    far_eff = effective_noise(far, (), channel, noise, g)
-    far_alloc, _ = waterfill_ra(far_eff, args.budgets[far], channel.grid)
-    res = dfdm_allocate(channel, noise, near, args.rd, args.budgets[near],
-                        others=[far_alloc], gap=g)
-    far_eff = effective_noise(far, [res.allocation], channel, noise, g)
-    far_alloc, _ = waterfill_ra(far_eff, args.budgets[far], channel.grid)
-    allocs = sorted([res.allocation, far_alloc], key=lambda a: a.user)
+    res, allocs = dfdm_round(channel, noise, args.budgets, args.rd, near, g)
     far_rate = capacity(far, allocs, channel, noise, g)
     if args.json:
         widths = channel.grid.widths
@@ -169,7 +154,7 @@ def cmd_dfdm(args) -> int:
               f"power {float(np.sum(res.allocation.power)):.9g} mW")
         print(f"far user {far + 1}: rate {far_rate:.9g} bit/s")
     if args.psd_out:
-        _write_psd_csv(args.psd_out, channel.grid, allocs)
+        write_psd_csv([a.power for a in allocs], channel.grid, args.psd_out)
         if not args.json:
             print(f"wrote {args.psd_out}")
     return EXIT_OK
@@ -220,13 +205,13 @@ def cmd_nearfar_bounds(args) -> int:
 def cmd_region_sweep(args) -> int:
     params = _nearfar_params(args)
     r2 = np.linspace(args.r2_min, args.r2_max, args.count)
-    with open(args.output, "w", newline="") as fh:
-        fh.write("r2,fmiwf_lo,fmiwf_hi,dfdm_lo,dfdm_hi\n")
-        for target in r2:
-            fm = nearfar.rr_iwf_bounds(float(target), params)
-            db = nearfar.dfdm_rate_bounds(float(target), params)
-            cells = (target, fm.lower, fm.upper, db.lower, db.upper)
-            fh.write(",".join("%.17g" % c for c in cells) + "\n")
+    bounds = []
+    for target in r2:
+        fm = nearfar.rr_iwf_bounds(float(target), params)
+        db = nearfar.dfdm_rate_bounds(float(target), params)
+        bounds.append((fm.lower, fm.upper, db.lower, db.upper))
+    _write_rows(args.output, ["r2", "fmiwf_lo", "fmiwf_hi", "dfdm_lo", "dfdm_hi"],
+                r2, np.array(bounds).reshape(len(r2), 4))
     print(f"wrote {len(r2)} rows to {args.output}")
     return EXIT_OK
 
@@ -235,10 +220,8 @@ def cmd_oracle(args) -> int:
     channel, noise = _load_instance(args)
     curve = brute_force_pareto(channel, noise, args.budgets,
                                levels=args.levels, gap=_gap(args))
-    with open(args.output, "w", newline="") as fh:
-        fh.write(",".join(curve.columns) + "\n")
-        for row in curve.points:
-            fh.write(",".join("%.17g" % v for v in row) + "\n")
+    _write_rows(args.output, curve.columns, curve.points[:, 0],
+                curve.points[:, 1:])
     print(f"wrote {curve.points.shape[0]} frontier points to {args.output}")
     return EXIT_OK
 

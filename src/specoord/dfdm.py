@@ -21,9 +21,9 @@ import numpy as np
 from .channel import ChannelMatrixSet, NoiseProfile
 from .game import PowerAllocation, capacity
 from .oracle import RateRegionCurve
-from .waterfilling import (EffectiveNoise, InfeasibleError, achievable_rate,
-                           effective_noise, iterate_iwf, waterfill_fm,
-                           waterfill_ra)
+from .waterfilling import (EffectiveNoise, InfeasibleError, IwfReport,
+                           achievable_rate, effective_noise, iterate_iwf,
+                           waterfill_fm, waterfill_ra)
 
 
 @dataclass(frozen=True)
@@ -103,42 +103,69 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
                       target_rate=target_rate)
 
 
+def far_alone(channel: ChannelMatrixSet, noise: NoiseProfile, far_user: int,
+              budget: float, gap: float = 1.0) -> PowerAllocation:
+    """The far user's opening move: water-filling against background noise."""
+    eff = effective_noise(far_user, (), channel, noise, gap)
+    return waterfill_ra(eff, budget, channel.grid)[0]
+
+
+def dfdm_round(channel: ChannelMatrixSet, noise: NoiseProfile,
+               budgets: Sequence[float], target_rate: float,
+               near_user: int = 1, gap: float = 1.0,
+               far_initial: PowerAllocation | None = None
+               ) -> tuple[DfdmResult, tuple[PowerAllocation, PowerAllocation]]:
+    """One dynamic-FDM round on a 2-user channel.
+
+    The far user water-fills against background noise (`far_initial`, when
+    given, is that allocation, so a sweep computes it once), the near user
+    measures and runs dfdm_allocate, and the far user best-responds once.
+    Returns the near user's DfdmResult and both allocations in user order.
+    """
+    far_user = 1 - near_user
+    if far_initial is None:
+        far_initial = far_alone(channel, noise, far_user, budgets[far_user], gap)
+    res = dfdm_allocate(channel, noise, near_user, target_rate,
+                        budgets[near_user], others=[far_initial], gap=gap)
+    far_eff = effective_noise(far_user, [res.allocation], channel, noise, gap)
+    far_best, _ = waterfill_ra(far_eff, budgets[far_user], channel.grid)
+    allocs = (far_best, res.allocation) if far_user == 0 else (res.allocation, far_best)
+    return res, allocs
+
+
+def near_fmiwf(channel: ChannelMatrixSet, noise: NoiseProfile,
+               budgets: Sequence[float], target_rate: float,
+               near_user: int = 1, gap: float = 1.0) -> IwfReport:
+    """Fixed-margin IWF with the near user holding target_rate.
+
+    The far user plays rate-adaptively; both iterate to a fixed point.
+    """
+    targets: list[float | None] = [None, None]
+    targets[near_user] = float(target_rate)
+    return iterate_iwf(channel, noise, budgets, mode="fm", targets=targets,
+                       gap=gap)
+
+
 def dfdm_vs_fmiwf_region(channel: ChannelMatrixSet, noise: NoiseProfile,
                          budgets: Sequence[float], rd_values,
-                         near_user: int = 1, gap: float = 1.0,
-                         max_iter: int = 500, tol: float = 1e-10
+                         near_user: int = 1, gap: float = 1.0
                          ) -> dict[str, RateRegionCurve]:
     """Far-user rate against the near user's target, for both protocols.
 
-    Per target: under dynamic FDM the far user first water-fills against
-    background noise, the near user measures and allocates, and the far
-    user best-responds once.  Under fixed-margin IWF the near user holds
-    the target while the far user plays rate-adaptively, iterated to a
-    fixed point.  Points are (target, far rate).
+    Per target: one dfdm_round, and one near_fmiwf run to a fixed point.
+    Points are (target, far rate).
     """
     if channel.num_users != 2:
         raise ValueError("the region sweep handles exactly 2 users")
     far_user = 1 - near_user
-    grid = channel.grid
-
-    far_eff0 = effective_noise(far_user, (), channel, noise, gap)
-    far_initial, _ = waterfill_ra(far_eff0, budgets[far_user], grid)
+    far_initial = far_alone(channel, noise, far_user, budgets[far_user], gap)
 
     dfdm_pts, iwf_pts = [], []
     for rd in rd_values:
-        res = dfdm_allocate(channel, noise, near_user, float(rd),
-                            budgets[near_user], others=[far_initial], gap=gap)
-        far_eff = effective_noise(far_user, [res.allocation], channel, noise, gap)
-        far_best, _ = waterfill_ra(far_eff, budgets[far_user], grid)
-        far_rate = capacity(far_user, [far_best, res.allocation], channel,
-                            noise, gap)
-        dfdm_pts.append((rd, far_rate))
-
-        targets: list[float | None] = [None, None]
-        targets[near_user] = float(rd)
-        report = iterate_iwf(channel, noise, budgets, mode="fm",
-                             targets=targets, max_iter=max_iter, tol=tol,
-                             gap=gap)
+        _, allocs = dfdm_round(channel, noise, budgets, float(rd), near_user,
+                               gap, far_initial)
+        dfdm_pts.append((rd, capacity(far_user, allocs, channel, noise, gap)))
+        report = near_fmiwf(channel, noise, budgets, rd, near_user, gap)
         iwf_pts.append((rd, capacity(far_user, report.allocations, channel,
                                      noise, gap)))
 

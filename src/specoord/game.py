@@ -8,7 +8,7 @@ an SNR gap for practical coding schemes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,17 +59,6 @@ def _check_power(power: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class GameOutcome:
-    """Rates and allocations at the end of a play of the game."""
-
-    rates: np.ndarray
-    allocations: tuple
-    iterations: int = 0
-    converged: bool = True
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class NashResult:
     is_nash: bool
     worst_gain: float
@@ -93,9 +82,17 @@ def power_matrix(allocations: Sequence[PowerAllocation], num_users: int,
     return out
 
 
+def _check_noise_shape(channel: ChannelMatrixSet, noise: NoiseProfile) -> None:
+    want = (channel.num_users, channel.num_tones)
+    if noise.values.shape != want:
+        raise ValueError(f"noise has shape {noise.values.shape}, but the channel "
+                         f"needs (users, tones) = {want}")
+
+
 def sinr_per_tone(user: int, allocations: Sequence[PowerAllocation],
                   channel: ChannelMatrixSet, noise: NoiseProfile) -> np.ndarray:
     """Received SINR of one user on every tone (no gap applied)."""
+    _check_noise_shape(channel, noise)
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
     signal = channel.direct_gains(user) * p[user]
     interference = np.einsum("kj,jk->k", channel.gains[:, user, :], p)
@@ -122,8 +119,6 @@ def validate_strategy(alloc: PowerAllocation, mode: str | None = None) -> list[s
     """Return human-readable constraint violations (empty list when valid)."""
     mode = alloc.mode if mode is None else mode
     problems = []
-    if np.any(alloc.power < 0):
-        problems.append("negative per-tone power")
     total, budget = alloc.total, alloc.budget
     slack = BUDGET_RTOL * max(budget, 1.0)
     if mode == FULL_POWER:
@@ -162,11 +157,3 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
     ok = all(g <= tol * max(1.0, r) for g, r in zip(gains, rates))
     return NashResult(is_nash=bool(ok), worst_gain=worst, gains=gains)
 
-
-def outcome_for(allocations: Sequence[PowerAllocation], channel: ChannelMatrixSet,
-                noise: NoiseProfile, gap: float = 1.0, iterations: int = 0,
-                converged: bool = True, **meta) -> GameOutcome:
-    rates = np.array([capacity(a.user, allocations, channel, noise, gap)
-                      for a in allocations])
-    return GameOutcome(rates=rates, allocations=tuple(allocations),
-                       iterations=iterations, converged=converged, meta=dict(meta))

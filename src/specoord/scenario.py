@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import symmetric
-from .channel import (ChannelMatrixSet, NoiseProfile, load_channel_csv,
-                      make_uniform_grid, synthetic_dsl_channel)
-from .dfdm import dfdm_allocate
-from .game import PowerAllocation, capacity, sinr_per_tone
+from .channel import (ChannelMatrixSet, NoiseProfile, _write_rows,
+                      format_float, load_channel_csv, make_uniform_grid,
+                      synthetic_dsl_channel, write_psd_csv)
+from .dfdm import dfdm_round, far_alone, near_fmiwf
+from .game import capacity, sinr_per_tone
 from .oracle import brute_force_pareto
 from .waterfilling import effective_noise, iterate_iwf, waterfill_ra
 
@@ -200,10 +200,6 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
     return channel
 
 
-def _fmt(value: float) -> str:
-    return "%.17g" % value
-
-
 def _sweep_targets(config: ScenarioConfig, max_rate: float) -> list[float]:
     if "rd_bps" in config.sweep:
         return [float(r) for r in config.sweep["rd_bps"]]
@@ -217,7 +213,9 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     """Execute a scenario and write its CSV artefacts.
 
     Returns a report dict with the emitted file paths and the rate-region
-    rows (method, target, near rate, far rate).  Raises ConfigError for
+    rows (method, target, near rate, far rate).  Each method's PSD and SINR
+    files hold its allocation at the detail target, computed by one more
+    round when it is not one of the swept targets.  Raises ConfigError for
     configuration problems; infeasibility inside a method propagates as
     waterfilling.InfeasibleError.
     """
@@ -230,8 +228,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     budgets = list(config.budgets_mw)
     near, far = config.near_user, 1 - config.near_user
 
-    far_eff0 = effective_noise(far, (), channel, noise, gap)
-    far_initial, _ = waterfill_ra(far_eff0, budgets[far], grid)
+    far_initial = far_alone(channel, noise, far, budgets[far], gap)
     far_free = capacity(far, [far_initial], channel, noise, gap)
     near_eff0 = effective_noise(near, [far_initial], channel, noise, gap)
     near_full, _ = waterfill_ra(near_eff0, budgets[near], grid)
@@ -242,17 +239,15 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
                  else targets[len(targets) // 2])
 
     def fmiwf_allocs(rd: float):
-        t: list[float | None] = [None, None]
-        t[near] = rd
-        report = iterate_iwf(channel, noise, budgets, mode="fm", targets=t, gap=gap)
-        return report.allocations
+        return near_fmiwf(channel, noise, budgets, rd, near, gap).allocations
 
     def dfdm_allocs(rd: float):
-        res = dfdm_allocate(channel, noise, near, rd, budgets[near],
-                            others=[far_initial], gap=gap)
-        far_eff = effective_noise(far, [res.allocation], channel, noise, gap)
-        far_best, _ = waterfill_ra(far_eff, budgets[far], grid)
-        return (far_best, res.allocation) if far == 0 else (res.allocation, far_best)
+        return dfdm_round(channel, noise, budgets, rd, near, gap, far_initial)[1]
+
+    def rate_row(method: str, target: str, allocs) -> tuple:
+        return (method, target,
+                format_float(capacity(near, allocs, channel, noise, gap)),
+                format_float(capacity(far, allocs, channel, noise, gap)))
 
     rows = []
     details: dict[str, tuple] = {}
@@ -261,24 +256,22 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
             curve = brute_force_pareto(channel, noise, budgets, gap=gap,
                                        levels=config.oracle_levels)
             for r2, r1 in curve.points:
-                rows.append((method, "", _fmt(r2), _fmt(r1)))
+                rows.append((method, "", format_float(r2), format_float(r1)))
             continue
         if method == "ra-iwf":
-            report = iterate_iwf(channel, noise, budgets, mode="ra", gap=gap)
-            allocs = report.allocations
-            rows.append((method, "",
-                         _fmt(capacity(near, allocs, channel, noise, gap)),
-                         _fmt(capacity(far, allocs, channel, noise, gap))))
+            allocs = iterate_iwf(channel, noise, budgets, mode="ra",
+                                 gap=gap).allocations
+            rows.append(rate_row(method, "", allocs))
             details[method] = allocs
             continue
         make = fmiwf_allocs if method == "fm-iwf" else dfdm_allocs
         for rd in targets:
             allocs = make(rd)
-            rows.append((method, _fmt(rd),
-                         _fmt(capacity(near, allocs, channel, noise, gap)),
-                         _fmt(capacity(far, allocs, channel, noise, gap))))
+            rows.append(rate_row(method, format_float(rd), allocs))
             if rd == detail_rd:
                 details[method] = allocs
+        if method not in details:
+            details[method] = make(detail_rd)
 
     files = {}
     region_path = os.path.join(out_dir, "rate_region.csv")
@@ -291,20 +284,11 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     for method, allocs in details.items():
         tag = method.replace("-", "_")
         psd_path = os.path.join(out_dir, f"psd_{tag}.csv")
-        with open(psd_path, "w", newline="") as fh:
-            fh.write("freq_hz,psd_1,psd_2\n")
-            widths = grid.widths
-            for k in range(grid.num_tones):
-                vals = [allocs[u].power[k] / widths[k] for u in (0, 1)]
-                fh.write(_fmt(grid.edges[k + 1]) + ""
-                         .join("," + _fmt(v) for v in vals) + "\n")
+        write_psd_csv([a.power for a in allocs], grid, psd_path)
         sinr_path = os.path.join(out_dir, f"sinr_{tag}.csv")
-        with open(sinr_path, "w", newline="") as fh:
-            fh.write("freq_hz,sinr_1,sinr_2\n")
-            sinrs = [sinr_per_tone(u, allocs, channel, noise) for u in (0, 1)]
-            for k in range(grid.num_tones):
-                fh.write(_fmt(grid.edges[k + 1])
-                         + "," + _fmt(sinrs[0][k]) + "," + _fmt(sinrs[1][k]) + "\n")
+        sinrs = [sinr_per_tone(u, allocs, channel, noise) for u in (0, 1)]
+        _write_rows(sinr_path, ["freq_hz", "sinr_1", "sinr_2"], grid.edges[1:],
+                    np.column_stack(sinrs))
         files[f"psd_{method}"] = psd_path
         files[f"sinr_{method}"] = sinr_path
 
@@ -334,12 +318,13 @@ def emit_region_map(snr_range: tuple, h_range: tuple, resolution: int,
           else np.array([h_lo]))
     # The limits depend on snr alone: one pair per row of the map.
     hs = hs.tolist()
-    h_strs = [_fmt(h) for h in hs]
+    h_strs = [format_float(h) for h in hs]
     with open(path, "w", newline="") as fh:
         fh.write("h,snr,region,h_lim1,h_lim2\n")
         for snr in snrs.tolist():
             l1, l2 = symmetric.h_lim1(snr), symmetric.h_lim2(snr)
-            snr_str, tail = f",{_fmt(snr)},", f",{_fmt(l1)},{_fmt(l2)}\n"
+            snr_str = f",{format_float(snr)},"
+            tail = f",{format_float(l1)},{format_float(l2)}\n"
             fh.writelines(h_str + snr_str + symmetric.region_between(h, l1, l2).code
                           + tail for h, h_str in zip(hs, h_strs))
     return len(snrs) * len(hs)

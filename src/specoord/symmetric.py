@@ -152,17 +152,6 @@ def recommend_strategy(h: float, snr: float) -> str:
     return "iwf" if classify_game(h, snr).region is Region.DEADLOCK else "fdm"
 
 
-def symmetric_iwf_fixed_point(h: float) -> tuple[float, float]:
-    """The unique water-filling fixed point of the symmetric game.
-
-    The best-response recursion contracts the off-band fractions towards
-    (1/2, 1/2) for every 0 <= h < 1, independently of snr.
-    """
-    if not 0.0 <= h < 1.0:
-        raise ValueError("h must satisfy 0 <= h < 1")
-    return (0.5, 0.5)
-
-
 def symmetric_iwf_iterates(h: float, start: tuple[float, float],
                            sweeps: int) -> np.ndarray:
     """Simultaneous best-response iterates of the off-band fractions.

@@ -12,13 +12,13 @@ are Nash equilibria of the underlying interference game.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
-from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation, _check_power,
-                   power_matrix)
+from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
+                   _check_noise_shape, _check_power, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -92,13 +92,6 @@ def effective_noise(user: int, allocations: Sequence[PowerAllocation],
     values = _floor(channel.gains[:, user, :], p, direct, usable,
                     noise.values[user], gap)
     return EffectiveNoise(user=user, values=values, usable=usable)
-
-
-def _check_noise_shape(channel: ChannelMatrixSet, noise: NoiseProfile) -> None:
-    want = (channel.num_users, channel.num_tones)
-    if noise.values.shape != want:
-        raise ValueError(f"noise has shape {noise.values.shape}, but the channel "
-                         f"needs (users, tones) = {want}")
 
 
 def _floor(gains_in: np.ndarray, p: np.ndarray, direct: np.ndarray,

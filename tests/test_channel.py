@@ -7,7 +7,8 @@ from specoord.channel import (ChannelCsvError, ChannelMatrixSet, FrequencyGrid,
                               NoiseProfile, load_channel_csv, load_noise_csv,
                               make_uniform_grid, nearfar_two_band_channel,
                               symmetric_two_band_channel, synthetic_dsl_channel,
-                              write_channel_csv, write_noise_csv)
+                              write_channel_csv, write_noise_csv, write_psd_csv)
+from specoord.channel import _write_rows
 
 
 class TestFrequencyGrid:
@@ -179,3 +180,30 @@ class TestCsvRoundTrip:
         loaded = load_channel_csv(path)
         assert np.allclose(loaded.gains, gains, rtol=1e-12, atol=0)
         assert np.allclose(loaded.grid.edges, edges, rtol=1e-9, atol=1e-9)
+
+
+def per_cell_csv(header, rows):
+    """Cell-by-cell reference for the CSV writers."""
+    return "".join([",".join(header) + "\n"]
+                   + [",".join("%.17g" % v for v in row) + "\n" for row in rows])
+
+
+class TestWriteRows:
+    def test_matches_per_cell_format(self, tmp_path, rng):
+        special = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 2.0 ** 53 + 2, -1e308,
+                   np.inf, -np.inf, np.nan]
+        table = np.concatenate([rng.normal(size=(6, 3)) * 10.0 ** rng.integers(
+            -20, 20, size=(6, 3)), np.reshape(special + special[:2], (4, 3))])
+        path = tmp_path / "rows.csv"
+        _write_rows(path, ["a", "b", "c"], table[:, 0], table[:, 1:])
+        assert path.read_text() == per_cell_csv(["a", "b", "c"], table)
+
+    def test_psd_is_power_over_width(self, tmp_path, rng):
+        grid = FrequencyGrid(np.cumsum(np.r_[0.0, rng.random(7) + 0.1]))
+        power = rng.random((3, 7))
+        path = tmp_path / "psd.csv"
+        write_psd_csv(power, grid, path)
+        rows = [[grid.edges[k + 1]] + [power[u, k] / grid.widths[k] for u in range(3)]
+                for k in range(7)]
+        assert path.read_text() == per_cell_csv(
+            ["freq_hz", "psd_1", "psd_2", "psd_3"], rows)

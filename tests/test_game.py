@@ -6,8 +6,8 @@ import pytest
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               make_uniform_grid, symmetric_two_band_channel)
 from specoord.game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
-                           capacity, is_nash_equilibrium, outcome_for,
-                           power_matrix, sinr_per_tone, validate_strategy)
+                           capacity, is_nash_equilibrium, power_matrix,
+                           sinr_per_tone, validate_strategy)
 
 
 def one_tone_instance(direct=1.0, coupling=0.0, noise=1.0):
@@ -146,11 +146,23 @@ class TestNashCheck:
         assert result.is_nash
 
 
-class TestOutcome:
-    def test_collects_rates(self):
-        channel, noise = one_tone_instance(coupling=0.3, noise=0.1)
-        allocs = [PowerAllocation(0, np.array([1.0]), 1.0),
-                  PowerAllocation(1, np.array([1.0]), 1.0)]
-        out = outcome_for(allocs, channel, noise, iterations=3)
-        assert out.rates[0] == pytest.approx(math.log2(1 + 1 / 0.4))
-        assert out.iterations == 3 and out.converged
+class TestNoiseShape:
+    """A noise profile must hold one row per user and one column per tone."""
+
+    def setup_method(self):
+        grid = make_uniform_grid(0, 4, 4)
+        gains = np.tile(np.array([[1.0, 0.2], [0.3, 1.0]]), (4, 1, 1))
+        self.channel = ChannelMatrixSet(gains, grid)
+        self.allocs = [PowerAllocation(u, np.full(4, 0.25), 1.0) for u in (0, 1)]
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4)])
+    def test_sinr_per_tone_rejects_mismatched_noise(self, shape):
+        noise = NoiseProfile(np.full(shape, 0.1))
+        with pytest.raises(ValueError, match=r"noise.*\(%d, %d\).*\(2, 4\)" % shape):
+            sinr_per_tone(0, self.allocs, self.channel, noise)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4)])
+    def test_capacity_rejects_mismatched_noise(self, shape):
+        noise = NoiseProfile(np.full(shape, 0.1))
+        with pytest.raises(ValueError, match=r"noise.*\(%d, %d\).*\(2, 4\)" % shape):
+            capacity(0, self.allocs, self.channel, noise)

@@ -157,3 +157,14 @@ class TestParetoFront:
     def test_matches_loop_on_a_large_cloud(self, rng):
         points = np.round(rng.random((5000, 2)) * 50) / 7
         assert np.array_equal(_pareto_front(points), pareto_front_loop(points))
+
+
+class TestNoiseShape:
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4)])
+    def test_rejects_mismatched_noise(self, shape):
+        grid = make_uniform_grid(0, 4, 4)
+        gains = np.tile(np.array([[1.0, 0.2], [0.3, 1.0]]), (4, 1, 1))
+        channel = ChannelMatrixSet(gains, grid)
+        noise = NoiseProfile(np.full(shape, 0.1))
+        with pytest.raises(ValueError, match=r"noise.*\(%d, %d\).*\(2, 4\)" % shape):
+            brute_force_pareto(channel, noise, [1.0, 1.0], levels=3)

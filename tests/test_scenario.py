@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
-                              make_uniform_grid, write_channel_csv)
+                              load_channel_csv, make_uniform_grid,
+                              write_channel_csv, write_noise_csv)
+from specoord.cli import main
+from specoord.dfdm import dfdm_vs_fmiwf_region
 from specoord.game import PowerAllocation, sinr_per_tone
 from specoord.scenario import (ConfigError, build_channel, emit_region_map,
                                load_config, run_scenario)
@@ -182,6 +185,26 @@ class TestRunScenario:
         swept = [float(r[1]) for r in report["rows"] if r[0] == "fm-iwf"]
         assert swept == [3e5, 6e5]
 
+    def test_detail_target_off_the_sweep(self, tmp_path):
+        # A detail target that is not one of the swept targets still gets its
+        # PSD and SINR files, the same bytes as when it is swept.
+        off = base_config(tmp_path, sweep={"rd_bps": [3e5, 6e5]},
+                          detail_rd_bps=4.5e5, output_dir=str(tmp_path / "off"))
+        on = base_config(tmp_path, sweep={"rd_bps": [4.5e5]},
+                         detail_rd_bps=4.5e5, output_dir=str(tmp_path / "on"))
+        report = run_scenario(load_config(off))
+        run_scenario(load_config(on))
+        names = sorted(f"{kind}_{m}" for kind in ("psd", "sinr")
+                       for m in ("fm-iwf", "dfdm", "ra-iwf"))
+        assert sorted(report["files"]) == sorted(names + ["rate_region"])
+        for method in ("fm_iwf", "dfdm"):
+            for kind in ("psd", "sinr"):
+                name = f"{kind}_{method}.csv"
+                assert ((tmp_path / "off" / name).read_bytes()
+                        == (tmp_path / "on" / name).read_bytes())
+        swept = [float(r[1]) for r in report["rows"] if r[0] == "fm-iwf"]
+        assert swept == [3e5, 6e5]
+
     def test_oracle_method_appends_frontier(self, tmp_path):
         cfg = base_config(tmp_path,
                           grid={"f_start_hz": 0.0, "f_end_hz": 2e5,
@@ -190,6 +213,41 @@ class TestRunScenario:
         report = run_scenario(load_config(cfg))
         oracle_rows = [r for r in report["rows"] if r[0] == "oracle"]
         assert oracle_rows and all(r[1] == "" for r in oracle_rows)
+
+
+class TestCrossPath:
+    """The scenario, the region sweep and the dfdm command share one round."""
+
+    def test_paths_agree_bit_for_bit(self, tmp_path, capsys):
+        config = load_config(base_config(tmp_path, methods=["fm-iwf", "dfdm"],
+                                          sweep={"count": 5}))
+        report = run_scenario(config)
+        channel = build_channel(config)
+        noise = NoiseProfile.from_psd_dbm_hz(config.noise_psd_dbm_hz,
+                                             channel.grid, 2)
+
+        curves = dfdm_vs_fmiwf_region(channel, noise, config.budgets_mw,
+                                      [float(r[1]) for r in report["rows"]
+                                       if r[0] == "dfdm"],
+                                      near_user=config.near_user)
+        for method in ("fm-iwf", "dfdm"):
+            rows = np.array([[float(r[1]), float(r[3])]
+                             for r in report["rows"] if r[0] == method])
+            assert np.array_equal(curves[method].points, rows)
+
+        chan_path, noise_path = tmp_path / "chan.csv", tmp_path / "noise.csv"
+        write_channel_csv(channel, chan_path)
+        write_noise_csv(noise, channel.grid, noise_path)
+        assert np.array_equal(load_channel_csv(chan_path).grid.edges,
+                              channel.grid.edges)
+        psd_out = tmp_path / "psd.csv"
+        code = main(["dfdm", "--channel", str(chan_path), "--noise", str(noise_path),
+                     "--budgets", "30,30", "--near-user", str(config.near_user),
+                     "--rd", repr(float(report["detail_rd_bps"])),
+                     "--psd-out", str(psd_out)])
+        assert code == 0
+        assert (psd_out.read_bytes()
+                == (tmp_path / "out" / "psd_dfdm.csv").read_bytes())
 
 
 class TestRegionMap:

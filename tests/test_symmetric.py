@@ -10,7 +10,6 @@ from specoord.symmetric import (DiscreteGame, Region, classify_game,
                                 discrete_game_payoffs, h_lim1, h_lim2,
                                 payoff_quad, recommend_strategy,
                                 symmetric_game_instance,
-                                symmetric_iwf_fixed_point,
                                 symmetric_iwf_iterates)
 
 snr_range = st.floats(min_value=0.1, max_value=1e4)
@@ -141,10 +140,6 @@ class TestRecommend:
 
 class TestFixedPoint:
     @given(h=h_range)
-    def test_always_half_half(self, h):
-        assert symmetric_iwf_fixed_point(h) == (0.5, 0.5)
-
-    @given(h=h_range)
     def test_half_half_is_stationary(self, h):
         out = symmetric_iwf_iterates(h, (0.5, 0.5), 3)
         assert np.all(out == 0.5)
@@ -165,8 +160,6 @@ class TestFixedPoint:
         assert np.all(out[1] == 0.5)
 
     def test_domain_checks(self):
-        with pytest.raises(ValueError):
-            symmetric_iwf_fixed_point(1.0)
         with pytest.raises(ValueError):
             symmetric_iwf_iterates(0.5, (1.2, 0.0), 1)
 
