@@ -96,9 +96,6 @@ class ChannelMatrixSet:
     def direct_gains(self, user: int) -> np.ndarray:
         return self.gains[:, user, user]
 
-    def coupling(self, receiver: int, transmitter: int) -> np.ndarray:
-        return self.gains[:, receiver, transmitter]
-
 
 @dataclass(frozen=True)
 class NoiseProfile:

@@ -106,10 +106,10 @@ def cmd_iwf(args) -> int:
     channel, noise = _load_instance(args)
     if len(args.budgets) != channel.num_users:
         raise ChannelCsvError("budget count does not match the channel users")
+    g = _gap(args)
     report = iterate_iwf(channel, noise, args.budgets, mode=args.mode,
                          targets=args.targets, max_iter=args.max_iter,
-                         tol=args.tol, schedule=args.schedule, gap=_gap(args))
-    g = _gap(args)
+                         tol=args.tol, schedule=args.schedule, gap=g)
     for alloc in report.allocations:
         rate = capacity(alloc.user, report.allocations, channel, noise, g)
         spent = float(np.sum(alloc.power))

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import PowerAllocation, capacity
+from .game import AT_MOST_POWER, PowerAllocation, capacity
 from .oracle import RateRegionCurve
 from .waterfilling import (EffectiveNoise, InfeasibleError, IwfReport,
                            achievable_rate, effective_noise, iterate_iwf,
@@ -92,7 +92,7 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     eff = _masked(effective_noise(user, others, channel, noise, gap), cutoff)
     if target_rate <= 0:
         alloc = PowerAllocation(user, np.zeros(channel.num_tones), budget,
-                                mode="at-most-power")
+                                AT_MOST_POWER)
         achieved = 0.0
     else:
         alloc, _ = waterfill_fm(eff, budget, target_rate, channel.grid)

@@ -82,22 +82,55 @@ def power_matrix(allocations: Sequence[PowerAllocation], num_users: int,
     return out
 
 
-def _check_noise_shape(channel: ChannelMatrixSet, noise: NoiseProfile) -> None:
+def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float) -> None:
     want = (channel.num_users, channel.num_tones)
     if noise.values.shape != want:
         raise ValueError(f"noise has shape {noise.values.shape}, but the channel "
                          f"needs (users, tones) = {want}")
+    if not gap >= 1:  # also rejects nan
+        raise ValueError("gap must be >= 1")
+
+
+def _floor(gains_in: np.ndarray, p: np.ndarray, direct: np.ndarray,
+           usable: np.ndarray, noise_row: np.ndarray, gap: float) -> np.ndarray:
+    """Effective noise values of one receiver on plain arrays.
+
+    gains_in is the receiver's (K, N) slice of the gain stack and p the
+    (N, K) power matrix with the receiver's own row zeroed.  Unusable
+    tones get +inf.
+    """
+    interference = np.einsum("kj,jk->k", gains_in, p)
+    values = np.full(direct.size, np.inf)
+    values[usable] = gap * (interference[usable] + noise_row[usable]) / direct[usable]
+    return values
+
+
+def _rate(power: np.ndarray, values: np.ndarray, usable: np.ndarray,
+          w: np.ndarray) -> float:
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(usable, power / values, 0.0)
+    return float(np.sum(w * np.log1p(ratio)) / np.log(2.0))
+
+
+def _user_floor(user: int, p: np.ndarray, channel: ChannelMatrixSet,
+                noise: NoiseProfile, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """One user's _floor (values, usable) against p, its own row left out."""
+    _check_inputs(channel, noise, gap)
+    direct = channel.direct_gains(user)
+    usable = direct > 0
+    own = p[user].copy()
+    p[user] = 0.0
+    values = _floor(channel.gains[:, user, :], p, direct, usable,
+                    noise.values[user], gap)
+    p[user] = own
+    return values, usable
 
 
 def sinr_per_tone(user: int, allocations: Sequence[PowerAllocation],
                   channel: ChannelMatrixSet, noise: NoiseProfile) -> np.ndarray:
     """Received SINR of one user on every tone (no gap applied)."""
-    _check_noise_shape(channel, noise)
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    signal = channel.direct_gains(user) * p[user]
-    interference = np.einsum("kj,jk->k", channel.gains[:, user, :], p)
-    interference -= signal
-    return signal / (interference + noise.values[user])
+    return p[user] / _user_floor(user, p, channel, noise, 1.0)[0]
 
 
 def capacity(user: int, allocations: Sequence[PowerAllocation],
@@ -109,10 +142,9 @@ def capacity(user: int, allocations: Sequence[PowerAllocation],
     all other users' transmissions as Gaussian noise.  gap >= 1 is the
     linear SNR gap of the coding scheme (1 for Shannon capacity).
     """
-    if gap < 1:
-        raise ValueError("gap must be >= 1")
-    s = sinr_per_tone(user, allocations, channel, noise)
-    return float(np.sum(channel.grid.widths * np.log1p(s / gap)) / np.log(2.0))
+    p = power_matrix(allocations, channel.num_users, channel.num_tones)
+    values, usable = _user_floor(user, p, channel, noise, gap)
+    return _rate(p[user], values, usable, channel.grid.widths)
 
 
 def validate_strategy(alloc: PowerAllocation, mode: str | None = None) -> list[str]:
@@ -144,16 +176,15 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
     """
     from . import waterfilling  # local import, waterfilling depends on this module
 
-    gains = np.empty(len(allocations))
+    p = power_matrix(allocations, channel.num_users, channel.num_tones)
+    w = channel.grid.widths
+    rates, gains = np.empty((2, len(allocations)))
     for idx, alloc in enumerate(allocations):
-        current = capacity(alloc.user, allocations, channel, noise, gap)
-        eff = waterfilling.effective_noise(alloc.user, allocations, channel, noise, gap)
-        best, _ = waterfilling.waterfill_ra(eff, alloc.budget, channel.grid)
-        best_rate = waterfilling.achievable_rate(best.power, eff, channel.grid)
-        gains[idx] = best_rate - current
+        values, usable = _user_floor(alloc.user, p, channel, noise, gap)
+        waterfilling._check_floor(values, usable)
+        rates[idx] = _rate(p[alloc.user], values, usable, w)
+        best, _ = waterfilling._ra(values, usable, alloc.budget, w)
+        gains[idx] = _rate(best, values, usable, w) - rates[idx]
     worst = float(gains.max()) if gains.size else 0.0
-    rates = np.array([capacity(a.user, allocations, channel, noise, gap)
-                      for a in allocations])
     ok = all(g <= tol * max(1.0, r) for g, r in zip(gains, rates))
     return NashResult(is_nash=bool(ok), worst_gain=worst, gains=gains)
-

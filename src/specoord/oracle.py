@@ -14,7 +14,7 @@ from itertools import product
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import _check_noise_shape
+from .game import _check_inputs
 
 
 class SearchSpaceError(ValueError):
@@ -57,7 +57,7 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
     n, k = channel.num_users, channel.num_tones
     if n != 2:
         raise ValueError("the brute-force oracle handles exactly 2 users")
-    _check_noise_shape(channel, noise)
+    _check_inputs(channel, noise, gap)
     if levels < 2:
         raise ValueError("levels must be >= 2")
     if levels ** (2 * k) > cap:

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
 from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
-                   _check_noise_shape, _check_power, power_matrix)
+                   _check_inputs, _check_power, _floor, _rate,
+                   _user_floor, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -82,43 +83,14 @@ def effective_noise(user: int, allocations: Sequence[PowerAllocation],
 
     The user's own allocation, if present in `allocations`, is ignored.
     """
-    if gap < 1:
-        raise ValueError("gap must be >= 1")
-    _check_noise_shape(channel, noise)
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    p[user] = 0.0
-    direct = channel.direct_gains(user)
-    usable = direct > 0
-    values = _floor(channel.gains[:, user, :], p, direct, usable,
-                    noise.values[user], gap)
-    return EffectiveNoise(user=user, values=values, usable=usable)
-
-
-def _floor(gains_in: np.ndarray, p: np.ndarray, direct: np.ndarray,
-           usable: np.ndarray, noise_row: np.ndarray, gap: float) -> np.ndarray:
-    """Effective noise values of one receiver on plain arrays.
-
-    gains_in is the receiver's (K, N) slice of the gain stack and p the
-    (N, K) power matrix with the receiver's own row zeroed.  Unusable
-    tones get +inf.
-    """
-    interference = np.einsum("kj,jk->k", gains_in, p)
-    values = np.full(direct.size, np.inf)
-    values[usable] = gap * (interference[usable] + noise_row[usable]) / direct[usable]
-    return values
+    return EffectiveNoise(user, *_user_floor(user, p, channel, noise, gap))
 
 
 def achievable_rate(power: np.ndarray, eff: EffectiveNoise,
                     grid: FrequencyGrid) -> float:
     """Rate of a power vector against an effective noise floor."""
     return _rate(power, eff.values, eff.usable, grid.widths)
-
-
-def _rate(power: np.ndarray, values: np.ndarray, usable: np.ndarray,
-          w: np.ndarray) -> float:
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(usable, power / values, 0.0)
-    return float(np.sum(w * np.log1p(ratio)) / np.log(2.0))
 
 
 def waterfill_ra(eff: EffectiveNoise, budget: float,
@@ -160,7 +132,9 @@ def _ra(values: np.ndarray, usable: np.ndarray, budget: float,
     w_s = w_u[order]
     mu_candidates = (budget + n_s.cumsum()) / w_s.cumsum()
     # The feasible prefix is where the level clears the worst included floor.
-    m = int((mu_candidates > nu_s).nonzero()[0][-1]) + 1
+    fits = mu_candidates > nu_s
+    fits[0] = True  # also when the budget is below an ulp of the cheapest floor
+    m = int(fits.nonzero()[0][-1]) + 1
     active, w_act = idx[order[:m]], w_s[:m]
     w_sum = w_act.sum()
     mu = (budget + n_s[:m].sum()) / w_sum
@@ -255,9 +229,7 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     budgets = [float(b) for b in budgets]
     if len(budgets) != n:
         raise ValueError("need one budget per user")
-    _check_noise_shape(channel, noise)
-    if gap < 1:
-        raise ValueError("gap must be >= 1")
+    _check_inputs(channel, noise, gap)
     if mode not in ("ra", "fm"):
         raise ValueError("mode must be 'ra' or 'fm'")
     if schedule not in (GAUSS_SEIDEL, JACOBI):

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specoord.channel import ChannelMatrixSet, NoiseProfile, make_uniform_grid
 from specoord.dfdm import dfdm_allocate, dfdm_vs_fmiwf_region, find_cutoff
-from specoord.waterfilling import (InfeasibleError, achievable_rate,
-                                   effective_noise, waterfill_ra)
+from specoord.game import PowerAllocation
+from specoord.waterfilling import (EffectiveNoise, InfeasibleError,
+                                   achievable_rate, effective_noise,
+                                   waterfill_ra)
 
 
 def solo_channel(num_tones):
@@ -22,13 +27,12 @@ def coupled_channel(num_tones=8, b01=0.4, b10=0.3, noise=0.1):
                                                              num_tones)
 
 
-def rate_above(channel, noise, cutoff, budget):
-    eff = effective_noise(0, [], channel, noise)
+def rate_above(channel, noise, cutoff, budget, others=()):
+    eff = effective_noise(0, others, channel, noise)
     usable = eff.usable.copy()
     usable[:cutoff] = False
     if not usable.any():
         return 0.0
-    from specoord.waterfilling import EffectiveNoise
     sub = EffectiveNoise(0, eff.values, usable)
     alloc, _ = waterfill_ra(sub, budget, channel.grid)
     return achievable_rate(alloc.power, sub, channel.grid)
@@ -71,6 +75,44 @@ class TestFindCutoff:
         with pytest.raises(InfeasibleError) as exc:
             find_cutoff(channel, noise, 0, full * 1.01, 4.0)
         assert exc.value.max_achievable == pytest.approx(full, rel=1e-12)
+
+    @given(data=st.data())
+    def test_cutoff_sits_on_the_floor(self, data):
+        # Masked tones (zero direct gain) anywhere in the band and an
+        # interfering far user.  The target is either a fraction of the
+        # full-band rate or the rate of the band above tone `above`,
+        # computed on a channel cut there: equal to rate_above(above) in
+        # exact arithmetic, but summed in another order.
+        k = data.draw(st.integers(1, 24))
+        gains = data.draw(arrays(float, (k, 2, 2), elements=st.floats(0.0, 1.0)))
+        direct = data.draw(arrays(float, (k, 2), elements=st.one_of(
+            st.just(0.0), st.floats(0.01, 10.0))))
+        direct[data.draw(st.integers(0, k - 1)), 0] = 1.0
+        gains[:, 0, 0], gains[:, 1, 1] = direct[:, 0], direct[:, 1]
+        noise = data.draw(arrays(float, (2, k), elements=st.floats(1e-4, 1.0)))
+        far = data.draw(arrays(float, k, elements=st.floats(0.0, 1.0)))
+        budget = data.draw(st.floats(0.1, 10.0))
+
+        def instance(lo):
+            return (ChannelMatrixSet(gains[lo:], make_uniform_grid(lo, k, k - lo)),
+                    NoiseProfile(noise[:, lo:]),
+                    [PowerAllocation(1, far[lo:], float(k))])
+
+        channel, full_noise, others = instance(0)
+        above = 0
+        if data.draw(st.booleans()):
+            above = data.draw(st.integers(0, k - 1))
+            sub_channel, sub_noise, sub_others = instance(above)
+            target = rate_above(sub_channel, sub_noise, 0, budget, sub_others)
+        else:
+            target = data.draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0))) * \
+                rate_above(channel, full_noise, 0, budget, others)
+        cut = find_cutoff(channel, full_noise, 0, target, budget, others)
+        floor = target * (1 - 1e-12)
+        assert cut >= above
+        assert rate_above(channel, full_noise, cut, budget, others) >= floor
+        if cut < k:
+            assert rate_above(channel, full_noise, cut + 1, budget, others) < floor
 
 
 class TestDfdmAllocate:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               make_uniform_grid, symmetric_two_band_channel)
 from specoord.game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
                            capacity, is_nash_equilibrium, power_matrix,
                            sinr_per_tone, validate_strategy)
+from specoord.waterfilling import achievable_rate, effective_noise
 
 
 def one_tone_instance(direct=1.0, coupling=0.0, noise=1.0):
@@ -36,6 +40,14 @@ class TestCapacity:
                   PowerAllocation(1, np.array([1.0]), 1.0)]
         assert capacity(0, allocs, channel, noise, gap=2.0) == pytest.approx(
             math.log2(1 + 1 / 0.8), rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [0.5, float("nan")])
+    def test_rejects_bad_gap(self, gap):
+        # A nan gap must not come out as a nan rate.
+        channel, noise = one_tone_instance()
+        alloc = PowerAllocation(0, np.array([1.0]), 1.0)
+        with pytest.raises(ValueError, match="gap"):
+            capacity(0, [alloc], channel, noise, gap=gap)
 
     def test_additive_over_tones(self, rng):
         grid = make_uniform_grid(0, 5, 5)
@@ -166,3 +178,80 @@ class TestNoiseShape:
         noise = NoiseProfile(np.full(shape, 0.1))
         with pytest.raises(ValueError, match=r"noise.*\(%d, %d\).*\(2, 4\)" % shape):
             capacity(0, self.allocs, self.channel, noise)
+
+
+class TestWeakCrosstalk:
+    """Crosstalk 17 orders of magnitude below the direct gain.
+
+    Adding the user's own signal to the interference and subtracting it
+    again would lose the crosstalk to rounding: the SINR would read 1e20
+    and the certificate would see a rate no water-filling can reach.
+    """
+
+    def setup_method(self):
+        gains = np.array([[[1.0, 1e-17], [1e-17, 1.0]]])
+        self.channel = ChannelMatrixSet(gains, make_uniform_grid(0, 1, 1))
+        self.noise = NoiseProfile(np.full((2, 1), 1e-20))
+        self.allocs = [PowerAllocation(u, np.array([1.0]), 1.0) for u in (0, 1)]
+
+    def test_sinr_keeps_the_crosstalk(self):
+        sinr = sinr_per_tone(0, self.allocs, self.channel, self.noise)
+        assert sinr[0] == pytest.approx(1.0 / (1e-17 + 1e-20), rel=1e-12)
+
+    def test_capacity_keeps_the_crosstalk(self):
+        rate = capacity(0, self.allocs, self.channel, self.noise)
+        # log2(1 + 9.99e16) = 56.4713; dropping the crosstalk gives 66.4386.
+        assert rate == pytest.approx(math.log2(1.0 + 1.0 / (1e-17 + 1e-20)),
+                                     rel=1e-12)
+
+    def test_certificate_gain_is_not_negative(self):
+        # One tone and the full budget on it: each user already plays its
+        # best response, so no deviation can lose rate either.
+        result = is_nash_equilibrium(self.allocs, self.channel, self.noise)
+        assert result.worst_gain >= 0.0
+
+
+@st.composite
+def masked_profiles(draw):
+    """2-4 users on 1-12 tones; some direct gains are zero (masked tones),
+    crosstalk spans 18 orders of magnitude and the gap is >= 1.  Every
+    user keeps one usable tone so that its best response exists."""
+    n = draw(st.integers(2, 4))
+    k = draw(st.integers(1, 12))
+    magnitude = st.floats(-18.0, 0.0).map(lambda e: 10.0 ** e)
+    gains = draw(arrays(float, (k, n, n), elements=magnitude))
+    direct = draw(arrays(float, (k, n), elements=st.one_of(
+        st.just(0.0), st.floats(0.01, 10.0))))
+    for i in range(n):
+        direct[i % k, i] = max(direct[i % k, i], 0.5)
+        gains[:, i, i] = direct[:, i]
+    noise = draw(arrays(float, (n, k), elements=magnitude.map(lambda v: v * 1e-2)))
+    allocs = []
+    for i in range(n):
+        power = draw(arrays(float, k, elements=st.floats(0.0, 1.0)))
+        slack = draw(st.floats(1.0, 2.0))
+        allocs.append(PowerAllocation(i, power, float(power.sum()) * slack,
+                                      AT_MOST_POWER))
+    gap = draw(st.one_of(st.just(1.0), st.floats(1.0, 10.0)))
+    return (ChannelMatrixSet(gains, make_uniform_grid(0, k, k)),
+            NoiseProfile(noise), allocs, gap)
+
+
+class TestOneFloor:
+    """capacity, effective_noise and the certificate share one floor."""
+
+    @given(masked_profiles())
+    def test_capacity_is_the_rate_on_the_effective_noise(self, profile):
+        channel, noise, allocs, gap = profile
+        for a in allocs:
+            eff = effective_noise(a.user, allocs, channel, noise, gap)
+            assert capacity(a.user, allocs, channel, noise, gap) == \
+                achievable_rate(a.power, eff, channel.grid)
+
+    @given(masked_profiles())
+    def test_best_response_never_loses_rate(self, profile):
+        channel, noise, allocs, gap = profile
+        result = is_nash_equilibrium(allocs, channel, noise, gap=gap)
+        for a, gain in zip(allocs, result.gains):
+            rate = capacity(a.user, allocs, channel, noise, gap)
+            assert gain >= -1e-12 * max(1.0, rate)

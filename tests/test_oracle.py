@@ -160,11 +160,20 @@ class TestParetoFront:
 
 
 class TestNoiseShape:
+    def setup_method(self):
+        gains = np.tile(np.array([[1.0, 0.2], [0.3, 1.0]]), (4, 1, 1))
+        self.channel = ChannelMatrixSet(gains, make_uniform_grid(0, 4, 4))
+
     @pytest.mark.parametrize("shape", [(2, 3), (3, 4)])
     def test_rejects_mismatched_noise(self, shape):
-        grid = make_uniform_grid(0, 4, 4)
-        gains = np.tile(np.array([[1.0, 0.2], [0.3, 1.0]]), (4, 1, 1))
-        channel = ChannelMatrixSet(gains, grid)
         noise = NoiseProfile(np.full(shape, 0.1))
         with pytest.raises(ValueError, match=r"noise.*\(%d, %d\).*\(2, 4\)" % shape):
-            brute_force_pareto(channel, noise, [1.0, 1.0], levels=3)
+            brute_force_pareto(self.channel, noise, [1.0, 1.0], levels=3)
+
+    @pytest.mark.parametrize("gap", [0.5, float("nan")])
+    def test_rejects_bad_gap(self, gap):
+        # A gap below 1 would report rates above capacity, and a nan gap
+        # an empty frontier.
+        noise = NoiseProfile.white(0.1, 2, 4)
+        with pytest.raises(ValueError, match="gap"):
+            brute_force_pareto(self.channel, noise, [1.0, 1.0], levels=3, gap=gap)

@@ -104,6 +104,14 @@ class TestWaterfillRa:
         with pytest.raises(ValueError):
             waterfill_ra(eff_of([1.0]), -1.0, unit_grid(1))
 
+    @pytest.mark.parametrize("floors", [[0.02], [0.02, 0.5]])
+    def test_budget_below_an_ulp_of_the_floor(self, floors):
+        # budget + floor rounds to the floor, so no level clears it; the
+        # cheapest tone still takes the whole budget.
+        alloc, mu = waterfill_ra(eff_of(floors), 1e-184, unit_grid(len(floors)))
+        assert alloc.power[0] == 1e-184 and alloc.total == 1e-184
+        assert mu == 0.02
+
     @given(floors=st.lists(st.floats(min_value=1e-3, max_value=1e3),
                            min_size=1, max_size=8),
            budget=st.floats(min_value=1e-3, max_value=1e3))
