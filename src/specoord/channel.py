@@ -36,8 +36,10 @@ class FrequencyGrid:
         object.__setattr__(self, "edges", edges)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("grid needs at least two edges")
-        if not np.all(np.diff(edges) > 0):
+        widths = _lock(np.diff(edges))
+        if not np.all(widths > 0):
             raise ValueError("grid edges must be strictly increasing")
+        object.__setattr__(self, "_widths", widths)
 
     @property
     def num_tones(self) -> int:
@@ -45,7 +47,8 @@ class FrequencyGrid:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
+        """Tone widths in Hz, computed once; read-only."""
+        return self._widths
 
     @property
     def centers(self) -> np.ndarray:

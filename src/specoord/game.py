@@ -43,7 +43,7 @@ class PowerAllocation:
         if power.ndim != 1:
             raise ValueError("power must be a 1-D vector")
         _check_power(power)
-        if self.budget < 0:
+        if not self.budget >= 0:  # also rejects nan
             raise ValueError("budget must be >= 0")
         if self.mode not in (FULL_POWER, AT_MOST_POWER):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -54,7 +54,8 @@ class PowerAllocation:
 
 
 def _check_power(power: np.ndarray) -> None:
-    if not np.isfinite(power).all() or (power < 0).any():
+    # min and max are nan when any entry is, which fails both tests.
+    if power.size and not (power.min() >= 0 and power.max() < np.inf):
         raise ValueError("powers must be finite and non-negative")
 
 
@@ -91,18 +92,19 @@ def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float) ->
         raise ValueError("gap must be >= 1")
 
 
-def _floor(gains_in: np.ndarray, p: np.ndarray, direct: np.ndarray,
-           usable: np.ndarray, noise_row: np.ndarray, gap: float) -> np.ndarray:
-    """Effective noise values of one receiver on plain arrays.
+def _floor(gains_in: np.ndarray, p: np.ndarray, tones: np.ndarray,
+           direct: np.ndarray, noise_row: np.ndarray, gap: float) -> np.ndarray:
+    """Effective noise of one receiver on its usable tones, on plain arrays.
 
     gains_in is the receiver's (K, N) slice of the gain stack and p the
-    (N, K) power matrix with the receiver's own row zeroed.  Unusable
-    tones get +inf.
+    (N, K) power matrix with the receiver's own row zeroed.  tones are the
+    usable tone indices; direct and noise_row hold the direct gains and the
+    noise on those tones.
     """
     interference = np.einsum("kj,jk->k", gains_in, p)
-    values = np.full(direct.size, np.inf)
-    values[usable] = gap * (interference[usable] + noise_row[usable]) / direct[usable]
-    return values
+    if tones.size < interference.size:
+        interference = interference[tones]
+    return gap * (interference + noise_row) / direct
 
 
 def _rate(power: np.ndarray, values: np.ndarray, usable: np.ndarray,
@@ -114,14 +116,16 @@ def _rate(power: np.ndarray, values: np.ndarray, usable: np.ndarray,
 
 def _user_floor(user: int, p: np.ndarray, channel: ChannelMatrixSet,
                 noise: NoiseProfile, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """One user's _floor (values, usable) against p, its own row left out."""
+    """One user's _floor against p, its own row left out, as (values,
+    usable) over all tones; unusable tones get +inf."""
     _check_inputs(channel, noise, gap)
     direct = channel.direct_gains(user)
     usable = direct > 0
     own = p[user].copy()
     p[user] = 0.0
-    values = _floor(channel.gains[:, user, :], p, direct, usable,
-                    noise.values[user], gap)
+    values = np.full(direct.size, np.inf)
+    values[usable] = _floor(channel.gains[:, user, :], p, usable.nonzero()[0],
+                            direct[usable], noise.values[user][usable], gap)
     p[user] = own
     return values, usable
 
@@ -176,14 +180,18 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
     """
     from . import waterfilling  # local import, waterfilling depends on this module
 
-    p = power_matrix(allocations, channel.num_users, channel.num_tones)
+    k = channel.num_tones
+    p = power_matrix(allocations, channel.num_users, k)
     w = channel.grid.widths
     rates, gains = np.empty((2, len(allocations)))
     for idx, alloc in enumerate(allocations):
         values, usable = _user_floor(alloc.user, p, channel, noise, gap)
-        waterfilling._check_floor(values, usable)
+        tones = usable.nonzero()[0]
+        floors = values[tones]
+        waterfilling._check_floor(floors)
         rates[idx] = _rate(p[alloc.user], values, usable, w)
-        best, _ = waterfilling._ra(values, usable, alloc.budget, w)
+        waterfilling._check_budget(alloc.budget)
+        best, _, _ = waterfilling._fill(tones, floors, w[tones], k, alloc.budget)
         gains[idx] = _rate(best, values, usable, w) - rates[idx]
     worst = float(gains.max()) if gains.size else 0.0
     ok = all(g <= tol * max(1.0, r) for g, r in zip(gains, rates))

@@ -89,13 +89,36 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
                            params={"levels": levels, "x_user": 1})
 
 
+# Rows in the sample whose front pre-filters _pareto_front.
+_SAMPLE_ROWS = 1024
+
+
 def _pareto_front(points: np.ndarray) -> np.ndarray:
     """Rows not weakly dominated by any other row (maximisation).
 
     Rows come out by descending x, one per x at most: the largest y among
     the rows sharing that x, kept when it beats the y of every row with a
     larger x.
+
+    Few rows of a large cloud can reach the front.  So the front of a
+    strided sample of about _SAMPLE_ROWS rows first drops every row that
+    one of its rows beats (x at least as large, y larger): one comparison
+    against the sample's best x + y row, then a search of the sample front
+    for the rest.  A beaten row is off the front, and the row beating it is
+    a row of the cloud, so the result is the same for any sample.
     """
+    sample = _front(points[::max(1, len(points) // _SAMPLE_ROWS)])[::-1]
+    fx, fy = sample[np.argmax(sample.sum(axis=1))]
+    rest = points[~((points[:, 0] <= fx) & (points[:, 1] < fy))]
+    # Sample front rows ascend in x and descend in y, so the first one with
+    # x >= a row's x has the largest y of those; past the last x there is none.
+    above = np.searchsorted(sample[:, 0], rest[:, 0])
+    best_y = np.append(sample[:, 1], -np.inf)[above]
+    return _front(rest[~(best_y > rest[:, 1])])
+
+
+def _front(points: np.ndarray) -> np.ndarray:
+    """_pareto_front by one sort of the whole cloud."""
     order = np.argsort(points[:, 0])
     x, y = points[order, 0], points[order, 1]
     starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])

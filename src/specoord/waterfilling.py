@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
 from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
-                   _check_inputs, _check_power, _floor, _rate,
+                   _check_inputs, _floor, _rate,
                    _user_floor, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
@@ -54,13 +54,19 @@ class EffectiveNoise:
         object.__setattr__(self, "usable", usable)
         if values.shape != usable.shape or values.ndim != 1:
             raise ValueError("values and usable must be matching 1-D arrays")
-        _check_floor(values, usable)
+        _check_floor(values[usable])
 
 
-def _check_floor(values: np.ndarray, usable: np.ndarray) -> None:
-    v = values[usable]
-    if (v <= 0).any() or not np.isfinite(v).all():
+def _check_floor(floors: np.ndarray) -> None:
+    """Effective noise on usable tones must be finite and > 0."""
+    # min and max are nan when any entry is, which fails both tests.
+    if floors.size and not (floors.min() > 0 and floors.max() < np.inf):
         raise ValueError("usable effective noise must be finite and > 0")
+
+
+def _check_budget(budget: float, name: str = "budget") -> None:
+    if not 0 <= budget < np.inf:  # also rejects nan
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,50 +108,13 @@ def waterfill_ra(eff: EffectiveNoise, budget: float,
     have a floor at or above it.  Solved exactly by sorting the per-Hz
     floors and picking the active set in closed form.
     """
-    power, mu = _ra(eff.values, eff.usable, budget, grid.widths)
-    return PowerAllocation(eff.user, power, budget, FULL_POWER), mu
-
-
-def _ra(values: np.ndarray, usable: np.ndarray, budget: float,
-        w: np.ndarray) -> tuple[np.ndarray, float]:
-    """waterfill_ra on plain arrays: (power, mu)."""
-    if budget < 0 or not np.isfinite(budget):
-        raise ValueError("budget must be finite and >= 0")
-    k = values.size
-    if w.size != k:
+    _check_budget(budget)
+    w = grid.widths
+    if w.size != eff.values.size:
         raise ValueError("effective noise does not match grid")
-    idx = usable.nonzero()[0]
-    if idx.size == 0:
-        if budget > 0:
-            raise InfeasibleError("no usable tones to allocate power on",
-                                  max_achievable=0.0)
-        return np.zeros(k), 0.0
-
-    n_u, w_u = values[idx], w[idx]
-    nu = n_u / w_u
-    if budget == 0:
-        return np.zeros(k), float(nu.min())
-
-    order = nu.argsort(kind="stable")
-    nu_s = nu[order]
-    n_s = n_u[order]
-    w_s = w_u[order]
-    mu_candidates = (budget + n_s.cumsum()) / w_s.cumsum()
-    # The feasible prefix is where the level clears the worst included floor.
-    fits = mu_candidates > nu_s
-    fits[0] = True  # also when the budget is below an ulp of the cheapest floor
-    m = int(fits.nonzero()[0][-1]) + 1
-    active, w_act = idx[order[:m]], w_s[:m]
-    w_sum = w_act.sum()
-    mu = (budget + n_s[:m].sum()) / w_sum
-    power = np.zeros(k)
-    power[active] = mu * w_act - n_s[:m]
-    # Remove the rounding residue by a uniform shift of the water level.
-    deficit = budget - power.sum()
-    power[active] += deficit * w_act / w_sum
-    mu += deficit / w_sum
-    np.maximum(power, 0.0, out=power)
-    return power, float(mu)
+    tones = eff.usable.nonzero()[0]
+    power, mu, _ = _fill(tones, eff.values[tones], w[tones], w.size, budget)
+    return PowerAllocation(eff.user, power, budget, FULL_POWER), mu
 
 
 def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
@@ -160,49 +129,98 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
     (carrying the best achievable rate) when the target exceeds the
     rate-adaptive rate at the full budget.
     """
-    power, mu = _fm(eff.values, eff.usable, budget, target_rate, grid.widths)
+    if not target_rate >= 0:  # also rejects nan
+        raise ValueError("target_rate must be >= 0")
+    w = grid.widths
+    tones = eff.usable.nonzero()[0]
+    if target_rate > 0:
+        if tones.size == 0:
+            raise InfeasibleError("no usable tones", max_achievable=0.0)
+        _check_budget(budget)
+        if w.size != eff.values.size:
+            raise ValueError("effective noise does not match grid")
+    power, mu, short = _fill(tones, eff.values[tones], w[tones],
+                             eff.values.size, budget, target_rate)
+    if short is not None:
+        raise InfeasibleError(
+            f"target rate {target_rate} exceeds achievable {short}",
+            max_achievable=short)
     return PowerAllocation(eff.user, power, budget, AT_MOST_POWER), mu
 
 
-def _fm(values: np.ndarray, usable: np.ndarray, budget: float,
-        target_rate: float, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """waterfill_fm on plain arrays: (power, mu)."""
-    if target_rate < 0:
-        raise ValueError("target_rate must be >= 0")
-    k = values.size
-    idx = usable.nonzero()[0]
-    if target_rate == 0:
-        level = float((values[idx] / w[idx]).min()) if idx.size else 0.0
-        return np.zeros(k), level
-    if idx.size == 0:
-        raise InfeasibleError("no usable tones", max_achievable=0.0)
+def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
+          budget: float, target: float | None = None
+          ) -> tuple[np.ndarray, float, float | None]:
+    """The one water-filling core, on plain arrays.
 
-    full, mu_cap = _ra(values, usable, budget, w)
-    max_rate = _rate(full, values, usable, w)
-    if target_rate > max_rate:
-        raise InfeasibleError(
-            f"target rate {target_rate} exceeds achievable {max_rate}",
-            max_achievable=max_rate)
+    tones are the usable tone indices out of k tones; floors and widths
+    hold the effective noise and the tone widths on them.  With no target
+    it is the rate-adaptive response to the whole budget; with a target,
+    the fixed-margin response, whose level comes from the same sort of the
+    per-Hz floors.  Returns (power over the k tones, mu, short).  short is
+    None unless the target exceeds the full-budget rate: it is then that
+    rate, and power and mu are the full-budget response.  Inputs are not
+    validated here; the callers check budgets, targets and floors.
+    """
+    if target == 0:
+        return (np.zeros(k),
+                float((floors / widths).min()) if tones.size else 0.0, None)
+    unmet = None if target is None else 0.0
+    if tones.size == 0:
+        if budget > 0:
+            raise InfeasibleError("no usable tones to allocate power on",
+                                  max_achievable=0.0)
+        return np.zeros(k), 0.0, unmet
+    nu = floors / widths
+    if budget == 0:
+        return np.zeros(k), float(nu.min()), unmet
 
-    if target_rate == max_rate:
-        mu = mu_cap
-    else:
-        nu = values[idx] / w[idx]
-        order = np.argsort(nu, kind="stable")
-        nu_s = nu[order]
-        w_s = w[idx][order]
+    order = nu.argsort(kind="stable")
+    nu_s = nu[order]
+    n_s = floors[order]
+    w_s = widths[order]
+    # add.accumulate is cumsum without the method's dispatch cost, which
+    # dominates on the few tones of the two-user game.
+    w_cum = np.add.accumulate(w_s)
+    mu_candidates = (budget + np.add.accumulate(n_s)) / w_cum
+    # The feasible prefix is where the level clears the worst included floor.
+    fits = mu_candidates > nu_s
+    fits[0] = True  # also when the budget is below an ulp of the cheapest floor
+    m = int(fits.nonzero()[0][-1]) + 1
+    active, w_act, n_act = tones[order[:m]], w_s[:m], n_s[:m]
+    # Scalars as Python floats: the same values, cheaper to combine.
+    w_sum = float(w_act.sum())
+    mu = (budget + float(n_act.sum())) / w_sum
+    power = np.zeros(k)
+    active_power = mu * w_act - n_act
+    power[active] = active_power
+    # Remove the rounding residue by a uniform shift of the water level.
+    deficit = budget - float(power.sum())
+    active_power += deficit * w_act / w_sum
+    power[active] = active_power
+    mu += deficit / w_sum
+    np.maximum(power, 0.0, out=power)
+    if target is None:
+        return power, float(mu), None
+
+    # The full-budget rate, summed over all k tones as game._rate sums it.
+    terms = np.zeros(k)
+    terms[tones] = widths * np.log1p(power[tones] / floors)
+    max_rate = float(np.sum(terms) / np.log(2.0))
+    if target > max_rate:
+        return power, float(mu), max_rate
+    if target != max_rate:
         # Overflowing prefix levels are harmless: an inf level never fits
         # under the next floor, so those prefixes are skipped.
         with np.errstate(over="ignore"):
-            levels = 2.0 ** ((target_rate + np.cumsum(w_s * np.log2(nu_s)))
-                             / np.cumsum(w_s))
+            levels = 2.0 ** ((target + np.add.accumulate(w_s * np.log2(nu_s)))
+                             / w_cum)
         fits = np.ones(nu_s.size, dtype=bool)
         fits[:-1] = levels[:-1] <= nu_s[1:]
-        m = int(np.argmax(fits)) + 1
-        mu = float(levels[m - 1])
+        mu = levels[int(np.argmax(fits))]
     power = np.zeros(k)
-    power[idx] = np.maximum(0.0, mu * w[idx] - values[idx])
-    return power, float(mu)
+    power[tones] = np.maximum(0.0, mu * widths - floors)
+    return power, float(mu), None
 
 
 def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -223,23 +241,33 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     makes all users respond to the previous sweep's allocations instead.
     Convergence is declared when the largest per-tone power change in a
     sweep drops to tol * max(budgets).  Non-convergence is reported in the
-    result, not raised.
+    result, not raised.  Budgets, targets, tol and max_iter are checked at
+    entry, so a bad value raises even with max_iter=0.
     """
     n, k = channel.num_users, channel.num_tones
     budgets = [float(b) for b in budgets]
     if len(budgets) != n:
         raise ValueError("need one budget per user")
+    for i, b in enumerate(budgets):
+        _check_budget(b, f"budgets[{i}]")
     _check_inputs(channel, noise, gap)
     if mode not in ("ra", "fm"):
         raise ValueError("mode must be 'ra' or 'fm'")
     if schedule not in (GAUSS_SEIDEL, JACOBI):
         raise ValueError(f"unknown schedule {schedule!r}")
+    if not max_iter >= 0:
+        raise ValueError("max_iter must be >= 0")
+    if not tol >= 0:  # also rejects nan
+        raise ValueError("tol must be >= 0")
     if mode == "fm":
         if targets is None:
             raise ValueError("fm mode needs per-user targets")
         targets = list(targets)
         if len(targets) != n:
             raise ValueError("need one target (or None) per user")
+        for i, t in enumerate(targets):
+            if t is not None and not t >= 0:
+                raise ValueError(f"targets[{i}] must be >= 0")
     else:
         targets = [None] * n
 
@@ -254,13 +282,21 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
 
     # The loop works on one (N, K) power matrix and plain arrays; the
     # dataclasses are built once, at return, with each user's last mode.
+    # Each user's usable tones, and its widths, direct gains and noise on
+    # them, are fixed for the solve; they are views when every tone is usable.
     p = power_matrix(allocs, n, k)
     modes: list[str | None] = [None] * n
     w = channel.grid.widths
     gains, noise_values = channel.gains, noise.values
-    gains_in = [gains[:, i, :] for i in range(n)]
-    direct = [channel.direct_gains(i) for i in range(n)]
-    usable = [d > 0 for d in direct]
+    users = []
+    for i in range(n):
+        direct, noise_row = gains[:, i, i], noise_values[i]
+        tones = (direct > 0).nonzero()[0]
+        if tones.size == k:
+            users.append((gains[:, i, :], tones, w, direct, noise_row))
+        else:
+            users.append((gains[:, i, :], tones, w[tones], direct[tones],
+                          noise_row[tones]))
     changes = []
     converged = False
     iterations = 0
@@ -268,28 +304,26 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     for sweep in range(max_iter):
         basis = p.copy() if schedule == JACOBI else p
         delta = 0.0
-        for i in range(n):
+        for i, (gains_in, tones, widths, direct, noise_row) in enumerate(users):
             own = basis[i].copy()
             basis[i] = 0.0
-            values = _floor(gains_in[i], basis, direct[i], usable[i],
-                            noise_values[i], gap)
+            floors = _floor(gains_in, basis, tones, direct, noise_row, gap)
             basis[i] = own
-            _check_floor(values, usable[i])
-            if targets[i] is None:
-                power, _ = _ra(values, usable[i], budgets[i], w)
-                modes[i] = FULL_POWER
+            _check_floor(floors)
+            power, _, short = _fill(tones, floors, widths, k, budgets[i],
+                                    targets[i])
+            if short is None:
+                modes[i] = FULL_POWER if targets[i] is None else AT_MOST_POWER
                 shortfall.discard(i)
-            else:
-                try:
-                    power, _ = _fm(values, usable[i], budgets[i], targets[i], w)
-                    modes[i] = AT_MOST_POWER
-                    shortfall.discard(i)
-                except InfeasibleError:
-                    power, _ = _ra(values, usable[i], budgets[i], w)
-                    modes[i] = FULL_POWER
-                    shortfall.add(i)
-            _check_power(power)
-            delta = max(delta, float(np.abs(power - own).max()))
+            else:  # an unreachable target falls back to full-budget play
+                modes[i] = FULL_POWER
+                shortfall.add(i)
+            # The core clips powers at 0, so only a nan or inf power can be
+            # invalid, and either one makes the step non-finite.
+            step = float(np.abs(power - own).max())
+            if not step < np.inf:
+                raise ValueError("powers must be finite and non-negative")
+            delta = max(delta, step)
             p[i] = power
         changes.append(delta)
         iterations = sweep + 1

@@ -43,6 +43,13 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             grid.edges[0] = 5.0
 
+    def test_widths_computed_once_and_read_only(self):
+        grid = FrequencyGrid([0.0, 1.0, 3.0, 3.5])
+        assert grid.widths is grid.widths
+        assert grid.widths.tolist() == [1.0, 2.0, 0.5]
+        with pytest.raises(ValueError):
+            grid.widths[0] = 5.0
+
 
 class TestBuilders:
     def test_symmetric_identity_at_zero(self):

@@ -101,6 +101,19 @@ class TestValidateStrategy:
         with pytest.raises(ValueError):
             PowerAllocation(0, np.array([1.5, -0.5]), 1.0, FULL_POWER)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_power_rejected_at_construction(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PowerAllocation(0, np.array([0.5, bad]), 1.0, FULL_POWER)
+
+    @pytest.mark.parametrize("mode", [FULL_POWER, AT_MOST_POWER])
+    @pytest.mark.parametrize("budget", [math.nan, -1.0])
+    def test_bad_budget_rejected_at_construction(self, mode, budget):
+        # A nan budget used to pass, and validate_strategy, whose every
+        # comparison with it is false, then reported the allocation valid.
+        with pytest.raises(ValueError, match="budget"):
+            PowerAllocation(0, np.array([0.5, 0.5]), budget, mode)
+
     def test_overspend_rejected_in_both_modes(self):
         for mode in (FULL_POWER, AT_MOST_POWER):
             alloc = PowerAllocation(0, np.array([0.7, 0.7]), 1.0, mode)

@@ -158,6 +158,22 @@ class TestParetoFront:
         points = np.round(rng.random((5000, 2)) * 50) / 7
         assert np.array_equal(_pareto_front(points), pareto_front_loop(points))
 
+    def test_matches_loop_with_frontier_duplicates(self, rng):
+        # A cloud large enough for a sampled pre-filter, with ties in x and
+        # every frontier row repeated, at the head of the cloud and at every
+        # 16th row, so that a sample's front holds some of them.  Row 1 lies
+        # right of all others and is in no strided sample: its y must not
+        # be compared with a sample row left of it.
+        cloud = np.round(rng.random((12_000, 2)) * 400) / 7
+        front = pareto_front_loop(cloud)
+        body = np.concatenate([cloud, np.repeat(front, 5, axis=0)])
+        body = body[rng.permutation(len(body))]
+        body[::16] = front[np.arange(len(body[::16])) % len(front)]
+        far_right = [[cloud[:, 0].max() + 1.0, cloud[:, 1].min()]]
+        points = np.concatenate([front[:1], far_right, body])
+        assert len(np.unique(points[:, 0])) < len(points) // 4
+        assert np.array_equal(_pareto_front(points), pareto_front_loop(points))
+
 
 class TestNoiseShape:
     def setup_method(self):

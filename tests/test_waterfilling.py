@@ -64,6 +64,15 @@ class TestEffectiveNoise:
         assert not eff.usable[0] and math.isinf(eff.values[0])
         assert eff.usable[1]
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_usable_value(self, bad):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            EffectiveNoise(0, [0.5, bad], [True, True])
+
+    def test_unusable_tone_may_hold_anything(self):
+        eff = EffectiveNoise(0, [0.5, math.nan], [True, False])
+        assert eff.usable.tolist() == [True, False]
+
 
 class TestWaterfillRa:
     def test_both_tones_active(self):
@@ -191,6 +200,11 @@ class TestWaterfillFm:
         with pytest.raises(ValueError):
             waterfill_fm(eff_of([1.0]), 1.0, -0.1, unit_grid(1))
 
+    def test_rejects_nan_target(self):
+        # It used to surface as a nan power, rejected as a bad allocation.
+        with pytest.raises(ValueError, match="target_rate"):
+            waterfill_fm(eff_of([1.0]), 1.0, math.nan, unit_grid(1))
+
     def test_tiny_floors_keep_precision(self):
         # Floors far below 1 exercise the closed form where a bracketed
         # search with an absolute tolerance would give up early.
@@ -300,6 +314,46 @@ class TestIterateIwf:
                         initial=[PowerAllocation(0, np.zeros(2), 1.0)] )
 
 
+class TestIterateIwfEntryChecks:
+    """Bad settings fail at entry, naming the field, even with max_iter=0."""
+
+    def setup_method(self):
+        self.channel = symmetric_two_band_channel(0.5)
+        self.noise = NoiseProfile.white(0.1, 2, 2)
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        # Both used to run every sweep and report converged=False.
+        with pytest.raises(ValueError, match="tol"):
+            iterate_iwf(self.channel, self.noise, [1.0, 1.0], tol=tol)
+
+    def test_rejects_negative_max_iter(self):
+        # It used to return a report of 0 sweeps.
+        with pytest.raises(ValueError, match="max_iter"):
+            iterate_iwf(self.channel, self.noise, [1.0, 1.0], max_iter=-1)
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("max_iter", [0, 5])
+    def test_rejects_bad_budget_naming_the_user(self, budget, max_iter):
+        with pytest.raises(ValueError, match=r"budgets\[1\]"):
+            iterate_iwf(self.channel, self.noise, [1.0, budget],
+                        max_iter=max_iter)
+
+    @pytest.mark.parametrize("target", [math.nan, -1.0])
+    def test_rejects_bad_target_naming_the_user(self, target):
+        with pytest.raises(ValueError, match=r"targets\[1\]"):
+            iterate_iwf(self.channel, self.noise, [1.0, 1.0], mode="fm",
+                        targets=[1.0, target], max_iter=0)
+
+    def test_zero_budget_and_zero_target_are_valid(self):
+        report = iterate_iwf(self.channel, self.noise, [1.0, 0.0], mode="fm",
+                             targets=[0.0, 1.0], tol=0.0)
+        assert report.converged
+        assert report.shortfall_users == (1,)
+        assert [a.mode for a in report.allocations] == [AT_MOST_POWER, FULL_POWER]
+        assert all(not a.power.any() for a in report.allocations)
+
+
 class TestNoiseShape:
     """A noise profile must hold one row per user and one column per tone."""
 
@@ -384,9 +438,17 @@ class TestIterateIwfMatchesReference:
         dict(mode="ra", initial=True),
         dict(mode="fm", targets=[2.0, None, 1.5], initial=True, max_iter=0),
         dict(mode="ra", max_iter=0),
+        # Five users put three or four crosstalk terms in a floor sum, where
+        # their order shows in the bits.  User 4 has nothing to spend on its
+        # target and falls back to full-budget play.
+        dict(mode="fm", users=5, zero_budget=4,
+             targets=[2.0, None, 1.5, None, 1.0]),
     ])
     def test_bit_identical(self, schedule, case):
-        channel, noise, budgets = self.instance(seed=11)
+        case = dict(case)
+        channel, noise, budgets = self.instance(seed=11, n=case.pop("users", 3))
+        if "zero_budget" in case:
+            budgets[case.pop("zero_budget")] = 0.0
         kwargs = dict(case, schedule=schedule)
         if kwargs.get("initial"):
             rng = np.random.default_rng(5)
