@@ -122,6 +122,9 @@ def dfdm_round(channel: ChannelMatrixSet, noise: NoiseProfile,
     measures and runs dfdm_allocate, and the far user best-responds once.
     Returns the near user's DfdmResult and both allocations in user order.
     """
+    if channel.num_users != 2:
+        raise ValueError(f"dfdm_round needs a 2-user channel, got "
+                         f"{channel.num_users} users")
     far_user = 1 - near_user
     if far_initial is None:
         far_initial = far_alone(channel, noise, far_user, budgets[far_user], gap)

@@ -43,8 +43,7 @@ class PowerAllocation:
         if power.ndim != 1:
             raise ValueError("power must be a 1-D vector")
         _check_power(power)
-        if not self.budget >= 0:  # also rejects nan
-            raise ValueError("budget must be >= 0")
+        _check_budget(self.budget)
         if self.mode not in (FULL_POWER, AT_MOST_POWER):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -57,6 +56,11 @@ def _check_power(power: np.ndarray) -> None:
     # min and max are nan when any entry is, which fails both tests.
     if power.size and not (power.min() >= 0 and power.max() < np.inf):
         raise ValueError("powers must be finite and non-negative")
+
+
+def _check_budget(budget: float, name: str = "budget") -> None:
+    if not 0 <= budget < np.inf:  # also rejects nan
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -190,7 +194,7 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
         floors = values[tones]
         waterfilling._check_floor(floors)
         rates[idx] = _rate(p[alloc.user], values, usable, w)
-        waterfilling._check_budget(alloc.budget)
+        _check_budget(alloc.budget)
         best, _, _ = waterfilling._fill(tones, floors, w[tones], k, alloc.budget)
         gains[idx] = _rate(best, values, usable, w) - rates[idx]
     worst = float(gains.max()) if gains.size else 0.0

@@ -25,7 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .oracle import RateRegionCurve
 
@@ -54,14 +53,13 @@ class NearFarParams:
     tau: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
+        # Each test is a chained comparison, which a nan fails.
+        for name in ("alpha", "power", "n1", "n2", "w1", "w2"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         for name in ("beta", "gamma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        for name in ("power", "n1", "n2", "w1", "w2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0 < self.tau <= 1:
             raise ValueError("tau must lie in (0, 1]")
 
@@ -150,16 +148,23 @@ def strong_user_rate(params: NearFarParams, tau: float) -> float:
 
 
 def tau_for_strong_rate(params: NearFarParams, r2: float) -> float:
-    """Invert C2(tau) over tau in (gamma, 1]."""
+    """Invert C2(tau) over tau in [max(gamma, 1e-12), 1].
+
+    With A = N2 + gamma P and B = N2 the band noise seen by the strong
+    user, both bands' signal-plus-noise equal c + u with c = N2 + gamma P/2
+    and u = tau P / 2, so 2^C2 = (c + u)^2 / (A B) and u is the positive
+    root of that quadratic.
+    """
     params._require_symmetric("tau_for_strong_rate")
     lo = max(params.gamma, 1e-12)
     lo_rate, hi_rate = strong_user_rate(params, lo), strong_user_rate(params, 1.0)
-    if not lo_rate <= r2 <= hi_rate:
+    if not lo_rate <= r2 <= hi_rate:  # also rejects nan
         raise ValueError(f"r2 must lie in [{lo_rate}, {hi_rate}] for these parameters")
     if r2 == hi_rate:
         return 1.0
-    return float(brentq(lambda t: strong_user_rate(params, t) - r2, lo, 1.0,
-                        xtol=1e-14, rtol=8.9e-16))
+    n2b, gp = params.n2_band, params.gamma * params.power
+    u = 2.0 ** (0.5 * r2) * math.sqrt((n2b + gp) * n2b) - (n2b + 0.5 * gp)
+    return min(1.0, max(lo, 2.0 * u / params.power))
 
 
 def interference_min_p1(params: NearFarParams) -> float:
@@ -225,8 +230,8 @@ def rr_iwf_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
     (r2 >= W1 + W2), required for the tau lower bound and hence for the
     rate upper bound to be meaningful; "feasible" marks tau <= 1.
     """
-    if r2 < 0:
-        raise ValueError("r2 must be >= 0")
+    if not 0 <= r2 < math.inf:  # also rejects nan
+        raise ValueError("r2 must be finite and >= 0")
     gsnr = geometric_mean_snr(params)
     wt = params.w1 + params.w2
     x = r2 / wt
@@ -235,13 +240,9 @@ def rr_iwf_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
              "feasible": bool(tau <= 1.0 + 1e-12),
              "tau": tau}
 
-    def weak_rate(tau_bound: float) -> float:
-        inter = params.beta * params.power * tau_bound
-        return float(params.w1 * np.log2(
-            1 + params.alpha * params.power / (inter + params.w1 * params.n1)))
-
-    lower = weak_rate(2.0 ** (x + 1) / gsnr)
-    upper = weak_rate(2.0 ** (x - 1) / gsnr)
+    bp = params.beta * params.power
+    lower = _weak_band1_rate(bp * (2.0 ** (x + 1) / gsnr), params)
+    upper = _weak_band1_rate(bp * (2.0 ** (x - 1) / gsnr), params)
     return RateBoundPair(lower=lower, upper=upper, method="fm-iwf", flags=flags)
 
 
@@ -256,29 +257,36 @@ def rr_iwf_exact_tau_r1(r2: float, params: NearFarParams) -> float:
     gsnr = geometric_mean_snr(params)
     factor = rho ** rho * (1 - rho) ** (1 - rho)
     tau_exact = 2.0 ** (r2 / (params.w1 + params.w2)) / (gsnr * factor)
-    inter = params.beta * rho * tau_exact * params.power
+    return _weak_band1_rate(params.beta * rho * tau_exact * params.power,
+                            params)
+
+
+def _weak_band1_rate(inter: float, params: NearFarParams) -> float:
+    """Weak user's band-1 rate W1 log2(1 + alpha P / (inter + W1 N1)) under
+    interference power inter."""
     return float(params.w1 * np.log2(
         1 + params.alpha * params.power / (inter + params.w1 * params.n1)))
+
+
+def _strong_rate_of_lambda(lam: float, params: NearFarParams) -> float:
+    """Strong user's flat-PSD rate x log2(1 + P / (x N2)) over the band
+    x = lam W1 + W2."""
+    band = lam * params.w1 + params.w2
+    return float(band * np.log2(1 + params.power / (band * params.n2)))
 
 
 def fdm_threshold_rate(params: NearFarParams) -> float:
     """Strong-user rate below which static FDM leaves band 1 untouched:
     W2 log2(1 + P / (W2 N2))."""
-    return float(params.w2 * np.log2(1 + params.power / (params.w2 * params.n2)))
+    return _strong_rate_of_lambda(0.0, params)
 
 
 def fdm_weak_user_rate(params: NearFarParams) -> float:
     """Weak user's interference-free rate W1 log2(1 + alpha P / (W1 N1))."""
-    return float(params.w1 * np.log2(
-        1 + params.alpha * params.power / (params.w1 * params.n1)))
+    return _weak_band1_rate(0.0, params)
 
 
 # --- banded forms: dynamic FDM bounds ---------------------------------------
-
-
-def _strong_rate_of_lambda(lam: float, params: NearFarParams) -> float:
-    band = lam * params.w1 + params.w2
-    return float(band * np.log2(1 + params.power / (band * params.n2)))
 
 
 def dfdm_lambda_bounds(r2: float, params: NearFarParams
@@ -296,8 +304,8 @@ def dfdm_lambda_bounds(r2: float, params: NearFarParams
     both clamped to [0, 1].  The raw lambda_max exceeding 1 means r2 is not
     achievable at all; the third return value is that feasibility flag.
     """
-    if r2 <= 0:
-        raise ValueError("r2 must be > 0")
+    if not 0 < r2 < math.inf:  # also rejects nan
+        raise ValueError("r2 must be finite and > 0")
     snr2 = params.power / params.n2
     lam_min = (r2 / math.log2(1 + snr2 / params.w2) - params.w2) / params.w1
     lam_max_raw = (r2 / math.log2(1 + snr2 / (params.w1 + params.w2))
@@ -310,13 +318,16 @@ def dfdm_lambda_bounds(r2: float, params: NearFarParams
 def solve_lambda(r2: float, params: NearFarParams) -> float:
     """Exact band-1 fraction for the strong user's dynamic-FDM target.
 
-    Monotone in lambda, solved by a bracketed search on [0, 1] to 1e-12.
-    Targets below the band-2-only rate clamp to 0; targets above the
-    full-spectrum rate raise InfeasibleError-style ValueError carrying the
-    maximum in the message.
+    The rate x log2(1 + s/x), s = P/N2, is concave and increasing in the
+    band x = lambda W1 + W2, so Newton's method started at lambda = 0 rises
+    monotonically onto the root.  The loop returns at the first step that
+    does not rise or would pass lambda = 1; a strictly rising sequence of
+    floats in [0, 1] is finite.  Targets below the band-2-only rate clamp
+    to 0; targets above the full-spectrum rate raise InfeasibleError-style
+    ValueError carrying the maximum in the message.
     """
-    if r2 <= 0:
-        raise ValueError("r2 must be > 0")
+    if not 0 < r2 < math.inf:  # also rejects nan
+        raise ValueError("r2 must be finite and > 0")
     r_at_0 = _strong_rate_of_lambda(0.0, params)
     r_at_1 = _strong_rate_of_lambda(1.0, params)
     if r2 <= r_at_0:
@@ -325,8 +336,18 @@ def solve_lambda(r2: float, params: NearFarParams) -> float:
         raise ValueError(f"r2 {r2} exceeds the full-spectrum rate {r_at_1}")
     if r2 == r_at_1:
         return 1.0
-    return float(brentq(lambda lam: _strong_rate_of_lambda(lam, params) - r2,
-                        0.0, 1.0, xtol=1e-12, rtol=8.9e-16))
+    s = params.power / params.n2
+    lam = 0.0
+    while True:
+        q = s / (lam * params.w1 + params.w2)
+        # d rate / d lambda = W1 (ln(1 + q) - q / (1 + q)) / ln 2
+        slope = params.w1 * (math.log1p(q) - q / (1 + q)) / math.log(2.0)
+        if not slope > 0:  # flat to rounding, at an in-band SNR near 1e-16
+            return lam
+        step = lam + (r2 - _strong_rate_of_lambda(lam, params)) / slope
+        if not lam < step <= 1.0:
+            return lam
+        lam = step
 
 
 def dfdm_r1(lam: float, params: NearFarParams) -> float:

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import ChannelMatrixSet, NoiseProfile, symmetric_two_band_channel
 
@@ -61,12 +60,16 @@ class GameRegion:
     h_lim2: float
 
 
+def _check_snr(snr: float) -> None:
+    if not 0 < snr < math.inf:  # also rejects nan
+        raise ValueError("snr must be finite and > 0")
+
+
 def _check_h_snr(h: float, snr: float, allow_one: bool = False) -> None:
     hi = 1.0 if allow_one else math.nextafter(1.0, 0.0)
-    if not 0.0 <= h <= hi:
+    if not 0.0 <= h <= hi:  # also rejects nan
         raise ValueError("h must satisfy 0 <= h < 1")
-    if snr <= 0:
-        raise ValueError("snr must be > 0")
+    _check_snr(snr)
 
 
 def payoff_quad(h: float, snr: float) -> PayoffQuad:
@@ -91,8 +94,7 @@ def h_lim1(snr: float) -> float:
 
     Positive root of h^2 + 2 h / snr - 1 / snr = 0, i.e. R = P.
     """
-    if snr <= 0:
-        raise ValueError("snr must be > 0")
+    _check_snr(snr)
     inv = 1.0 / snr
     return inv * (math.sqrt(1.0 + snr) - 1.0)
 
@@ -100,18 +102,22 @@ def h_lim1(snr: float) -> float:
 def h_lim2(snr: float) -> float:
     """Coupling above which the naive payoff beats mutual competition (P = N).
 
-    Root in (0, 1) of h^3 + h^2 (1/2 + 2/snr) - h/2 - 1/snr = 0; the cubic
-    has exactly one positive root and it always lies inside (0, 1), so a
-    bracketed search is safe.
+    Root in (0, 1) of f(h) = h^3 + h^2 (1/2 + 2/snr) - h/2 - 1/snr = 0.
+    f(0) < 0 < f(1) and f is convex for h >= 0, so the cubic has exactly
+    one positive root and Newton's method started at h = 1 falls
+    monotonically onto it.  The loop returns at the first step that does
+    not fall; a strictly falling sequence of floats in (0, 1] is finite.
     """
-    if snr <= 0:
-        raise ValueError("snr must be > 0")
+    _check_snr(snr)
     inv = 1.0 / snr
-
-    def f(h: float) -> float:
-        return h ** 3 + h ** 2 * (0.5 + 2 * inv) - 0.5 * h - inv
-
-    return float(brentq(f, 0.0, 1.0, xtol=1e-12, rtol=8.9e-16))
+    a = 0.5 + 2 * inv
+    h = 1.0
+    while True:
+        f = ((h + a) * h - 0.5) * h - inv
+        step = h - f / ((3 * h + 2 * a) * h - 0.5)
+        if not step < h:
+            return h
+        h = step
 
 
 def classify_game(h: float, snr: float) -> GameRegion:

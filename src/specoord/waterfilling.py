@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
 from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
-                   _check_inputs, _floor, _rate,
+                   _check_budget, _check_inputs, _floor, _rate,
                    _user_floor, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
@@ -62,11 +62,6 @@ def _check_floor(floors: np.ndarray) -> None:
     # min and max are nan when any entry is, which fails both tests.
     if floors.size and not (floors.min() > 0 and floors.max() < np.inf):
         raise ValueError("usable effective noise must be finite and > 0")
-
-
-def _check_budget(budget: float, name: str = "budget") -> None:
-    if not 0 <= budget < np.inf:  # also rejects nan
-        raise ValueError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)

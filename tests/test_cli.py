@@ -40,6 +40,12 @@ class TestClassify:
         assert main(["classify", "--h", "1.5", "--snr", "10"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("snr", ["inf", "nan"])
+    def test_non_finite_snr_exits_2(self, snr, capsys):
+        # An infinite snr used to end in a ZeroDivisionError traceback.
+        assert main(["classify", "--h", "0.5", "--snr", snr]) == 2
+        assert "snr must be finite" in capsys.readouterr().err
+
 
 class TestRegionMap:
     def test_writes_csv(self, tmp_path, capsys):
@@ -155,6 +161,13 @@ class TestNearfarBounds:
         data = json.loads(capsys.readouterr().out)
         assert set(data) == {"lower", "upper", "method", "flags",
                              "exact_tau_estimate"}
+
+    def test_nan_alpha_exits_2(self, capsys):
+        # A nan alpha used to exit 0 with NaN in the JSON.
+        args = ["--alpha", "nan", "--beta", "0.5", "--r2", "2"]
+        assert main(["nearfar-bounds", *args]) == 2
+        captured = capsys.readouterr()
+        assert "alpha must be finite" in captured.err and not captured.out
 
     def test_infeasible_dfdm_has_no_lambda(self, capsys):
         code = main(["nearfar-bounds", *self.ARGS, "--r2", "40",

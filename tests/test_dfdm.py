@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specoord.channel import ChannelMatrixSet, NoiseProfile, make_uniform_grid
-from specoord.dfdm import dfdm_allocate, dfdm_vs_fmiwf_region, find_cutoff
+from specoord.dfdm import (dfdm_allocate, dfdm_round, dfdm_vs_fmiwf_region,
+                           find_cutoff)
 from specoord.game import PowerAllocation
 from specoord.waterfilling import (EffectiveNoise, InfeasibleError,
                                    achievable_rate, effective_noise,
@@ -196,3 +197,13 @@ class TestRegionSweep:
         noise = NoiseProfile.white(0.1, 3, 2)
         with pytest.raises(ValueError):
             dfdm_vs_fmiwf_region(channel, noise, [1.0] * 3, [0.5])
+
+
+class TestDfdmRound:
+    def test_requires_two_users(self):
+        # A third user used to drop out of the returned allocations.
+        grid = make_uniform_grid(0, 2, 2)
+        channel = ChannelMatrixSet(np.ones((2, 3, 3)), grid)
+        noise = NoiseProfile.white(0.1, 3, 2)
+        with pytest.raises(ValueError, match="got 3 users"):
+            dfdm_round(channel, noise, [1.0] * 3, 0.5)

@@ -114,6 +114,12 @@ class TestValidateStrategy:
         with pytest.raises(ValueError, match="budget"):
             PowerAllocation(0, np.array([0.5, 0.5]), budget, mode)
 
+    def test_infinite_budget_rejected_at_construction(self):
+        # An infinite budget used to pass, and validate_strategy then
+        # reported a full-power allocation of finite total as valid.
+        with pytest.raises(ValueError, match="budget must be finite"):
+            PowerAllocation(0, np.array([0.5, 0.5]), math.inf)
+
     def test_overspend_rejected_in_both_modes(self):
         for mode in (FULL_POWER, AT_MOST_POWER):
             alloc = PowerAllocation(0, np.array([0.7, 0.7]), 1.0, mode)

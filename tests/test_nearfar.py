@@ -33,6 +33,15 @@ class TestParams:
         with pytest.raises(ValueError):
             NearFarParams(alpha=1.0, beta=0.1, n2=0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "power",
+                                       "n1", "n2", "w1", "w2", "tau"])
+    def test_non_finite_field_rejected(self, field, bad):
+        # A nan field used to pass and put NaN into every bound.
+        kwargs = {"alpha": 1.0, "beta": 0.1, field: bad}
+        with pytest.raises(ValueError, match=field):
+            NearFarParams(**kwargs)
+
     def test_bound_pair_ordering_enforced(self):
         with pytest.raises(ValueError):
             RateBoundPair(lower=2.0, upper=1.0, method="x", flags={})
@@ -90,6 +99,23 @@ class TestSymmetricRates:
         too_high = strong_user_rate(BASE, 1.0) * 1.01
         with pytest.raises(ValueError):
             tau_for_strong_rate(BASE, too_high)
+        with pytest.raises(ValueError, match="r2 must lie"):
+            tau_for_strong_rate(BASE, math.nan)
+
+    @given(gamma=st.floats(min_value=1e-3, max_value=0.9),
+           frac=st.floats(min_value=0.0, max_value=1.0),
+           power=st.floats(min_value=0.1, max_value=100.0),
+           n2=st.floats(min_value=1e-3, max_value=10.0),
+           width=st.floats(min_value=0.1, max_value=10.0))
+    def test_tau_round_trip_with_crosstalk(self, gamma, frac, power, n2, width,
+                                           terminates):
+        p = NearFarParams(alpha=0.01, beta=0.5, gamma=gamma, power=power,
+                          n2=n2, w1=width, w2=width)
+        tau = gamma + frac * (1.0 - gamma)
+        r2 = strong_user_rate(p, tau)
+        got = terminates(tau_for_strong_rate, p, r2)
+        assert gamma <= got <= 1.0
+        assert got == pytest.approx(tau, rel=1e-9)
 
 
 class TestInterferenceMin:
@@ -287,6 +313,52 @@ class TestDfdmLambda:
     def test_solve_lambda_rejects_infeasible(self):
         with pytest.raises(ValueError, match="exceeds"):
             solve_lambda(6.3, self.P15)
+
+    @given(w1=st.floats(min_value=0.1, max_value=10.0),
+           w2=st.floats(min_value=0.1, max_value=10.0),
+           power=st.floats(min_value=0.1, max_value=100.0),
+           n2=st.floats(min_value=1e-3, max_value=10.0),
+           frac=st.sampled_from([0.0, 1.0]) | st.floats(min_value=0.0,
+                                                        max_value=1.0))
+    def test_solve_lambda_against_bisection_random(self, w1, w2, power, n2,
+                                                   frac, terminates):
+        p = NearFarParams(alpha=0.01, beta=0.5, power=power, n2=n2,
+                          w1=w1, w2=w2)
+
+        def rate(lam):
+            # Same arithmetic as the library, so the end targets are exact.
+            band = lam * w1 + w2
+            return float(band * np.log2(1 + power / (band * n2)))
+
+        r_lo, r_hi = rate(0.0), rate(1.0)
+        r2 = r_hi if frac == 1.0 else r_lo + frac * (r_hi - r_lo)
+        lam = terminates(solve_lambda, r2, p)
+        assert 0.0 <= lam <= 1.0
+        if frac in (0.0, 1.0):
+            assert lam == frac
+        lo, hi = 0.0, 1.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if rate(mid) < r2:
+                lo = mid
+            else:
+                hi = mid
+        assert lam == pytest.approx(0.5 * (lo + hi), rel=0, abs=1e-9)
+
+    def test_solve_lambda_where_the_rate_is_flat_to_rounding(self):
+        # At an SNR of 3e-16 the Newton slope rounds to 0; the solve must
+        # still return a fraction instead of dividing by it.
+        p = NearFarParams(alpha=1.0, beta=0.1, power=3e-16, n2=1.0)
+        assert 0.0 <= solve_lambda(5e-16, p) <= 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [rr_iwf_bounds, dfdm_lambda_bounds,
+                                    dfdm_rate_bounds, solve_lambda])
+    def test_non_finite_r2_rejected(self, fn, bad):
+        # A nan used to pass these checks: rr_iwf_bounds returned a NaN
+        # bracket and dfdm_lambda_bounds clamped it to a finite one.
+        with pytest.raises(ValueError, match="r2 must be finite"):
+            fn(bad, self.P15)
 
     def test_lambda_sandwich(self):
         for r2 in np.linspace(4.2, 6.1, 25):

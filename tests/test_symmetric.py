@@ -39,6 +39,8 @@ class TestPayoffQuad:
             payoff_quad(1.0, 10)
         with pytest.raises(ValueError):
             payoff_quad(-0.1, 10)
+        with pytest.raises(ValueError, match="h must"):
+            payoff_quad(math.nan, 10)
         with pytest.raises(ValueError):
             payoff_quad(0.3, 0.0)
 
@@ -100,6 +102,33 @@ class TestThresholds:
             h_lim1(0)
         with pytest.raises(ValueError):
             h_lim2(-1)
+
+    @given(exponent=st.floats(min_value=-4.0, max_value=9.0))
+    def test_h_lim2_matches_roots_over_snr_range(self, exponent,
+                                                 terminates):
+        snr = 10.0 ** exponent
+        inv = 1.0 / snr
+        roots = np.roots([1.0, 0.5 + 2 * inv, -0.5, -inv])
+        wanted = [r.real for r in roots if abs(r.imag) < 1e-9 and 0 < r.real < 1]
+        assert len(wanted) == 1
+        h = terminates(h_lim2, snr)
+        assert 0 < h < 1
+        assert h == pytest.approx(wanted[0], rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+class TestNonFiniteSnr:
+    # Each of these used to return nan, or to fail deep inside with a
+    # ZeroDivisionError, instead of naming the field at entry.
+    @pytest.mark.parametrize("fn", [h_lim1, h_lim2])
+    def test_thresholds(self, fn, bad):
+        with pytest.raises(ValueError, match="snr must be finite"):
+            fn(bad)
+
+    @pytest.mark.parametrize("fn", [payoff_quad, classify_game])
+    def test_payoffs_and_classification(self, fn, bad):
+        with pytest.raises(ValueError, match="snr must be finite"):
+            fn(0.5, bad)
 
 
 class TestClassify:
