@@ -10,6 +10,7 @@ input errors, 3 when a rate target is infeasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -336,9 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InfeasibleError as exc:

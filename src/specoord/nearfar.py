@@ -205,10 +205,26 @@ def geometric_mean_snr(params: NearFarParams) -> float:
                  (params.power / (params.n2 * params.w2)) ** (1 - rho))
 
 
+def _exp2(x: float) -> float:
+    """2**x, saturated to inf where the float power overflows."""
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
+
+
+def _scaled(coupling: float, power: float) -> float:
+    """coupling * power, zero for a zero coupling even at a saturated power."""
+    return coupling * power if coupling else 0.0
+
+
 def strong_tau_for_rate(params: NearFarParams, r2: float) -> float:
-    """Exact politeness for a flat-PSD strong user to reach r2 (gamma = 0)."""
+    """Exact politeness for a flat-PSD strong user to reach r2 (gamma = 0).
+
+    A target past the float range of 2**(r2/(W1+W2)) gives tau = inf.
+    """
     wt = params.w1 + params.w2
-    s = 2.0 ** (r2 / wt) - 1.0
+    s = _exp2(r2 / wt) - 1.0
     return s * params.n2 * wt / params.power
 
 
@@ -228,7 +244,9 @@ def rr_iwf_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
 
     flags: "bandwidth_limited" marks spectral efficiency >= 1 bit/s/Hz
     (r2 >= W1 + W2), required for the tau lower bound and hence for the
-    rate upper bound to be meaningful; "feasible" marks tau <= 1.
+    rate upper bound to be meaningful; "feasible" marks tau <= 1.  Past
+    the float range of 2**(r2/(W1+W2)) tau is inf, the target infeasible,
+    and both bounds are 0 (the interference-free rate when beta = 0).
     """
     if not 0 <= r2 < math.inf:  # also rejects nan
         raise ValueError("r2 must be finite and >= 0")
@@ -241,8 +259,8 @@ def rr_iwf_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
              "tau": tau}
 
     bp = params.beta * params.power
-    lower = _weak_band1_rate(bp * (2.0 ** (x + 1) / gsnr), params)
-    upper = _weak_band1_rate(bp * (2.0 ** (x - 1) / gsnr), params)
+    lower = _weak_band1_rate(_scaled(bp, _exp2(x + 1) / gsnr), params)
+    upper = _weak_band1_rate(_scaled(bp, _exp2(x - 1) / gsnr), params)
     return RateBoundPair(lower=lower, upper=upper, method="fm-iwf", flags=flags)
 
 
@@ -256,8 +274,8 @@ def rr_iwf_exact_tau_r1(r2: float, params: NearFarParams) -> float:
     rho = params.rho
     gsnr = geometric_mean_snr(params)
     factor = rho ** rho * (1 - rho) ** (1 - rho)
-    tau_exact = 2.0 ** (r2 / (params.w1 + params.w2)) / (gsnr * factor)
-    return _weak_band1_rate(params.beta * rho * tau_exact * params.power,
+    tau_exact = _exp2(r2 / (params.w1 + params.w2)) / (gsnr * factor)
+    return _weak_band1_rate(_scaled(params.beta * rho, tau_exact) * params.power,
                             params)
 
 

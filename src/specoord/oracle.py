@@ -53,6 +53,14 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
     with the total at most P.  The raw search space levels**(2K) must stay
     under `cap`.  Returned points are (user 1 rate, user 0 rate) pairs,
     i.e. the strong-user-first convention used across the package.
+
+    A tone's rate term depends only on the two power levels used on it, so
+    each user's rate grid is a sum over tones of a (levels, levels) table
+    gathered at every pair's level indices: K * levels**2 logarithms per
+    user instead of one per tone and pair.  The tones are summed in index
+    order.  For K <= 2 the frontier is bit-identical to a broadcast over
+    all pairs summed by `einsum`; for more tones `einsum`'s summation order
+    depends on the numpy build, and the two agree to rounding.
     """
     n, k = channel.num_users, channel.num_tones
     if n != 2:
@@ -67,25 +75,30 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
 
     steps = np.array(list(product(range(levels), repeat=k)))
     steps = steps[steps.sum(axis=1) <= levels - 1]
-    grids = [steps * (float(b) / (levels - 1)) for b in budgets]  # (na, K), (nb, K)
+    # User 0's power levels run along axis 0 of a tone's table, user 1's
+    # along axis 1, so both users' tables index as (user 0 level, user 1 level).
+    level = [np.arange(levels) * (float(b) / (levels - 1)) for b in budgets]
+    power = [level[0][:, None], level[1][None, :]]
 
-    w = channel.grid.widths
-    g = channel.gains
-    nz = noise.values
-    ln2 = np.log(2.0)
+    w = channel.grid.widths[:, None, None]
+    g = channel.gains[:, :, :, None, None]
+    nz = noise.values[:, :, None, None]
 
-    def rates_for(user: int, own: np.ndarray, other: np.ndarray,
-                  other_user: int) -> np.ndarray:
-        sig = g[:, user, user] * own                      # (n_own, K)
-        inter = g[:, user, other_user] * other            # (n_other, K)
-        den = gap * (inter + nz[user])                    # (n_other, K)
-        sinr = sig[:, None, :] / den[None, :, :]          # (n_own, n_other, K)
-        return np.einsum("k,abk->ab", w, np.log1p(sinr)) / ln2
-
-    r0 = rates_for(0, grids[0], grids[1], 1)              # (na, nb)
-    r1 = rates_for(1, grids[1], grids[0], 0).T            # align to (na, nb)
-    points = np.column_stack([r1.ravel(), r0.ravel()])    # (r2, r1) convention
-    return RateRegionCurve(method="oracle", points=_pareto_front(points),
+    # points[a, b]: (user 1, user 0) rates, the (r2, r1) convention, with
+    # user 0 at steps[a] and user 1 at steps[b].
+    points = np.empty((len(steps), len(steps), 2))
+    for user, column in ((1, 0), (0, 1)):
+        other = 1 - user
+        sig = g[:, user, user] * power[user]
+        den = gap * (g[:, user, other] * power[other] + nz[user])
+        table = w * np.log1p(sig / den)                    # (K, levels, levels)
+        # Columns first, so the large gather copies whole rows.
+        total = table[0].take(steps[:, 0], 1).take(steps[:, 0], 0)
+        for t in range(1, k):
+            total += table[t].take(steps[:, t], 1).take(steps[:, t], 0)
+        np.divide(total, np.log(2.0), out=points[..., column])
+    return RateRegionCurve(method="oracle",
+                           points=_pareto_front(points.reshape(-1, 2)),
                            params={"levels": levels, "x_user": 1})
 
 

@@ -61,8 +61,9 @@ class GameRegion:
 
 
 def _check_snr(snr: float) -> None:
-    if not 0 < snr < math.inf:  # also rejects nan
-        raise ValueError("snr must be finite and > 0")
+    # Also rejects nan, and a subnormal snr, whose 1/snr overflows.
+    if not (0 < snr < math.inf and 1.0 / snr < math.inf):
+        raise ValueError("snr must be finite and > 0, with a finite 1/snr")
 
 
 def _check_h_snr(h: float, snr: float, allow_one: bool = False) -> None:

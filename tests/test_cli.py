@@ -6,7 +6,7 @@ import pytest
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               make_uniform_grid, write_channel_csv,
                               write_noise_csv)
-from specoord.cli import main
+from specoord.cli import _parser, build_parser, main
 from specoord.nearfar import dfdm_rate_bounds, NearFarParams, rr_iwf_bounds
 
 
@@ -40,9 +40,10 @@ class TestClassify:
         assert main(["classify", "--h", "1.5", "--snr", "10"]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("snr", ["inf", "nan"])
+    @pytest.mark.parametrize("snr", ["inf", "nan", "5e-324"])
     def test_non_finite_snr_exits_2(self, snr, capsys):
-        # An infinite snr used to end in a ZeroDivisionError traceback.
+        # An infinite snr used to end in a ZeroDivisionError traceback, and
+        # a subnormal one to report region B with h_lim1=nan.
         assert main(["classify", "--h", "0.5", "--snr", snr]) == 2
         assert "snr must be finite" in capsys.readouterr().err
 
@@ -169,6 +170,15 @@ class TestNearfarBounds:
         captured = capsys.readouterr()
         assert "alpha must be finite" in captured.err and not captured.out
 
+    def test_target_past_float_range_exits_0(self, capsys):
+        # 2**(r2/(W1+W2)) used to raise a raw OverflowError (exit 1).
+        args = ["--alpha", "0.01", "--beta", "0.5", "--r2", "3000"]
+        assert main(["nearfar-bounds", *args]) == 0
+        fm = json.loads(capsys.readouterr().out)["fm-iwf"]
+        assert fm["flags"]["tau"] == float("inf")
+        assert not fm["flags"]["feasible"]
+        assert fm["lower"] == fm["upper"] == fm["exact_tau_estimate"] == 0.0
+
     def test_infeasible_dfdm_has_no_lambda(self, capsys):
         code = main(["nearfar-bounds", *self.ARGS, "--r2", "40",
                      "--method", "dfdm"])
@@ -192,6 +202,16 @@ class TestRegionSweep:
         first = [float(c) for c in lines[1].split(",")]
         assert first[0] == 2.0
         assert first[1] <= first[2] and first[3] <= first[4]
+
+    def test_targets_past_float_range(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(["region-sweep", "--alpha", "0.01", "--beta", "0.5",
+                     "--r2-min", "1", "--r2-max", "1e6", "--count", "3",
+                     "--output", str(out)])
+        assert code == 0
+        last = [float(c) for c in out.read_text().splitlines()[-1].split(",")]
+        assert last[:3] == [1e6, 0.0, 0.0]
+        assert 0 < last[3] <= last[4]
 
 
 class TestOracle:
@@ -257,6 +277,14 @@ class TestRun:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
+    def test_override_does_not_carry_to_the_next_call(self, tmp_path, capsys):
+        # main parses every call with one parser.
+        cfg = self.write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--set", "name=\"patched\""]) == 0
+        assert "scenario patched" in capsys.readouterr().out
+        assert main(["run", "--config", cfg]) == 0
+        assert "scenario cli-run" in capsys.readouterr().out
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, methods=["sorcery"])
         assert main(["run", "--config", cfg]) == 2
@@ -267,3 +295,14 @@ class TestParser:
     def test_unknown_command_raises_system_exit(self):
         with pytest.raises(SystemExit):
             main(["conjure"])
+
+    def test_parser_serves_after_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--h", "0.3"])
+        assert exc.value.code == 2
+        assert main(["classify", "--h", "0.3", "--snr", "10"]) == 0
+        assert "region: B" in capsys.readouterr().out
+
+    def test_build_parser_is_fresh_and_main_reuses_one(self):
+        assert build_parser() is not build_parser()
+        assert _parser() is _parser()

@@ -12,6 +12,7 @@ from specoord.nearfar import (NearFarParams, RateBoundPair, bully_power_split,
                               fdm_weak_user_rate, geometric_mean_snr,
                               interference_min_p1, rr_iwf_bounds,
                               rr_iwf_exact_tau_r1, solve_lambda,
+                              strong_tau_for_rate,
                               strong_user_rate, symmetric_nearfar_rates,
                               tau_for_strong_rate, weak_user_rate_for_p1)
 
@@ -248,6 +249,19 @@ class TestRrIwfBounds:
     def test_rejects_negative_target(self):
         with pytest.raises(ValueError):
             rr_iwf_bounds(-1.0, self.HIGH_SNR)
+
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_target_past_float_range_saturates(self, beta):
+        # 2**(r2/(W1+W2)) used to raise OverflowError past r2/(W1+W2) = 1024.
+        p = replace(self.HIGH_SNR, beta=beta)
+        assert strong_tau_for_rate(p, 3000.0) == math.inf
+        pair = rr_iwf_bounds(3000.0, p)
+        assert pair.flags["tau"] == math.inf and not pair.flags["feasible"]
+        # Infinite interference leaves the weak user nothing; none leaves
+        # it its clean rate.
+        weak = 0.0 if beta else fdm_weak_user_rate(p)
+        assert pair.lower == pair.upper == weak
+        assert rr_iwf_exact_tau_r1(3000.0, p) == weak
 
     @given(w1=st.floats(min_value=0.1, max_value=10.0),
            w2=st.floats(min_value=0.1, max_value=10.0))

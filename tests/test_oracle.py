@@ -1,9 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from specoord.channel import ChannelMatrixSet, NoiseProfile, make_uniform_grid
+from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
+                              make_uniform_grid)
 from specoord.dfdm import dfdm_vs_fmiwf_region
 from specoord.oracle import (RateRegionCurve, SearchSpaceError,
                              _pareto_front, brute_force_pareto, dominates)
@@ -193,3 +196,64 @@ class TestNoiseShape:
         noise = NoiseProfile.white(0.1, 2, 4)
         with pytest.raises(ValueError, match="gap"):
             brute_force_pareto(self.channel, noise, [1.0, 1.0], levels=3, gap=gap)
+
+
+def broadcast_pareto(channel, noise, budgets, levels, gap=1.0):
+    """Frontier from (na, nb, K) broadcast rate grids summed by einsum: the
+    reference for the per-tone tables of oracle.brute_force_pareto."""
+    steps = np.array(list(product(range(levels), repeat=channel.num_tones)))
+    steps = steps[steps.sum(axis=1) <= levels - 1]
+    grids = [steps * (float(b) / (levels - 1)) for b in budgets]
+    w, g, nz = channel.grid.widths, channel.gains, noise.values
+
+    def rates_for(user, own, other, other_user):
+        sig = g[:, user, user] * own
+        den = gap * (g[:, user, other_user] * other + nz[user])
+        sinr = sig[:, None, :] / den[None, :, :]
+        return np.einsum("k,abk->ab", w, np.log1p(sinr)) / np.log(2.0)
+
+    r0 = rates_for(0, grids[0], grids[1], 1)
+    r1 = rates_for(1, grids[1], grids[0], 0).T
+    points = _pareto_front(np.column_stack([r1.ravel(), r0.ravel()]))
+    return RateRegionCurve("oracle", points).points
+
+
+def random_instance(rng, k, zero_tone):
+    """Uneven tone widths, gains over three decades, noise over three; with
+    zero_tone, tone 0 carries no crosstalk either way."""
+    gains = rng.random((k, 2, 2)) * 10.0 ** rng.uniform(-2, 1, (k, 2, 2))
+    if zero_tone:
+        gains[0, 0, 1] = gains[0, 1, 0] = 0.0
+    grid = FrequencyGrid(np.cumsum(np.r_[0.0, rng.uniform(0.5, 3.0, k)]))
+    noise = NoiseProfile(10.0 ** rng.uniform(-3, 0, (2, k)))
+    return ChannelMatrixSet(gains, grid), noise
+
+
+class TestRateTables:
+    @pytest.mark.parametrize("k,levels,gap,budgets,zero_tone", [
+        (1, 2, 1.0, (1.0, 1.0), False),
+        (1, 31, 3.5, (1.0, 0.3), True),
+        (2, 2, 1.0, (1.0, 1.0), True),
+        (2, 7, 1.0, (2.0, 0.5), False),
+        (2, 17, 10.0, (1.0, 1.0), True),
+        (2, 31, 1.0, (0.7, 1.3), False),
+        (2, 31, 2.0, (1.0, 1.0), True),
+    ])
+    def test_bit_identical_to_broadcast_up_to_two_tones(
+            self, rng, k, levels, gap, budgets, zero_tone):
+        # einsum sums one or two tone terms in index order, as the tables do.
+        channel, noise = random_instance(rng, k, zero_tone)
+        got = brute_force_pareto(channel, noise, budgets, levels=levels, gap=gap)
+        want = broadcast_pareto(channel, noise, budgets, levels, gap)
+        assert got.points.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("levels,gap,zero_tone", [
+        (2, 1.0, False), (7, 1.0, True), (11, 2.0, False), (11, 1.0, True)])
+    def test_three_tones_agree_to_rounding(self, rng, levels, gap, zero_tone):
+        # einsum's order over three or more terms depends on the numpy build.
+        channel, noise = random_instance(rng, 3, zero_tone)
+        got = brute_force_pareto(channel, noise, (1.0, 0.6), levels=levels,
+                                 gap=gap).points
+        want = broadcast_pareto(channel, noise, (1.0, 0.6), levels, gap)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)

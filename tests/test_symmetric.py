@@ -116,10 +116,11 @@ class TestThresholds:
         assert h == pytest.approx(wanted[0], rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 5e-324])
 class TestNonFiniteSnr:
     # Each of these used to return nan, or to fail deep inside with a
-    # ZeroDivisionError, instead of naming the field at entry.
+    # ZeroDivisionError, instead of naming the field at entry.  A subnormal
+    # snr passed, and 1/snr overflowed: h_lim1 gave nan and h_lim2 gave 1.
     @pytest.mark.parametrize("fn", [h_lim1, h_lim2])
     def test_thresholds(self, fn, bad):
         with pytest.raises(ValueError, match="snr must be finite"):
