@@ -96,9 +96,6 @@ class ChannelMatrixSet:
     def num_tones(self) -> int:
         return self.gains.shape[0]
 
-    def direct_gains(self, user: int) -> np.ndarray:
-        return self.gains[:, user, user]
-
 
 @dataclass(frozen=True)
 class NoiseProfile:

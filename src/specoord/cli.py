@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -61,6 +62,19 @@ def _load_instance(args) -> tuple:
     return channel, noise
 
 
+def _print_json(obj) -> None:
+    """Print obj as strict (RFC 8259) JSON: a non-finite float becomes null."""
+    def strict(value):
+        if isinstance(value, dict):
+            return {key: strict(v) for key, v in value.items()}
+        if isinstance(value, list):
+            return [strict(v) for v in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+    print(json.dumps(strict(obj), allow_nan=False))
+
+
 def _gap(args) -> float:
     return 10.0 ** (args.gap_db / 10.0)
 
@@ -79,13 +93,13 @@ def cmd_classify(args) -> int:
     g = symmetric.classify_game(args.h, args.snr)
     q = symmetric.payoff_quad(args.h, args.snr)
     if args.json:
-        print(json.dumps({
+        _print_json({
             "h": args.h, "snr": args.snr, "region": g.region.code,
             "ordering": g.ordering, "boundary": g.boundary,
             "h_lim1": g.h_lim1, "h_lim2": g.h_lim2,
             "payoffs": {"T": q.T, "R": q.R, "P": q.P, "N": q.N},
             "recommendation": symmetric.recommend_strategy(args.h, args.snr),
-        }))
+        })
         return EXIT_OK
     print(f"region: {g.region.code} ({g.region.name.lower().replace('_', ' ')})")
     print(f"ordering: {g.ordering}" + ("  [on a boundary]" if g.boundary else ""))
@@ -141,13 +155,13 @@ def cmd_dfdm(args) -> int:
     far_rate = capacity(far, allocs, channel, noise, g)
     if args.json:
         widths = channel.grid.widths
-        print(json.dumps({
+        _print_json({
             "f_c_hz": res.cutoff_hz, "cutoff_index": res.cutoff_index,
             "rate_bps": res.achieved_rate, "target_bps": res.target_rate,
             "far_rate_bps": far_rate,
             "power_mw": float(np.sum(res.allocation.power)),
             "psd": list(res.allocation.power / widths),
-        }))
+        })
     else:
         print(f"cutoff: tone {res.cutoff_index} ({res.cutoff_hz:.6g} Hz)")
         print(f"near user {near + 1}: rate {res.achieved_rate:.9g} bit/s "
@@ -199,7 +213,7 @@ def cmd_nearfar_bounds(args) -> int:
         out["dfdm"] = _bound_dict(nearfar.dfdm_rate_bounds(args.r2, params))
         if out["dfdm"]["flags"]["feasible"]:
             out["dfdm"]["lambda"] = nearfar.solve_lambda(args.r2, params)
-    print(json.dumps(out if args.method == "both" else next(iter(out.values()))))
+    _print_json(out if args.method == "both" else next(iter(out.values())))
     return EXIT_OK
 
 

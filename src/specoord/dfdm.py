@@ -35,7 +35,6 @@ class DfdmResult:
     allocation: PowerAllocation
     achieved_rate: float
     target_rate: float
-    feasible: bool = True
 
 
 def _masked(eff: EffectiveNoise, cutoff: int) -> EffectiveNoise:
@@ -172,6 +171,5 @@ def dfdm_vs_fmiwf_region(channel: ChannelMatrixSet, noise: NoiseProfile,
         iwf_pts.append((rd, capacity(far_user, report.allocations, channel,
                                      noise, gap)))
 
-    meta = {"near_user": near_user, "far_user": far_user}
-    return {"dfdm": RateRegionCurve("dfdm", np.array(dfdm_pts), params=meta),
-            "fm-iwf": RateRegionCurve("fm-iwf", np.array(iwf_pts), params=meta)}
+    return {"dfdm": RateRegionCurve("dfdm", np.array(dfdm_pts)),
+            "fm-iwf": RateRegionCurve("fm-iwf", np.array(iwf_pts))}

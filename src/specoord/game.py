@@ -4,6 +4,12 @@ Players share K tones.  A strategy for player i is a non-negative power
 vector over the tones subject to a total-power budget; the payoff is the
 Shannon rate with all interference treated as noise, optionally derated by
 an SNR gap for practical coding schemes.
+
+The numeric kernel works on plain arrays, one receiver at a time:
+_receiver checks the inputs and slices the receiver's arrays, _floor is its
+effective noise (interference plus noise over its own gain), _rate its rate
+and _fill its water-filling response.  Payoffs, the Nash certificate and
+the water-filling module all run on it.
 """
 
 from __future__ import annotations
@@ -20,6 +26,14 @@ AT_MOST_POWER = "at-most-power"
 
 # Relative slack used when validating budget constraints.
 BUDGET_RTOL = 1e-9
+
+
+class InfeasibleError(ValueError):
+    """A rate target cannot be met; carries the best achievable rate."""
+
+    def __init__(self, message: str, max_achievable: float | None = None):
+        super().__init__(message)
+        self.max_achievable = max_achievable
 
 
 @dataclass(frozen=True)
@@ -96,49 +110,131 @@ def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float) ->
         raise ValueError("gap must be >= 1")
 
 
-def _floor(gains_in: np.ndarray, p: np.ndarray, tones: np.ndarray,
-           direct: np.ndarray, noise_row: np.ndarray, gap: float) -> np.ndarray:
-    """Effective noise of one receiver on its usable tones, on plain arrays.
+def _receiver(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
+              gap: float) -> tuple:
+    """Check the inputs; return one receiver's plain arrays (gains_in,
+    tones, widths, direct, noise_row): its (K, N) slice of the gain stack,
+    its usable tones (direct gain > 0), and the widths, direct gains and
+    noise on them, which are views when every tone is usable."""
+    _check_inputs(channel, noise, gap)
+    gains_in = channel.gains[:, user, :]
+    direct, noise_row = gains_in[:, user], noise.values[user]
+    widths = channel.grid.widths
+    tones = (direct > 0).nonzero()[0]
+    if tones.size < direct.size:
+        widths, direct, noise_row = widths[tones], direct[tones], noise_row[tones]
+    return gains_in, tones, widths, direct, noise_row
 
-    gains_in is the receiver's (K, N) slice of the gain stack and p the
-    (N, K) power matrix with the receiver's own row zeroed.  tones are the
-    usable tone indices; direct and noise_row hold the direct gains and the
-    noise on those tones.
-    """
+
+def _floor(user: int, p: np.ndarray, rx: tuple, gap: float) -> np.ndarray:
+    """Effective noise of one receiver (rx from _receiver) on its usable
+    tones against p, the (N, K) power matrix, leaving its own row out."""
+    gains_in, tones, _, direct, noise_row = rx
+    own = p[user].copy()
+    p[user] = 0.0
     interference = np.einsum("kj,jk->k", gains_in, p)
+    p[user] = own
     if tones.size < interference.size:
         interference = interference[tones]
     return gap * (interference + noise_row) / direct
 
 
-def _rate(power: np.ndarray, values: np.ndarray, usable: np.ndarray,
-          w: np.ndarray) -> float:
-    with np.errstate(invalid="ignore"):
-        ratio = np.where(usable, power / values, 0.0)
-    return float(np.sum(w * np.log1p(ratio)) / np.log(2.0))
+def _rate(power: np.ndarray, tones: np.ndarray, floors: np.ndarray,
+          widths: np.ndarray) -> float:
+    """Rate of power (over all K tones) against floors on the usable tones,
+    summed over all K tones so that every caller rounds alike."""
+    terms = np.zeros(power.size)
+    terms[tones] = widths * np.log1p(power[tones] / floors)
+    return float(np.sum(terms) / np.log(2.0))
 
 
-def _user_floor(user: int, p: np.ndarray, channel: ChannelMatrixSet,
-                noise: NoiseProfile, gap: float) -> tuple[np.ndarray, np.ndarray]:
-    """One user's _floor against p, its own row left out, as (values,
-    usable) over all tones; unusable tones get +inf."""
-    _check_inputs(channel, noise, gap)
-    direct = channel.direct_gains(user)
-    usable = direct > 0
-    own = p[user].copy()
-    p[user] = 0.0
-    values = np.full(direct.size, np.inf)
-    values[usable] = _floor(channel.gains[:, user, :], p, usable.nonzero()[0],
-                            direct[usable], noise.values[user][usable], gap)
-    p[user] = own
-    return values, usable
+def _check_floor(floors: np.ndarray) -> None:
+    """Effective noise on usable tones must be finite and > 0."""
+    # min and max are nan when any entry is, which fails both tests.
+    if floors.size and not (floors.min() > 0 and floors.max() < np.inf):
+        raise ValueError("usable effective noise must be finite and > 0")
+
+
+def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
+          budget: float, target: float | None = None
+          ) -> tuple[np.ndarray, float, float | None]:
+    """The one water-filling core, on plain arrays.
+
+    tones are the usable tone indices out of k tones; floors and widths
+    hold the effective noise and the tone widths on them.  With no target
+    it is the rate-adaptive response to the whole budget; with a target,
+    the fixed-margin response, whose level comes from the same sort of the
+    per-Hz floors.  Returns (power over the k tones, mu, short).  short is
+    None unless the target exceeds the full-budget rate: it is then that
+    rate, and power and mu are the full-budget response.  Inputs are not
+    validated here; the callers check budgets, targets and floors.
+    """
+    if target == 0:
+        return (np.zeros(k),
+                float((floors / widths).min()) if tones.size else 0.0, None)
+    unmet = None if target is None else 0.0
+    if tones.size == 0:
+        if budget > 0:
+            raise InfeasibleError("no usable tones to allocate power on",
+                                  max_achievable=0.0)
+        return np.zeros(k), 0.0, unmet
+    nu = floors / widths
+    if budget == 0:
+        return np.zeros(k), float(nu.min()), unmet
+
+    order = nu.argsort(kind="stable")
+    nu_s = nu[order]
+    n_s = floors[order]
+    w_s = widths[order]
+    # add.accumulate is cumsum without the method's dispatch cost, which
+    # dominates on the few tones of the two-user game.
+    w_cum = np.add.accumulate(w_s)
+    mu_candidates = (budget + np.add.accumulate(n_s)) / w_cum
+    # The feasible prefix is where the level clears the worst included floor.
+    fits = mu_candidates > nu_s
+    fits[0] = True  # also when the budget is below an ulp of the cheapest floor
+    m = int(fits.nonzero()[0][-1]) + 1
+    active, w_act, n_act = tones[order[:m]], w_s[:m], n_s[:m]
+    # Scalars as Python floats: the same values, cheaper to combine.
+    w_sum = float(w_act.sum())
+    mu = (budget + float(n_act.sum())) / w_sum
+    power = np.zeros(k)
+    active_power = mu * w_act - n_act
+    power[active] = active_power
+    # Remove the rounding residue by a uniform shift of the water level.
+    deficit = budget - float(power.sum())
+    active_power += deficit * w_act / w_sum
+    power[active] = active_power
+    mu += deficit / w_sum
+    np.maximum(power, 0.0, out=power)
+    if target is None:
+        return power, float(mu), None
+
+    max_rate = _rate(power, tones, floors, widths)
+    if target > max_rate:
+        return power, float(mu), max_rate
+    if target != max_rate:
+        # Overflowing prefix levels are harmless: an inf level never fits
+        # under the next floor, so those prefixes are skipped.
+        with np.errstate(over="ignore"):
+            levels = 2.0 ** ((target + np.add.accumulate(w_s * np.log2(nu_s)))
+                             / w_cum)
+        fits = np.ones(nu_s.size, dtype=bool)
+        fits[:-1] = levels[:-1] <= nu_s[1:]
+        mu = levels[int(np.argmax(fits))]
+    power = np.zeros(k)
+    power[tones] = np.maximum(0.0, mu * widths - floors)
+    return power, float(mu), None
 
 
 def sinr_per_tone(user: int, allocations: Sequence[PowerAllocation],
                   channel: ChannelMatrixSet, noise: NoiseProfile) -> np.ndarray:
     """Received SINR of one user on every tone (no gap applied)."""
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    return p[user] / _user_floor(user, p, channel, noise, 1.0)[0]
+    rx = _receiver(channel, noise, user, 1.0)
+    sinr = np.zeros(channel.num_tones)
+    sinr[rx[1]] = p[user, rx[1]] / _floor(user, p, rx, 1.0)
+    return sinr
 
 
 def capacity(user: int, allocations: Sequence[PowerAllocation],
@@ -151,8 +247,8 @@ def capacity(user: int, allocations: Sequence[PowerAllocation],
     linear SNR gap of the coding scheme (1 for Shannon capacity).
     """
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    values, usable = _user_floor(user, p, channel, noise, gap)
-    return _rate(p[user], values, usable, channel.grid.widths)
+    rx = _receiver(channel, noise, user, gap)
+    return _rate(p[user], rx[1], _floor(user, p, rx, gap), rx[2])
 
 
 def validate_strategy(alloc: PowerAllocation, mode: str | None = None) -> list[str]:
@@ -182,21 +278,18 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
     passes when no user can improve its rate by more than
     tol * max(1, current rate).
     """
-    from . import waterfilling  # local import, waterfilling depends on this module
-
     k = channel.num_tones
     p = power_matrix(allocations, channel.num_users, k)
-    w = channel.grid.widths
     rates, gains = np.empty((2, len(allocations)))
     for idx, alloc in enumerate(allocations):
-        values, usable = _user_floor(alloc.user, p, channel, noise, gap)
-        tones = usable.nonzero()[0]
-        floors = values[tones]
-        waterfilling._check_floor(floors)
-        rates[idx] = _rate(p[alloc.user], values, usable, w)
+        rx = _receiver(channel, noise, alloc.user, gap)
+        _, tones, widths, _, _ = rx
+        floors = _floor(alloc.user, p, rx, gap)
+        _check_floor(floors)
+        rates[idx] = _rate(p[alloc.user], tones, floors, widths)
         _check_budget(alloc.budget)
-        best, _, _ = waterfilling._fill(tones, floors, w[tones], k, alloc.budget)
-        gains[idx] = _rate(best, values, usable, w) - rates[idx]
+        best, _, _ = _fill(tones, floors, widths, k, alloc.budget)
+        gains[idx] = _rate(best, tones, floors, widths) - rates[idx]
     worst = float(gains.max()) if gains.size else 0.0
     ok = all(g <= tol * max(1.0, r) for g, r in zip(gains, rates))
     return NashResult(is_nash=bool(ok), worst_gain=worst, gains=gains)

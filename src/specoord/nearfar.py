@@ -218,11 +218,17 @@ def _scaled(coupling: float, power: float) -> float:
     return coupling * power if coupling else 0.0
 
 
+def _check_r2(r2: float) -> None:
+    if not 0 <= r2 < math.inf:  # also rejects nan
+        raise ValueError("r2 must be finite and >= 0")
+
+
 def strong_tau_for_rate(params: NearFarParams, r2: float) -> float:
     """Exact politeness for a flat-PSD strong user to reach r2 (gamma = 0).
 
     A target past the float range of 2**(r2/(W1+W2)) gives tau = inf.
     """
+    _check_r2(r2)
     wt = params.w1 + params.w2
     s = _exp2(r2 / wt) - 1.0
     return s * params.n2 * wt / params.power
@@ -248,8 +254,7 @@ def rr_iwf_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
     the float range of 2**(r2/(W1+W2)) tau is inf, the target infeasible,
     and both bounds are 0 (the interference-free rate when beta = 0).
     """
-    if not 0 <= r2 < math.inf:  # also rejects nan
-        raise ValueError("r2 must be finite and >= 0")
+    _check_r2(r2)
     gsnr = geometric_mean_snr(params)
     wt = params.w1 + params.w2
     x = r2 / wt
@@ -271,6 +276,7 @@ def rr_iwf_exact_tau_r1(r2: float, params: NearFarParams) -> float:
     and the flat-PSD band-1 share rho * tau * P of the interference, so at
     high SNR it tracks the simulated fixed-margin IWF rate closely.
     """
+    _check_r2(r2)
     rho = params.rho
     gsnr = geometric_mean_snr(params)
     factor = rho ** rho * (1 - rho) ** (1 - rho)
@@ -431,14 +437,10 @@ def compare_regions(params: NearFarParams, r2_values) -> dict[str, RateRegionCur
         polite_pts.append((r2, weak_user_rate_for_p1(params, p1_min)))
         bounds = dfdm_rate_bounds(r2, params)
         dfdm_pts.append((r2, bounds.lower, bounds.upper))
-    snapshot = {"alpha": params.alpha, "beta": params.beta, "gamma": params.gamma,
-                "power": params.power, "n1": params.n1, "n2": params.n2,
-                "w1": params.w1, "w2": params.w2}
     return {
-        "fm-iwf": RateRegionCurve("fm-iwf", np.array(iwf_pts), params=snapshot),
+        "fm-iwf": RateRegionCurve("fm-iwf", np.array(iwf_pts)),
         "interference-min": RateRegionCurve("interference-min",
-                                            np.array(polite_pts), params=snapshot),
+                                            np.array(polite_pts)),
         "dfdm-bounds": RateRegionCurve("dfdm-bounds", np.array(dfdm_pts),
-                                       columns=("r2", "r1_lo", "r1_hi"),
-                                       params=snapshot),
+                                       columns=("r2", "r1_lo", "r1_hi")),
     }

@@ -8,7 +8,7 @@ checked for (near-)domination against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -33,7 +33,6 @@ class RateRegionCurve:
     method: str
     points: np.ndarray
     columns: tuple = ("r2", "r1")
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -98,8 +97,7 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
             total += table[t].take(steps[:, t], 1).take(steps[:, t], 0)
         np.divide(total, np.log(2.0), out=points[..., column])
     return RateRegionCurve(method="oracle",
-                           points=_pareto_front(points.reshape(-1, 2)),
-                           params={"levels": levels, "x_user": 1})
+                           points=_pareto_front(points.reshape(-1, 2)))
 
 
 # Rows in the sample whose front pre-filters _pareto_front.

@@ -15,6 +15,8 @@ between the two groups that is under study.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -44,6 +46,47 @@ def _need(d: dict, key: str, path: str):
     if key not in d:
         raise ConfigError(f"{path}.{key}" if path else key, "missing")
     return d[key]
+
+
+def _object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, "must be a JSON object")
+    return value
+
+
+def _array(value, path: str) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(path, "must be a JSON array")
+    return list(value)
+
+
+def _number(value, path: str) -> float:
+    # A bool is an int to Python but not a number here; nan and inf fail
+    # too, and so does an int past the float range.
+    if not isinstance(value, bool) and isinstance(value, numbers.Real):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(path, "must be a finite number")
+
+
+def _numbers(value, path: str) -> list[float]:
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path))]
+
+
+def _path(value, path: str):
+    if not isinstance(value, (str, os.PathLike)):
+        raise ConfigError(path, "must be a file path")
+    return value
+
+
+def _integer(value, path: str) -> int:
+    # Checked, not truncated: int(2.5) would run 2 silently.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(path, "must be an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -80,85 +123,103 @@ def load_config(source) -> ScenarioConfig:
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
 
-    grid = _need(raw, "grid", "")
-    for key in ("f_start_hz", "f_end_hz", "num_tones"):
-        _need(grid, key, "grid")
-    if grid["num_tones"] < 1:
+    grid = _object(_need(raw, "grid", ""), "grid")
+    f_start = _number(_need(grid, "f_start_hz", "grid"), "grid.f_start_hz")
+    f_end = _number(_need(grid, "f_end_hz", "grid"), "grid.f_end_hz")
+    num_tones = _integer(_need(grid, "num_tones", "grid"), "grid.num_tones")
+    if num_tones < 1:
         raise ConfigError("grid.num_tones", "must be >= 1")
-    if not grid["f_end_hz"] > grid["f_start_hz"] >= 0:
+    if not f_end > f_start >= 0:
         raise ConfigError("grid.f_end_hz", "need f_end_hz > f_start_hz >= 0")
 
-    chan = _need(raw, "channel", "")
+    chan = _object(_need(raw, "channel", ""), "channel")
     kind = _need(chan, "kind", "channel")
     if kind == "synthetic":
-        lengths = _need(chan, "lengths_km", "channel")
+        lengths = _numbers(_need(chan, "lengths_km", "channel"), "channel.lengths_km")
         if len(lengths) != 2 or any(l < 0 for l in lengths):
             raise ConfigError("channel.lengths_km", "need two non-negative lengths")
-        sizes = chan.get("group_sizes", [1, 1])
-        if len(sizes) != 2 or any(int(s) < 1 for s in sizes):
+        sizes = _array(chan.get("group_sizes", [1, 1]), "channel.group_sizes")
+        if len(sizes) != 2 or any(
+                _integer(s, f"channel.group_sizes[{i}]") < 1 for i, s in enumerate(sizes)):
             raise ConfigError("channel.group_sizes", "need two sizes >= 1")
+        coupling = chan.get("coupling_lengths_km")
+        if coupling is not None:
+            for i, row in enumerate(_array(coupling, "channel.coupling_lengths_km")):
+                _numbers(row, f"channel.coupling_lengths_km[{i}]")
+        for key in ("attenuation", "fext_coeff"):
+            if key in chan:
+                _number(chan[key], f"channel.{key}")
     elif kind == "csv":
-        _need(chan, "path", "channel")
+        _path(_need(chan, "path", "channel"), "channel.path")
     else:
         raise ConfigError("channel.kind", "must be 'synthetic' or 'csv'")
 
-    budgets = _need(raw, "budgets_mw", "")
+    budgets = _numbers(_need(raw, "budgets_mw", ""), "budgets_mw")
     if len(budgets) != 2 or any(b <= 0 for b in budgets):
         raise ConfigError("budgets_mw", "need two positive budgets")
 
-    methods = _need(raw, "methods", "")
+    methods = _array(_need(raw, "methods", ""), "methods")
     if not methods or any(m not in VALID_METHODS for m in methods):
         raise ConfigError("methods", f"must be a non-empty subset of {VALID_METHODS}")
 
-    sweep = _need(raw, "sweep", "")
+    sweep = _object(_need(raw, "sweep", ""), "sweep")
     if "rd_bps" in sweep:
-        if not sweep["rd_bps"] or any(r < 0 for r in sweep["rd_bps"]):
+        rd = _numbers(sweep["rd_bps"], "sweep.rd_bps")
+        if not rd or any(r < 0 for r in rd):
             raise ConfigError("sweep.rd_bps", "need non-negative targets")
     else:
-        count = sweep.get("count", 0)
-        if count < 1:
+        if _integer(sweep.get("count", 0), "sweep.count") < 1:
             raise ConfigError("sweep.count", "must be >= 1")
-        lo = sweep.get("min_fraction", 0.1)
-        hi = sweep.get("max_fraction", 0.95)
+        lo = _number(sweep.get("min_fraction", 0.1), "sweep.min_fraction")
+        hi = _number(sweep.get("max_fraction", 0.95), "sweep.max_fraction")
         if not 0 < lo <= hi <= 1:
             raise ConfigError("sweep.min_fraction",
                               "need 0 < min_fraction <= max_fraction <= 1")
 
-    near = raw.get("near_user", 1)
+    near = _integer(raw.get("near_user", 1), "near_user")
     if near not in (0, 1):
         raise ConfigError("near_user", "must be 0 or 1")
 
     plan = raw.get("band_plan_hz")
     if plan is not None:
+        plan = _array(plan, "band_plan_hz")
         if len(plan) != 2:
             raise ConfigError("band_plan_hz", "need one entry (or null) per user")
         for u, ranges in enumerate(plan):
             if ranges is None:
                 continue
-            for r, pair in enumerate(ranges):
+            for r, pair in enumerate(_array(ranges, f"band_plan_hz[{u}]")):
+                path = f"band_plan_hz[{u}][{r}]"
+                pair = _numbers(pair, path)
                 if len(pair) != 2 or not pair[0] < pair[1]:
-                    raise ConfigError(f"band_plan_hz[{u}][{r}]", "need [lo, hi] with lo < hi")
-                if pair[0] < grid["f_start_hz"] or pair[1] > grid["f_end_hz"]:
-                    raise ConfigError(f"band_plan_hz[{u}][{r}]", "outside the grid")
+                    raise ConfigError(path, "need [lo, hi] with lo < hi")
+                if pair[0] < f_start or pair[1] > f_end:
+                    raise ConfigError(path, "outside the grid")
         plan = tuple(None if r is None else tuple(tuple(p) for p in r) for r in plan)
 
-    if raw.get("gap_db", 0.0) < 0:
+    gap_db = _number(raw.get("gap_db", 0.0), "gap_db")
+    if gap_db < 0:
         raise ConfigError("gap_db", "must be >= 0")
+    detail = raw.get("detail_rd_bps")
+    name = raw.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ConfigError("name", "must be a string")
 
     return ScenarioConfig(
-        name=str(raw.get("name", "scenario")),
+        name=name,
         grid_spec=dict(grid),
         channel_spec=dict(chan),
-        noise_psd_dbm_hz=float(_need(raw, "noise_psd_dbm_hz", "")),
-        budgets_mw=tuple(float(b) for b in budgets),
+        noise_psd_dbm_hz=_number(_need(raw, "noise_psd_dbm_hz", ""),
+                                 "noise_psd_dbm_hz"),
+        budgets_mw=tuple(budgets),
         methods=tuple(methods),
         sweep=dict(sweep),
-        near_user=int(near),
-        gap_db=float(raw.get("gap_db", 0.0)),
+        near_user=near,
+        gap_db=gap_db,
         band_plan_hz=plan,
-        detail_rd_bps=raw.get("detail_rd_bps"),
-        oracle_levels=int(raw.get("oracle_levels", 11)),
-        output_dir=str(raw.get("output_dir", "scenario_out")),
+        detail_rd_bps=None if detail is None else _number(detail, "detail_rd_bps"),
+        oracle_levels=_integer(raw.get("oracle_levels", 11), "oracle_levels"),
+        output_dir=str(_path(raw.get("output_dir", "scenario_out"), "output_dir")),
     )
 
 

@@ -66,9 +66,8 @@ def _check_snr(snr: float) -> None:
         raise ValueError("snr must be finite and > 0, with a finite 1/snr")
 
 
-def _check_h_snr(h: float, snr: float, allow_one: bool = False) -> None:
-    hi = 1.0 if allow_one else math.nextafter(1.0, 0.0)
-    if not 0.0 <= h <= hi:  # also rejects nan
+def _check_h_snr(h: float, snr: float) -> None:
+    if not 0.0 <= h < 1.0:  # also rejects nan
         raise ValueError("h must satisfy 0 <= h < 1")
     _check_snr(snr)
 

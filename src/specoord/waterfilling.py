@@ -4,7 +4,8 @@ Single-user water-filling comes in two flavours: rate-adaptive (RA), which
 spends a fixed budget to maximise rate, and fixed-margin (FM), which spends
 the least power that reaches a target rate.  Both reduce the multi-user
 problem to a single-user one through the effective noise, i.e. interference
-plus noise referred to the user's own channel gain.
+plus noise referred to the user's own channel gain; both, and the loop, run
+on the receiver kernel of the game module.
 
 The iterative loop plays these best responses in sequence; its fixed points
 are Nash equilibria of the underlying interference game.
@@ -17,20 +18,12 @@ from typing import Sequence
 
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
-from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
-                   _check_budget, _check_inputs, _floor, _rate,
-                   _user_floor, power_matrix)
+from .game import (AT_MOST_POWER, FULL_POWER, InfeasibleError,
+                   PowerAllocation, _check_budget, _check_floor, _fill,
+                   _floor, _rate, _receiver, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
-
-
-class InfeasibleError(ValueError):
-    """A rate target cannot be met; carries the best achievable rate."""
-
-    def __init__(self, message: str, max_achievable: float | None = None):
-        super().__init__(message)
-        self.max_achievable = max_achievable
 
 
 @dataclass(frozen=True)
@@ -57,13 +50,6 @@ class EffectiveNoise:
         _check_floor(values[usable])
 
 
-def _check_floor(floors: np.ndarray) -> None:
-    """Effective noise on usable tones must be finite and > 0."""
-    # min and max are nan when any entry is, which fails both tests.
-    if floors.size and not (floors.min() > 0 and floors.max() < np.inf):
-        raise ValueError("usable effective noise must be finite and > 0")
-
-
 @dataclass(frozen=True)
 class IwfReport:
     """Outcome of an iterative water-filling run."""
@@ -85,13 +71,18 @@ def effective_noise(user: int, allocations: Sequence[PowerAllocation],
     The user's own allocation, if present in `allocations`, is ignored.
     """
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    return EffectiveNoise(user, *_user_floor(user, p, channel, noise, gap))
+    rx = _receiver(channel, noise, user, gap)
+    values = np.full(channel.num_tones, np.inf)
+    usable = np.zeros(channel.num_tones, dtype=bool)
+    values[rx[1]], usable[rx[1]] = _floor(user, p, rx, gap), True
+    return EffectiveNoise(user, values, usable)
 
 
 def achievable_rate(power: np.ndarray, eff: EffectiveNoise,
                     grid: FrequencyGrid) -> float:
     """Rate of a power vector against an effective noise floor."""
-    return _rate(power, eff.values, eff.usable, grid.widths)
+    tones = eff.usable.nonzero()[0]
+    return _rate(power, tones, eff.values[tones], grid.widths[tones])
 
 
 def waterfill_ra(eff: EffectiveNoise, budget: float,
@@ -143,81 +134,6 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
     return PowerAllocation(eff.user, power, budget, AT_MOST_POWER), mu
 
 
-def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
-          budget: float, target: float | None = None
-          ) -> tuple[np.ndarray, float, float | None]:
-    """The one water-filling core, on plain arrays.
-
-    tones are the usable tone indices out of k tones; floors and widths
-    hold the effective noise and the tone widths on them.  With no target
-    it is the rate-adaptive response to the whole budget; with a target,
-    the fixed-margin response, whose level comes from the same sort of the
-    per-Hz floors.  Returns (power over the k tones, mu, short).  short is
-    None unless the target exceeds the full-budget rate: it is then that
-    rate, and power and mu are the full-budget response.  Inputs are not
-    validated here; the callers check budgets, targets and floors.
-    """
-    if target == 0:
-        return (np.zeros(k),
-                float((floors / widths).min()) if tones.size else 0.0, None)
-    unmet = None if target is None else 0.0
-    if tones.size == 0:
-        if budget > 0:
-            raise InfeasibleError("no usable tones to allocate power on",
-                                  max_achievable=0.0)
-        return np.zeros(k), 0.0, unmet
-    nu = floors / widths
-    if budget == 0:
-        return np.zeros(k), float(nu.min()), unmet
-
-    order = nu.argsort(kind="stable")
-    nu_s = nu[order]
-    n_s = floors[order]
-    w_s = widths[order]
-    # add.accumulate is cumsum without the method's dispatch cost, which
-    # dominates on the few tones of the two-user game.
-    w_cum = np.add.accumulate(w_s)
-    mu_candidates = (budget + np.add.accumulate(n_s)) / w_cum
-    # The feasible prefix is where the level clears the worst included floor.
-    fits = mu_candidates > nu_s
-    fits[0] = True  # also when the budget is below an ulp of the cheapest floor
-    m = int(fits.nonzero()[0][-1]) + 1
-    active, w_act, n_act = tones[order[:m]], w_s[:m], n_s[:m]
-    # Scalars as Python floats: the same values, cheaper to combine.
-    w_sum = float(w_act.sum())
-    mu = (budget + float(n_act.sum())) / w_sum
-    power = np.zeros(k)
-    active_power = mu * w_act - n_act
-    power[active] = active_power
-    # Remove the rounding residue by a uniform shift of the water level.
-    deficit = budget - float(power.sum())
-    active_power += deficit * w_act / w_sum
-    power[active] = active_power
-    mu += deficit / w_sum
-    np.maximum(power, 0.0, out=power)
-    if target is None:
-        return power, float(mu), None
-
-    # The full-budget rate, summed over all k tones as game._rate sums it.
-    terms = np.zeros(k)
-    terms[tones] = widths * np.log1p(power[tones] / floors)
-    max_rate = float(np.sum(terms) / np.log(2.0))
-    if target > max_rate:
-        return power, float(mu), max_rate
-    if target != max_rate:
-        # Overflowing prefix levels are harmless: an inf level never fits
-        # under the next floor, so those prefixes are skipped.
-        with np.errstate(over="ignore"):
-            levels = 2.0 ** ((target + np.add.accumulate(w_s * np.log2(nu_s)))
-                             / w_cum)
-        fits = np.ones(nu_s.size, dtype=bool)
-        fits[:-1] = levels[:-1] <= nu_s[1:]
-        mu = levels[int(np.argmax(fits))]
-    power = np.zeros(k)
-    power[tones] = np.maximum(0.0, mu * widths - floors)
-    return power, float(mu), None
-
-
 def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
                 budgets: Sequence[float], mode: str = "ra",
                 targets: Sequence[float | None] | None = None,
@@ -245,7 +161,7 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
         raise ValueError("need one budget per user")
     for i, b in enumerate(budgets):
         _check_budget(b, f"budgets[{i}]")
-    _check_inputs(channel, noise, gap)
+    receivers = [_receiver(channel, noise, i, gap) for i in range(n)]
     if mode not in ("ra", "fm"):
         raise ValueError("mode must be 'ra' or 'fm'")
     if schedule not in (GAUSS_SEIDEL, JACOBI):
@@ -275,23 +191,11 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
             raise ValueError("initial allocations must cover every user once")
         allocs.sort(key=lambda a: a.user)
 
-    # The loop works on one (N, K) power matrix and plain arrays; the
-    # dataclasses are built once, at return, with each user's last mode.
-    # Each user's usable tones, and its widths, direct gains and noise on
-    # them, are fixed for the solve; they are views when every tone is usable.
+    # The loop works on one (N, K) power matrix and each receiver's plain
+    # arrays; the dataclasses are built once, at return, with each user's
+    # last mode.
     p = power_matrix(allocs, n, k)
     modes: list[str | None] = [None] * n
-    w = channel.grid.widths
-    gains, noise_values = channel.gains, noise.values
-    users = []
-    for i in range(n):
-        direct, noise_row = gains[:, i, i], noise_values[i]
-        tones = (direct > 0).nonzero()[0]
-        if tones.size == k:
-            users.append((gains[:, i, :], tones, w, direct, noise_row))
-        else:
-            users.append((gains[:, i, :], tones, w[tones], direct[tones],
-                          noise_row[tones]))
     changes = []
     converged = False
     iterations = 0
@@ -299,13 +203,10 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     for sweep in range(max_iter):
         basis = p.copy() if schedule == JACOBI else p
         delta = 0.0
-        for i, (gains_in, tones, widths, direct, noise_row) in enumerate(users):
-            own = basis[i].copy()
-            basis[i] = 0.0
-            floors = _floor(gains_in, basis, tones, direct, noise_row, gap)
-            basis[i] = own
+        for i, rx in enumerate(receivers):
+            floors = _floor(i, basis, rx, gap)
             _check_floor(floors)
-            power, _, short = _fill(tones, floors, widths, k, budgets[i],
+            power, _, short = _fill(rx[1], floors, rx[2], k, budgets[i],
                                     targets[i])
             if short is None:
                 modes[i] = FULL_POWER if targets[i] is None else AT_MOST_POWER
@@ -315,7 +216,7 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
                 shortfall.add(i)
             # The core clips powers at 0, so only a nan or inf power can be
             # invalid, and either one makes the step non-finite.
-            step = float(np.abs(power - own).max())
+            step = float(np.abs(power - p[i]).max())
             if not step < np.inf:
                 raise ValueError("powers must be finite and non-negative")
             delta = max(delta, step)

@@ -10,6 +10,13 @@ from specoord.cli import _parser, build_parser, main
 from specoord.nearfar import dfdm_rate_bounds, NearFarParams, rr_iwf_bounds
 
 
+def strict_loads(text: str):
+    """json.loads that refuses NaN and Infinity, which RFC 8259 lacks."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def coupled_csv(tmp_path, num_tones=8, h01=0.4, h10=0.3):
     grid = make_uniform_grid(0, num_tones, num_tones)
     gains = np.tile(np.array([[1.0, h01], [h10, 1.0]]), (num_tones, 1, 1))
@@ -29,7 +36,7 @@ class TestClassify:
 
     def test_json_output(self, capsys):
         assert main(["classify", "--h", "0.1", "--snr", "10", "--json"]) == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_loads(capsys.readouterr().out)
         assert data["region"] == "A"
         assert data["recommendation"] == "iwf"
         assert data["payoffs"]["T"] > data["payoffs"]["P"]
@@ -107,7 +114,7 @@ class TestDfdm:
         code = main(["dfdm", "--channel", chan, "--noise", noise,
                      "--budgets", "1,1", "--rd", "0.4", "--json"])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_loads(capsys.readouterr().out)
         assert data["cutoff_index"] == 7
         assert data["f_c_hz"] == 7.0
         assert data["rate_bps"] == pytest.approx(0.4, rel=1e-9)
@@ -143,7 +150,7 @@ class TestNearfarBounds:
     def test_both_methods(self, capsys):
         code = main(["nearfar-bounds", *self.ARGS, "--r2", "10"])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_loads(capsys.readouterr().out)
         params = NearFarParams(alpha=0.01, beta=0.5, power=1.0,
                                n1=1e-4, n2=1e-4)
         pair = rr_iwf_bounds(10.0, params)
@@ -159,7 +166,7 @@ class TestNearfarBounds:
         code = main(["nearfar-bounds", *self.ARGS, "--r2", "10",
                      "--method", "fmiwf"])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_loads(capsys.readouterr().out)
         assert set(data) == {"lower", "upper", "method", "flags",
                              "exact_tau_estimate"}
 
@@ -171,11 +178,12 @@ class TestNearfarBounds:
         assert "alpha must be finite" in captured.err and not captured.out
 
     def test_target_past_float_range_exits_0(self, capsys):
-        # 2**(r2/(W1+W2)) used to raise a raw OverflowError (exit 1).
+        # 2**(r2/(W1+W2)) used to raise a raw OverflowError (exit 1).  The
+        # infinite tau is written as null: "Infinity" is not JSON.
         args = ["--alpha", "0.01", "--beta", "0.5", "--r2", "3000"]
         assert main(["nearfar-bounds", *args]) == 0
-        fm = json.loads(capsys.readouterr().out)["fm-iwf"]
-        assert fm["flags"]["tau"] == float("inf")
+        fm = strict_loads(capsys.readouterr().out)["fm-iwf"]
+        assert fm["flags"]["tau"] is None
         assert not fm["flags"]["feasible"]
         assert fm["lower"] == fm["upper"] == fm["exact_tau_estimate"] == 0.0
 
@@ -183,7 +191,7 @@ class TestNearfarBounds:
         code = main(["nearfar-bounds", *self.ARGS, "--r2", "40",
                      "--method", "dfdm"])
         assert code == 0
-        data = json.loads(capsys.readouterr().out)
+        data = strict_loads(capsys.readouterr().out)
         assert not data["flags"]["feasible"]
         assert "lambda" not in data
 
@@ -284,6 +292,19 @@ class TestRun:
         assert "scenario patched" in capsys.readouterr().out
         assert main(["run", "--config", cfg]) == 0
         assert "scenario cli-run" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("override,field", [
+        ("grid.num_tones=\"12\"", "grid.num_tones"),
+        ("budgets_mw=\"ab\"", "budgets_mw"),
+        ("channel.lengths_km=[2.0, null]", "channel.lengths_km[1]"),
+        ("sweep=[]", "sweep"),
+        ("sweep.count=2.5", "sweep.count")])
+    def test_wrong_field_type_exits_2(self, tmp_path, capsys, override, field):
+        # These used to end in a raw TypeError or AttributeError traceback
+        # (exit 1), or, for a fractional count, to run int(count) targets.
+        cfg = self.write_config(tmp_path)
+        assert main(["run", "--config", cfg, "--set", override]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
 
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, methods=["sorcery"])

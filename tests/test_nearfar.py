@@ -250,6 +250,16 @@ class TestRrIwfBounds:
         with pytest.raises(ValueError):
             rr_iwf_bounds(-1.0, self.HIGH_SNR)
 
+    @pytest.mark.parametrize("bad", [-5.0, math.nan, math.inf])
+    @pytest.mark.parametrize("fn", [
+        rr_iwf_exact_tau_r1, lambda r2, params: strong_tau_for_rate(params, r2)],
+        ids=["rr_iwf_exact_tau_r1", "strong_tau_for_rate"])
+    def test_r2_checked_at_entry(self, fn, bad):
+        # Unlike rr_iwf_bounds, strong_tau_for_rate used to return a negative
+        # tau for a negative r2, and rr_iwf_exact_tau_r1 a nan for a nan.
+        with pytest.raises(ValueError, match="r2 must be finite and >= 0"):
+            fn(bad, self.HIGH_SNR)
+
     @pytest.mark.parametrize("beta", [0.5, 0.0])
     def test_target_past_float_range_saturates(self, beta):
         # 2**(r2/(W1+W2)) used to raise OverflowError past r2/(W1+W2) = 1024.

@@ -74,6 +74,62 @@ class TestLoadConfig:
          "band_plan_hz[0][0]"),
         (lambda c: c.update(band_plan_hz=[[[0.5e6, 0.1e6]], None]),
          "band_plan_hz[0][0]"),
+        # A value of the wrong JSON type, or a non-integer count, used to
+        # escape as a raw TypeError or AttributeError, or to be truncated.
+        *(pytest.param(mutate, path, id=name) for name, mutate, path in [
+            ("num_tones-string", lambda c: c["grid"].update(num_tones="12"),
+             "grid.num_tones"),
+            ("num_tones-fraction", lambda c: c["grid"].update(num_tones=12.5),
+             "grid.num_tones"),
+            ("num_tones-bool", lambda c: c["grid"].update(num_tones=True),
+             "grid.num_tones"),
+            ("f_start-string", lambda c: c["grid"].update(f_start_hz="0"),
+             "grid.f_start_hz"),
+            ("grid-array", lambda c: c.update(grid=[]), "grid"),
+            ("channel-string", lambda c: c.update(channel="dsl"), "channel"),
+            ("lengths-null", lambda c: c["channel"].update(lengths_km=[2.0, None]),
+             "channel.lengths_km[1]"),
+            ("group_sizes-fraction",
+             lambda c: c["channel"].update(group_sizes=[4, 2.5]),
+             "channel.group_sizes[1]"),
+            ("group_sizes-number", lambda c: c["channel"].update(group_sizes=4),
+             "channel.group_sizes"),
+            ("coupling-string",
+             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, "a"], [0.5, 0.5]]),
+             "channel.coupling_lengths_km[0][1]"),
+            ("attenuation-string", lambda c: c["channel"].update(attenuation="x"),
+             "channel.attenuation"),
+            ("csv-path-number", lambda c: c.update(channel={"kind": "csv", "path": 3}),
+             "channel.path"),
+            ("budgets-string", lambda c: c.update(budgets_mw="ab"), "budgets_mw"),
+            ("budgets-nan", lambda c: c.update(budgets_mw=[30.0, math.nan]),
+             "budgets_mw[1]"),
+            ("methods-number", lambda c: c.update(methods=3), "methods"),
+            ("sweep-array", lambda c: c.update(sweep=[]), "sweep"),
+            ("count-fraction", lambda c: c.update(sweep={"count": 2.5}),
+             "sweep.count"),
+            ("min_fraction-string",
+             lambda c: c.update(sweep={"count": 3, "min_fraction": "0.2"}),
+             "sweep.min_fraction"),
+            ("rd_bps-string", lambda c: c.update(sweep={"rd_bps": ["1e6"]}),
+             "sweep.rd_bps[0]"),
+            ("noise-array", lambda c: c.update(noise_psd_dbm_hz=[-140.0]),
+             "noise_psd_dbm_hz"),
+            ("gap_db-string", lambda c: c.update(gap_db="3"), "gap_db"),
+            ("band_plan-number", lambda c: c.update(band_plan_hz=5), "band_plan_hz"),
+            ("band_plan-string-edge",
+             lambda c: c.update(band_plan_hz=[[[0.1e6, "x"]], None]),
+             "band_plan_hz[0][0][1]"),
+            ("detail-string", lambda c: c.update(detail_rd_bps="1e6"),
+             "detail_rd_bps"),
+            ("oracle_levels-fraction", lambda c: c.update(oracle_levels=11.5),
+             "oracle_levels"),
+            ("f_end-past-float-range", lambda c: c["grid"].update(f_end_hz=10 ** 400),
+             "grid.f_end_hz"),
+            ("output_dir-null", lambda c: c.update(output_dir=None), "output_dir"),
+            ("name-array", lambda c: c.update(name=["unit"]), "name"),
+            ("near_user-bool", lambda c: c.update(near_user=True), "near_user"),
+        ]),
     ])
     def test_field_errors_carry_paths(self, tmp_path, mutate, path):
         cfg = base_config(tmp_path)

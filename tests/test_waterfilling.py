@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,15 @@ class TestEffectiveNoise:
     def test_unusable_tone_may_hold_anything(self):
         eff = EffectiveNoise(0, [0.5, math.nan], [True, False])
         assert eff.usable.tolist() == [True, False]
+
+    def test_rate_skips_a_zero_on_an_unusable_tone(self):
+        # The rate used to divide the power on every tone by its value, so a
+        # zero on an unusable tone raised a divide-by-zero RuntimeWarning.
+        eff = EffectiveNoise(0, [0.5, 0.0], [True, False])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rate = achievable_rate(np.array([1.0, 2.0]), eff, unit_grid(2))
+        assert rate == pytest.approx(math.log2(3.0), rel=1e-15)
 
 
 class TestWaterfillRa:
