@@ -10,7 +10,6 @@ consistent across budgets and noise (the bundled scenarios use mW).
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -305,11 +304,8 @@ def format_float(value: float) -> str:
 
 def _write_rows(path, header, first, rest) -> None:
     """Write an all-numeric CSV: a first column plus a (rows, cols) matrix."""
-    rest = np.asarray(rest)
-    line = ",".join([_FLOAT] * (1 + rest.shape[1])) + "\n"
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for f, row in zip(first, rest):
-        buf.write(line % (f, *row.tolist()))
+    table = np.column_stack((first, rest))
+    line = ",".join([_FLOAT] * table.shape[1]) + "\n"
+    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
     with open(path, "w", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(",".join(header) + "\n" + body)

@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--mode", choices=("ra", "fm"), default="ra")
     p.add_argument("--targets", type=_targets,
-                   help="comma-separated per-user rate targets; 'none' = full power")
+                   help="comma-separated per-user rate targets for --mode fm; "
+                        "'none' = full power")
     p.add_argument("--schedule", choices=("gauss-seidel", "jacobi"),
                    default="gauss-seidel")
     p.add_argument("--max-iter", type=int, default=500)

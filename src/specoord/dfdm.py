@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import AT_MOST_POWER, PowerAllocation, capacity
+from .game import AT_MOST_POWER, PowerAllocation, _fill, _rate, capacity
 from .oracle import RateRegionCurve
 from .waterfilling import (EffectiveNoise, InfeasibleError, IwfReport,
                            achievable_rate, effective_noise, iterate_iwf,
@@ -52,26 +52,36 @@ def find_cutoff(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     The achievable rate (rate-adaptive water-filling of the full budget on
     the remaining tones) is non-increasing in the cutoff, so a binary
     search applies.  Returns K for a zero target; raises InfeasibleError
-    when even the full band cannot carry the target.
+    when even the full band cannot carry the target.  The full-band rate
+    comes from waterfill_ra, which checks the budget; the probes run on
+    the receiver kernel.
     """
     k = channel.num_tones
     if target_rate <= 0:
         return k
     eff = effective_noise(user, others, channel, noise, gap)
-
-    def rate_above(cutoff: int) -> float:
-        sub = _masked(eff, cutoff)
-        if not np.any(sub.usable):
-            return 0.0
-        alloc, _ = waterfill_ra(sub, budget, channel.grid)
-        return achievable_rate(alloc.power, sub, channel.grid)
-
+    full = 0.0
+    if eff.usable.any():
+        alloc, _ = waterfill_ra(eff, budget, channel.grid)
+        full = achievable_rate(alloc.power, eff, channel.grid)
     floor = target_rate * (1 - 1e-12)
-    full = rate_above(0)
     if full < floor:
         raise InfeasibleError(
             f"target {target_rate} exceeds full-band rate {full}",
             max_achievable=full)
+
+    # The usable tones at or above a cutoff are a suffix of the usable
+    # tones, so each probe fills and rates views of one gather.
+    tones = eff.usable.nonzero()[0]
+    floors, widths = eff.values[tones], channel.grid.widths[tones]
+
+    def rate_above(cutoff: int) -> float:
+        s = int(np.searchsorted(tones, cutoff))
+        if s == tones.size:
+            return 0.0
+        power, _, _ = _fill(tones[s:], floors[s:], widths[s:], k, budget)
+        return _rate(power, tones[s:], floors[s:], widths[s:])
+
     lo, hi = 0, k  # rate_above(lo) >= target, rate_above(hi) < target
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -8,8 +8,8 @@ an SNR gap for practical coding schemes.
 The numeric kernel works on plain arrays, one receiver at a time:
 _receiver checks the inputs and slices the receiver's arrays, _floor is its
 effective noise (interference plus noise over its own gain), _rate its rate
-and _fill its water-filling response.  Payoffs, the Nash certificate and
-the water-filling module all run on it.
+and _fill its water-filling response.  Payoffs, the Nash certificate, the
+water-filling module and the DFDM cutoff search all run on it.
 """
 
 from __future__ import annotations

@@ -161,6 +161,8 @@ def load_config(source) -> ScenarioConfig:
     methods = _array(_need(raw, "methods", ""), "methods")
     if not methods or any(m not in VALID_METHODS for m in methods):
         raise ConfigError("methods", f"must be a non-empty subset of {VALID_METHODS}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError("methods", "must not repeat a method")
 
     sweep = _object(_need(raw, "sweep", ""), "sweep")
     if "rd_bps" in sweep:

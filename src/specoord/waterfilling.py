@@ -146,7 +146,8 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     mode "ra": every user spends its full budget to maximise rate.
     mode "fm": users with a target rate spend the least power achieving it
     (capped by their budget; an unreachable target degrades to full-budget
-    RA play for that sweep); users whose target is None play RA.
+    RA play for that sweep); users whose target is None play RA.  Targets
+    are refused outside fm mode.
 
     Users update in index order by default (Gauss-Seidel); schedule JACOBI
     makes all users respond to the previous sweep's allocations instead.
@@ -180,6 +181,8 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
             if t is not None and not t >= 0:
                 raise ValueError(f"targets[{i}] must be >= 0")
     else:
+        if targets is not None:
+            raise ValueError("targets need mode 'fm'")
         targets = [None] * n
 
     if initial is None:

@@ -205,6 +205,11 @@ class TestWriteRows:
         _write_rows(path, ["a", "b", "c"], table[:, 0], table[:, 1:])
         assert path.read_text() == per_cell_csv(["a", "b", "c"], table)
 
+    def test_zero_rows_write_the_header_alone(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        _write_rows(path, ["a", "b", "c"], np.empty(0), np.empty((0, 2)))
+        assert path.read_text() == "a,b,c\n"
+
     def test_psd_is_power_over_width(self, tmp_path, rng):
         grid = FrequencyGrid(np.cumsum(np.r_[0.0, rng.random(7) + 0.1]))
         power = rng.random((3, 7))

@@ -107,6 +107,13 @@ class TestIwf:
                      "--budgets", "1,1,1"])
         assert code == 2
 
+    def test_targets_without_fm_mode_exit_2(self, tmp_path, capsys):
+        chan, noise = coupled_csv(tmp_path)
+        code = main(["iwf", "--channel", chan, "--noise", noise,
+                     "--budgets", "1,1", "--targets", "1,2"])
+        assert code == 2
+        assert "targets" in capsys.readouterr().err
+
 
 class TestDfdm:
     def test_json_payload(self, tmp_path, capsys):

@@ -6,7 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from specoord.channel import ChannelMatrixSet, NoiseProfile, make_uniform_grid
+from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
+                              make_uniform_grid)
 from specoord.dfdm import (dfdm_allocate, dfdm_round, dfdm_vs_fmiwf_region,
                            find_cutoff)
 from specoord.game import PowerAllocation
@@ -28,15 +29,55 @@ def coupled_channel(num_tones=8, b01=0.4, b10=0.3, noise=0.1):
                                                              num_tones)
 
 
-def rate_above(channel, noise, cutoff, budget, others=()):
-    eff = effective_noise(0, others, channel, noise)
+def public_probe(eff, cutoff, budget, grid):
+    """Rate above a cutoff through the public API: mask the tones below it
+    in a new EffectiveNoise, water-fill the budget and rate the result."""
     usable = eff.usable.copy()
     usable[:cutoff] = False
     if not usable.any():
         return 0.0
-    sub = EffectiveNoise(0, eff.values, usable)
-    alloc, _ = waterfill_ra(sub, budget, channel.grid)
-    return achievable_rate(alloc.power, sub, channel.grid)
+    sub = EffectiveNoise(eff.user, eff.values, usable)
+    alloc, _ = waterfill_ra(sub, budget, grid)
+    return achievable_rate(alloc.power, sub, grid)
+
+
+def rate_above(channel, noise, cutoff, budget, others=()):
+    eff = effective_noise(0, others, channel, noise)
+    return public_probe(eff, cutoff, budget, channel.grid)
+
+
+def reference_cutoff(channel, noise, user, target, budget, others, gap):
+    """Scan every cutoff with the public probe.  Returns the largest cutoff
+    whose rate meets target * (1 - 1e-12) (None if none does) and the
+    rate of every cutoff, the full band's first."""
+    eff = effective_noise(user, others, channel, noise, gap)
+    rates = [public_probe(eff, c, budget, channel.grid)
+             for c in range(channel.num_tones + 1)]
+    meets = [c for c, r in enumerate(rates) if r >= target * (1 - 1e-12)]
+    return (meets[-1] if meets else None), rates
+
+
+def random_instance(seed, dark_top=False):
+    """A 2-user channel with uneven tone widths, masked (zero-gain) tones
+    for both users and gap > 1; with dark_top the near user's direct gain
+    is also zero on the top third of the band, so every usable tone lies
+    below the high cutoffs."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 40))
+    grid = FrequencyGrid(np.cumsum(np.r_[0.0, rng.uniform(0.1, 3.0, k)]) * 1e3)
+    gains = rng.uniform(0.0, 0.5, (k, 2, 2))
+    for u in (0, 1):
+        gains[:, u, u] = np.where(rng.random(k) < 0.3, 0.0,
+                                  rng.uniform(0.05, 5.0, k))
+    near = seed % 2
+    gains[rng.integers(0, k // 2 + 1), near, near] = 1.0
+    if dark_top:
+        gains[k - k // 3:, near, near] = 0.0
+    noise = NoiseProfile(rng.uniform(1e-3, 1.0, (2, k)))
+    far = PowerAllocation(1 - near, rng.uniform(0.0, 1.0, k), float(k))
+    gap = float(rng.uniform(1.5, 8.0))
+    budget = float(rng.uniform(0.5, 20.0))
+    return ChannelMatrixSet(gains, grid), noise, near, [far], gap, budget
 
 
 class TestFindCutoff:
@@ -114,6 +155,36 @@ class TestFindCutoff:
         assert rate_above(channel, full_noise, cut, budget, others) >= floor
         if cut < k:
             assert rate_above(channel, full_noise, cut + 1, budget, others) < floor
+
+
+class TestKernelProbes:
+    """find_cutoff probes on the receiver kernel; every cutoff and every
+    full-band rate must equal a scan with the public-API probe."""
+
+    @pytest.mark.parametrize("seed,dark_top",
+                             [(s, False) for s in range(6)] + [(6, True), (7, True)])
+    def test_matches_the_public_probe_scan(self, seed, dark_top):
+        channel, noise, near, others, gap, budget = random_instance(seed, dark_top)
+        _, rates = reference_cutoff(channel, noise, near, 0.0, budget, others,
+                                    gap)
+        if dark_top:
+            assert rates[-1 - channel.num_tones // 3] == 0.0
+        # Each probe's own rate as a target, the full-band rate among them.
+        for target in rates:
+            want, _ = reference_cutoff(channel, noise, near, target, budget,
+                                       others, gap)
+            got = find_cutoff(channel, noise, near, target, budget, others, gap)
+            assert got == want
+
+    @pytest.mark.parametrize("seed,dark_top", [(0, False), (1, False), (6, True)])
+    def test_infeasible_reports_the_public_full_band_rate(self, seed, dark_top):
+        channel, noise, near, others, gap, budget = random_instance(seed, dark_top)
+        _, rates = reference_cutoff(channel, noise, near, 0.0, budget, others,
+                                    gap)
+        with pytest.raises(InfeasibleError) as exc:
+            find_cutoff(channel, noise, near, rates[0] * 1.001, budget, others,
+                        gap)
+        assert exc.value.max_achievable == rates[0]
 
 
 class TestDfdmAllocate:

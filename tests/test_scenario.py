@@ -105,6 +105,8 @@ class TestLoadConfig:
             ("budgets-nan", lambda c: c.update(budgets_mw=[30.0, math.nan]),
              "budgets_mw[1]"),
             ("methods-number", lambda c: c.update(methods=3), "methods"),
+            ("methods-repeat",
+             lambda c: c.update(methods=["fm-iwf", "fm-iwf"]), "methods"),
             ("sweep-array", lambda c: c.update(sweep=[]), "sweep"),
             ("count-fraction", lambda c: c.update(sweep={"count": 2.5}),
              "sweep.count"),

@@ -355,6 +355,12 @@ class TestIterateIwfEntryChecks:
             iterate_iwf(self.channel, self.noise, [1.0, 1.0], mode="fm",
                         targets=[1.0, target], max_iter=0)
 
+    @pytest.mark.parametrize("targets", [[1.0, 2.0, 3.0], [None, 2.0]])
+    def test_rejects_targets_outside_fm_mode(self, targets):
+        with pytest.raises(ValueError, match="targets"):
+            iterate_iwf(self.channel, self.noise, [1.0, 1.0], mode="ra",
+                        targets=targets, max_iter=0)
+
     def test_zero_budget_and_zero_target_are_valid(self):
         report = iterate_iwf(self.channel, self.noise, [1.0, 0.0], mode="fm",
                              targets=[0.0, 1.0], tol=0.0)
