@@ -187,14 +187,13 @@ def synthetic_dsl_channel(lengths_km, grid: FrequencyGrid,
             raise ValueError("coupling_lengths_km must be a non-negative (N, N) matrix")
     f = grid.centers
     root_f = np.sqrt(f)
-    direct = np.exp(-attenuation * np.outer(root_f, lengths))        # (K, N)
-    gains = np.empty((grid.num_tones, n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                gains[:, i, i] = direct[:, i]
-            else:
-                gains[:, i, j] = fext_coeff * f ** 2 * np.exp(-attenuation * lc[i, j] * root_f)
+    # One (K, N, N) array, filled in place: crosstalk everywhere, then the
+    # direct gains on the diagonal.
+    gains = np.multiply.outer(root_f, -attenuation * lc)
+    np.exp(gains, out=gains)
+    gains *= (fext_coeff * f ** 2)[:, None, None]
+    users = np.arange(n)
+    gains[:, users, users] = np.exp(-attenuation * np.outer(root_f, lengths))
     return ChannelMatrixSet(gains, grid)
 
 

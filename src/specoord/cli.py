@@ -52,8 +52,10 @@ def _load_instance(args) -> tuple:
     channel = load_channel_csv(args.channel)
     if args.noise:
         noise, ngrid = load_noise_csv(args.noise)
-        if noise.num_users != channel.num_users or ngrid.num_tones != channel.num_tones:
-            raise ChannelCsvError("noise file does not match the channel dimensions")
+        grid = channel.grid
+        if ngrid.num_tones != grid.num_tones or not np.allclose(
+                ngrid.edges, grid.edges, rtol=0, atol=1e-9 * grid.widths.min()):
+            raise ChannelCsvError(f"{args.noise}: tone edges do not match the channel's")
     elif args.noise_psd_dbm_hz is not None:
         noise = NoiseProfile.from_psd_dbm_hz(args.noise_psd_dbm_hz,
                                              channel.grid, channel.num_users)
@@ -119,8 +121,6 @@ def cmd_region_map(args) -> int:
 
 def cmd_iwf(args) -> int:
     channel, noise = _load_instance(args)
-    if len(args.budgets) != channel.num_users:
-        raise ChannelCsvError("budget count does not match the channel users")
     g = _gap(args)
     report = iterate_iwf(channel, noise, args.budgets, mode=args.mode,
                          targets=args.targets, max_iter=args.max_iter,
@@ -147,8 +147,6 @@ def cmd_iwf(args) -> int:
 
 def cmd_dfdm(args) -> int:
     channel, noise = _load_instance(args)
-    if channel.num_users != 2 or len(args.budgets) != 2:
-        raise ChannelCsvError("dfdm expects a 2-user channel and two budgets")
     g = _gap(args)
     near, far = args.near_user, 1 - args.near_user
     res, allocs = dfdm_round(channel, noise, args.budgets, args.rd, near, g)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import AT_MOST_POWER, PowerAllocation, _fill, _rate, capacity
+from .game import PowerAllocation, _check_inputs, _fill, _rate, capacity
 from .oracle import RateRegionCurve
 from .waterfilling import (EffectiveNoise, InfeasibleError, IwfReport,
                            achievable_rate, effective_noise, iterate_iwf,
@@ -51,15 +51,17 @@ def find_cutoff(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
 
     The achievable rate (rate-adaptive water-filling of the full budget on
     the remaining tones) is non-increasing in the cutoff, so a binary
-    search applies.  Returns K for a zero target; raises InfeasibleError
-    when even the full band cannot carry the target.  The full-band rate
-    comes from waterfill_ra, which checks the budget; the probes run on
-    the receiver kernel.
+    search applies.  Returns K for a zero target, once the inputs pass their
+    checks; raises InfeasibleError when even the full band cannot carry the
+    target.  The full-band rate comes from waterfill_ra, which checks the
+    budget; the probes run on the receiver kernel.
     """
+    if not target_rate >= 0:  # also rejects nan
+        raise ValueError("target_rate must be >= 0")
     k = channel.num_tones
-    if target_rate <= 0:
-        return k
     eff = effective_noise(user, others, channel, noise, gap)
+    if target_rate == 0:
+        return k
     full = 0.0
     if eff.usable.any():
         alloc, _ = waterfill_ra(eff, budget, channel.grid)
@@ -99,17 +101,18 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     """Cutoff search plus minimum-power allocation above the cutoff."""
     cutoff = find_cutoff(channel, noise, user, target_rate, budget, others, gap)
     eff = _masked(effective_noise(user, others, channel, noise, gap), cutoff)
-    if target_rate <= 0:
-        alloc = PowerAllocation(user, np.zeros(channel.num_tones), budget,
-                                AT_MOST_POWER)
-        achieved = 0.0
-    else:
-        alloc, _ = waterfill_fm(eff, budget, target_rate, channel.grid)
-        achieved = achievable_rate(alloc.power, eff, channel.grid)
+    alloc, _ = waterfill_fm(eff, budget, target_rate, channel.grid)
+    achieved = achievable_rate(alloc.power, eff, channel.grid)
     return DfdmResult(cutoff_index=cutoff,
                       cutoff_hz=float(channel.grid.edges[cutoff]),
                       allocation=alloc, achieved_rate=achieved,
                       target_rate=target_rate)
+
+
+def _far_user(near_user: int) -> int:
+    if near_user not in (0, 1):
+        raise ValueError(f"near_user must be 0 or 1, got {near_user!r}")
+    return 1 - near_user
 
 
 def far_alone(channel: ChannelMatrixSet, noise: NoiseProfile, far_user: int,
@@ -131,10 +134,8 @@ def dfdm_round(channel: ChannelMatrixSet, noise: NoiseProfile,
     measures and runs dfdm_allocate, and the far user best-responds once.
     Returns the near user's DfdmResult and both allocations in user order.
     """
-    if channel.num_users != 2:
-        raise ValueError(f"dfdm_round needs a 2-user channel, got "
-                         f"{channel.num_users} users")
-    far_user = 1 - near_user
+    budgets = _check_inputs(channel, noise, gap, budgets, users=2)
+    far_user = _far_user(near_user)
     if far_initial is None:
         far_initial = far_alone(channel, noise, far_user, budgets[far_user], gap)
     res = dfdm_allocate(channel, noise, near_user, target_rate,
@@ -152,8 +153,8 @@ def near_fmiwf(channel: ChannelMatrixSet, noise: NoiseProfile,
 
     The far user plays rate-adaptively; both iterate to a fixed point.
     """
-    targets: list[float | None] = [None, None]
-    targets[near_user] = float(target_rate)
+    targets: list[float | None] = [float(target_rate)] * 2
+    targets[_far_user(near_user)] = None
     return iterate_iwf(channel, noise, budgets, mode="fm", targets=targets,
                        gap=gap)
 
@@ -167,9 +168,8 @@ def dfdm_vs_fmiwf_region(channel: ChannelMatrixSet, noise: NoiseProfile,
     Per target: one dfdm_round, and one near_fmiwf run to a fixed point.
     Points are (target, far rate).
     """
-    if channel.num_users != 2:
-        raise ValueError("the region sweep handles exactly 2 users")
-    far_user = 1 - near_user
+    budgets = _check_inputs(channel, noise, gap, budgets, users=2)
+    far_user = _far_user(near_user)
     far_initial = far_alone(channel, noise, far_user, budgets[far_user], gap)
 
     dfdm_pts, iwf_pts = [], []

@@ -101,13 +101,24 @@ def power_matrix(allocations: Sequence[PowerAllocation], num_users: int,
     return out
 
 
-def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float) -> None:
+def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
+                  budgets: Sequence[float] | None = None, users: int | None = None):
+    """The one entry check of a solver instance; returns the budgets as floats."""
+    if users is not None and channel.num_users != users:
+        raise ValueError(f"needs a {users}-user channel, got {channel.num_users} users")
     want = (channel.num_users, channel.num_tones)
     if noise.values.shape != want:
         raise ValueError(f"noise has shape {noise.values.shape}, but the channel "
                          f"needs (users, tones) = {want}")
     if not gap >= 1:  # also rejects nan
         raise ValueError("gap must be >= 1")
+    if budgets is not None:
+        budgets = [float(b) for b in budgets]
+        if len(budgets) != channel.num_users:
+            raise ValueError(f"budgets: {len(budgets)} given for {channel.num_users} users")
+        for i, b in enumerate(budgets):
+            _check_budget(b, f"budgets[{i}]")
+    return budgets
 
 
 def _receiver(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
@@ -117,6 +128,8 @@ def _receiver(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     its usable tones (direct gain > 0), and the widths, direct gains and
     noise on them, which are views when every tone is usable."""
     _check_inputs(channel, noise, gap)
+    if not 0 <= user < channel.num_users:
+        raise ValueError(f"user {user} is not in [0, {channel.num_users})")
     gains_in = channel.gains[:, user, :]
     direct, noise_row = gains_in[:, user], noise.values[user]
     widths = channel.grid.widths
@@ -251,21 +264,15 @@ def capacity(user: int, allocations: Sequence[PowerAllocation],
     return _rate(p[user], rx[1], _floor(user, p, rx, gap), rx[2])
 
 
-def validate_strategy(alloc: PowerAllocation, mode: str | None = None) -> list[str]:
+def validate_strategy(alloc: PowerAllocation) -> list[str]:
     """Return human-readable constraint violations (empty list when valid)."""
-    mode = alloc.mode if mode is None else mode
-    problems = []
     total, budget = alloc.total, alloc.budget
     slack = BUDGET_RTOL * max(budget, 1.0)
-    if mode == FULL_POWER:
-        if abs(total - budget) > slack:
-            problems.append(f"total power {total!r} != budget {budget!r}")
-    elif mode == AT_MOST_POWER:
-        if total > budget + slack:
-            problems.append(f"total power {total!r} exceeds budget {budget!r}")
-    else:
-        problems.append(f"unknown mode {mode!r}")
-    return problems
+    if alloc.mode == FULL_POWER and abs(total - budget) > slack:
+        return [f"total power {total!r} != budget {budget!r}"]
+    if total > budget + slack:
+        return [f"total power {total!r} exceeds budget {budget!r}"]
+    return []
 
 
 def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
@@ -287,7 +294,6 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
         floors = _floor(alloc.user, p, rx, gap)
         _check_floor(floors)
         rates[idx] = _rate(p[alloc.user], tones, floors, widths)
-        _check_budget(alloc.budget)
         best, _, _ = _fill(tones, floors, widths, k, alloc.budget)
         gains[idx] = _rate(best, tones, floors, widths) - rates[idx]
     worst = float(gains.max()) if gains.size else 0.0

@@ -18,7 +18,10 @@ from .game import _check_inputs
 
 
 class SearchSpaceError(ValueError):
-    """The enumeration would exceed the configured size cap."""
+    """The raw search space levels**(2K) would exceed _SEARCH_CAP."""
+
+
+_SEARCH_CAP = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -44,13 +47,12 @@ class RateRegionCurve:
 
 
 def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
-                       budgets, levels: int = 11, gap: float = 1.0,
-                       cap: int = 20_000_000) -> RateRegionCurve:
+                       budgets, levels: int = 11, gap: float = 1.0) -> RateRegionCurve:
     """Pareto frontier of the two-user rate region on a power grid.
 
     Each user's per-tone power is restricted to {0, P/(levels-1), ..., P}
     with the total at most P.  The raw search space levels**(2K) must stay
-    under `cap`.  Returned points are (user 1 rate, user 0 rate) pairs,
+    under _SEARCH_CAP.  Returned points are (user 1 rate, user 0 rate) pairs,
     i.e. the strong-user-first convention used across the package.
 
     A tone's rate term depends only on the two power levels used on it, so
@@ -61,22 +63,20 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
     all pairs summed by `einsum`; for more tones `einsum`'s summation order
     depends on the numpy build, and the two agree to rounding.
     """
-    n, k = channel.num_users, channel.num_tones
-    if n != 2:
-        raise ValueError("the brute-force oracle handles exactly 2 users")
-    _check_inputs(channel, noise, gap)
+    budgets = _check_inputs(channel, noise, gap, budgets, users=2)
+    k = channel.num_tones
     if levels < 2:
         raise ValueError("levels must be >= 2")
-    if levels ** (2 * k) > cap:
+    if levels ** (2 * k) > _SEARCH_CAP:
         raise SearchSpaceError(
-            f"{levels}**{2 * k} allocations exceed the cap {cap}; "
+            f"{levels}**{2 * k} allocations exceed the cap {_SEARCH_CAP}; "
             "reduce the tone count or the number of levels")
 
     steps = np.array(list(product(range(levels), repeat=k)))
     steps = steps[steps.sum(axis=1) <= levels - 1]
     # User 0's power levels run along axis 0 of a tone's table, user 1's
     # along axis 1, so both users' tables index as (user 0 level, user 1 level).
-    level = [np.arange(levels) * (float(b) / (levels - 1)) for b in budgets]
+    level = [np.arange(levels) * (b / (levels - 1)) for b in budgets]
     power = [level[0][:, None], level[1][None, :]]
 
     w = channel.grid.widths[:, None, None]

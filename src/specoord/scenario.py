@@ -144,11 +144,14 @@ def load_config(source) -> ScenarioConfig:
             raise ConfigError("channel.group_sizes", "need two sizes >= 1")
         coupling = chan.get("coupling_lengths_km")
         if coupling is not None:
-            for i, row in enumerate(_array(coupling, "channel.coupling_lengths_km")):
-                _numbers(row, f"channel.coupling_lengths_km[{i}]")
+            rows = [_numbers(row, f"channel.coupling_lengths_km[{i}]") for i, row
+                    in enumerate(_array(coupling, "channel.coupling_lengths_km"))]
+            if len(rows) != 2 or any(len(r) != 2 or min(r) < 0 for r in rows):
+                raise ConfigError("channel.coupling_lengths_km",
+                                  "need a 2x2 matrix of lengths >= 0")
         for key in ("attenuation", "fext_coeff"):
-            if key in chan:
-                _number(chan[key], f"channel.{key}")
+            if key in chan and _number(chan[key], f"channel.{key}") < 0:
+                raise ConfigError(f"channel.{key}", "must be >= 0")
     elif kind == "csv":
         _path(_need(chan, "path", "channel"), "channel.path")
     else:
@@ -203,6 +206,13 @@ def load_config(source) -> ScenarioConfig:
     if gap_db < 0:
         raise ConfigError("gap_db", "must be >= 0")
     detail = raw.get("detail_rd_bps")
+    if detail is not None:
+        detail = _number(detail, "detail_rd_bps")
+        if detail < 0:
+            raise ConfigError("detail_rd_bps", "must be >= 0")
+    levels = _integer(raw.get("oracle_levels", 11), "oracle_levels")
+    if levels < 2:
+        raise ConfigError("oracle_levels", "must be >= 2")
     name = raw.get("name", "scenario")
     if not isinstance(name, str):
         raise ConfigError("name", "must be a string")
@@ -219,8 +229,8 @@ def load_config(source) -> ScenarioConfig:
         near_user=near,
         gap_db=gap_db,
         band_plan_hz=plan,
-        detail_rd_bps=None if detail is None else _number(detail, "detail_rd_bps"),
-        oracle_levels=_integer(raw.get("oracle_levels", 11), "oracle_levels"),
+        detail_rd_bps=detail,
+        oracle_levels=levels,
         output_dir=str(_path(raw.get("output_dir", "scenario_out"), "output_dir")),
     )
 
@@ -241,13 +251,10 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
             coupling_lengths_km=spec.get("coupling_lengths_km"),
             attenuation=spec.get("attenuation", 5e-4),
             fext_coeff=spec.get("fext_coeff", 1e-16))
-        sizes = spec.get("group_sizes", [1, 1])
-        gains = channel.gains.copy()
-        for i in range(2):
-            for j in range(2):
-                if i != j:
-                    gains[:, i, j] *= int(sizes[j])
-        channel = ChannelMatrixSet(gains, grid)
+        # Crosstalk into each receiver is the other group's power sum.
+        s0, s1 = spec.get("group_sizes", [1, 1])
+        channel = ChannelMatrixSet(channel.gains * np.array([[1, s1], [s0, 1]]),
+                                   grid)
 
     if config.band_plan_hz is not None:
         centers = channel.grid.centers

@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
 from .game import (AT_MOST_POWER, FULL_POWER, InfeasibleError,
-                   PowerAllocation, _check_budget, _check_floor, _fill,
-                   _floor, _rate, _receiver, power_matrix)
+                   PowerAllocation, _check_budget, _check_floor, _check_inputs,
+                   _fill, _floor, _rate, _receiver, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -157,11 +157,7 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     entry, so a bad value raises even with max_iter=0.
     """
     n, k = channel.num_users, channel.num_tones
-    budgets = [float(b) for b in budgets]
-    if len(budgets) != n:
-        raise ValueError("need one budget per user")
-    for i, b in enumerate(budgets):
-        _check_budget(b, f"budgets[{i}]")
+    budgets = _check_inputs(channel, noise, gap, budgets)
     receivers = [_receiver(channel, noise, i, gap) for i in range(n)]
     if mode not in ("ra", "fm"):
         raise ValueError("mode must be 'ra' or 'fm'")

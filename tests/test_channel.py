@@ -116,6 +116,23 @@ class TestSyntheticDsl:
         with pytest.raises(ValueError):
             synthetic_dsl_channel([-1.0, 1.0], self.grid())
 
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_matches_the_pairwise_formula(self, rng, coupled):
+        # The docstring's formula, one (i, j) pair at a time, bit for bit.
+        lengths = rng.uniform(0.2, 4.0, 6)
+        lc = rng.uniform(0.0, 3.0, (6, 6)) if coupled else np.minimum.outer(
+            lengths, lengths)
+        grid = self.grid()
+        ch = synthetic_dsl_channel(lengths, grid, lc if coupled else None,
+                                   attenuation=7e-4, fext_coeff=3e-16)
+        f = grid.centers
+        direct = np.exp(-7e-4 * np.outer(np.sqrt(f), lengths))
+        for i in range(6):
+            for j in range(6):
+                want = (direct[:, i] if i == j else
+                        3e-16 * f ** 2 * np.exp(-7e-4 * lc[i, j] * np.sqrt(f)))
+                assert np.array_equal(ch.gains[:, i, j], want)
+
 
 class TestNoiseProfile:
     def test_psd_conversion(self):

@@ -107,6 +107,24 @@ class TestIwf:
                      "--budgets", "1,1,1"])
         assert code == 2
 
+    @pytest.mark.parametrize("users,edges,message", [
+        # A noise file on 1-9 Hz has the channel's tone count, so it used
+        # to run and exit 0.
+        (2, (1, 9, 8), "tone edges"), (2, (0, 8, 4), "tone edges"),
+        (3, (0, 8, 8), "noise has shape"),
+    ])
+    def test_noise_file_must_match_the_channel(self, tmp_path, capsys, users,
+                                               edges, message):
+        chan, _ = coupled_csv(tmp_path)
+        grid = make_uniform_grid(*edges)
+        noise = tmp_path / "other_noise.csv"
+        write_noise_csv(NoiseProfile.white(0.1, users, grid.num_tones), grid,
+                        noise)
+        code = main(["iwf", "--channel", chan, "--noise", str(noise),
+                     "--budgets", "1,1"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_targets_without_fm_mode_exit_2(self, tmp_path, capsys):
         chan, noise = coupled_csv(tmp_path)
         code = main(["iwf", "--channel", chan, "--noise", noise,
@@ -148,6 +166,14 @@ class TestDfdm:
         assert code == 3
         err = capsys.readouterr().err
         assert "infeasible" in err and "best achievable" in err
+
+    def test_negative_target_exits_2(self, tmp_path, capsys):
+        # It used to exit 0, printing "rate 0 bit/s (target -1)".
+        chan, noise = coupled_csv(tmp_path)
+        code = main(["dfdm", "--channel", chan, "--noise", noise,
+                     "--budgets", "1,1", "--rd", "-1"])
+        assert code == 2
+        assert "target_rate" in capsys.readouterr().err
 
 
 class TestNearfarBounds:
@@ -240,6 +266,15 @@ class TestOracle:
         lines = out.read_text().splitlines()
         assert lines[0] == "r2,r1"
         assert len(lines) > 2
+
+    @pytest.mark.parametrize("budgets", ["1", "1,1,1"])
+    def test_budget_count_mismatch_exits_2(self, tmp_path, capsys, budgets):
+        # One budget used to end in a traceback and exit 1, three in exit 0.
+        chan, noise = coupled_csv(tmp_path, num_tones=2)
+        code = main(["oracle", "--channel", chan, "--noise", noise,
+                     "--budgets", budgets, "--output", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "budgets" in capsys.readouterr().err
 
     def test_search_space_cap_exits_2(self, tmp_path, capsys):
         chan, noise = coupled_csv(tmp_path, num_tones=8)

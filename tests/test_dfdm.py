@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
                               make_uniform_grid)
 from specoord.dfdm import (dfdm_allocate, dfdm_round, dfdm_vs_fmiwf_region,
-                           find_cutoff)
+                           find_cutoff, near_fmiwf)
 from specoord.game import PowerAllocation
 from specoord.waterfilling import (EffectiveNoise, InfeasibleError,
                                    achievable_rate, effective_noise,
@@ -110,6 +110,19 @@ class TestFindCutoff:
         targets = np.linspace(0.1, 1.0, 12) * full
         cuts = [find_cutoff(channel, noise, 0, float(t), 8.0) for t in targets]
         assert np.all(np.diff(cuts) <= 0)
+
+    @pytest.mark.parametrize("target", [math.nan, -1.0])
+    def test_rejects_bad_target(self, target):
+        # A nan target used to return cutoff 0 and a negative one cutoff K.
+        channel, noise = solo_channel(4)
+        with pytest.raises(ValueError, match="target_rate"):
+            find_cutoff(channel, noise, 0, target, 4.0)
+
+    @pytest.mark.parametrize("user", [-1, 5])
+    def test_rejects_unknown_user(self, user):
+        channel, noise = coupled_channel()
+        with pytest.raises(ValueError, match="user"):
+            find_cutoff(channel, noise, user, 0.4, 1.0)
 
     def test_infeasible_target_reports_max(self):
         channel, noise = solo_channel(4)
@@ -235,6 +248,12 @@ class TestDfdmAllocate:
         with pytest.raises(InfeasibleError):
             dfdm_allocate(channel, noise, 0, 100.0, 4.0)
 
+    def test_rejects_negative_target(self):
+        # It used to return a DfdmResult with target -1.
+        channel, noise = coupled_channel()
+        with pytest.raises(ValueError, match="target_rate"):
+            dfdm_allocate(channel, noise, 1, -1.0, 1.0)
+
 
 class TestRegionSweep:
     def test_dfdm_weakly_dominates_fm_iwf(self):
@@ -278,3 +297,37 @@ class TestDfdmRound:
         noise = NoiseProfile.white(0.1, 3, 2)
         with pytest.raises(ValueError, match="got 3 users"):
             dfdm_round(channel, noise, [1.0] * 3, 0.5)
+
+
+class TestTwoUserEntry:
+    """Both DFDM front ends take two budgets and a near user of 0 or 1."""
+
+    SOLVERS = [
+        lambda ch, nz, b, near: dfdm_round(ch, nz, b, 0.4, near),
+        lambda ch, nz, b, near: dfdm_vs_fmiwf_region(ch, nz, b, [0.4], near),
+    ]
+
+    @pytest.mark.parametrize("solve", SOLVERS, ids=["round", "region"])
+    @pytest.mark.parametrize("budgets,field", [
+        # One budget used to raise a raw IndexError, and three ran.
+        ([1.0], "budgets"), ([1.0, 1.0, 1.0], "budgets"),
+        ([1.0, math.nan], r"budgets\[1\]"),
+    ])
+    def test_rejects_bad_budgets(self, solve, budgets, field):
+        channel, noise = coupled_channel()
+        with pytest.raises(ValueError, match=field):
+            solve(channel, noise, budgets, 1)
+
+    @pytest.mark.parametrize("solve", SOLVERS, ids=["round", "region"])
+    @pytest.mark.parametrize("near", [2, -1])
+    def test_rejects_unknown_near_user(self, solve, near):
+        # Both used to raise a raw IndexError.
+        channel, noise = coupled_channel()
+        with pytest.raises(ValueError, match="near_user"):
+            solve(channel, noise, [1.0, 1.0], near)
+
+    def test_near_fmiwf_rejects_unknown_near_user(self):
+        # near_user=-1 used to run as near user 1.
+        channel, noise = coupled_channel()
+        with pytest.raises(ValueError, match="near_user"):
+            near_fmiwf(channel, noise, [1.0, 1.0], 0.4, near_user=-1)

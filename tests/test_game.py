@@ -199,6 +199,21 @@ class TestNoiseShape:
             capacity(0, self.allocs, self.channel, noise)
 
 
+class TestUserIndex:
+    """A receiver index must name a user of the channel."""
+
+    @pytest.mark.parametrize("user", [-1, 2])
+    @pytest.mark.parametrize("measure", [
+        # At user -1 all three used to answer for user 1.
+        capacity, sinr_per_tone, effective_noise])
+    def test_rejects_unknown_user(self, measure, user):
+        channel = symmetric_two_band_channel(0.3)
+        noise = NoiseProfile.white(0.1, 2, 2)
+        allocs = [PowerAllocation(u, np.array([0.5, 0.5]), 1.0) for u in (0, 1)]
+        with pytest.raises(ValueError, match="user"):
+            measure(user, allocs, channel, noise)
+
+
 class TestWeakCrosstalk:
     """Crosstalk 17 orders of magnitude below the direct gain.
 

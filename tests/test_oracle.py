@@ -86,13 +86,6 @@ class TestBruteForce:
         with pytest.raises(SearchSpaceError):
             brute_force_pareto(channel, noise, [1.0, 1.0], levels=3)
 
-    def test_custom_cap(self):
-        grid = make_uniform_grid(0, 1, 1)
-        channel = ChannelMatrixSet(np.ones((1, 2, 2)), grid)
-        noise = NoiseProfile.white(0.1, 2, 1)
-        with pytest.raises(SearchSpaceError):
-            brute_force_pareto(channel, noise, [1.0, 1.0], levels=11, cap=10)
-
     def test_two_users_only(self):
         grid = make_uniform_grid(0, 1, 1)
         channel = ChannelMatrixSet(np.ones((1, 3, 3)), grid)
@@ -196,6 +189,18 @@ class TestNoiseShape:
         noise = NoiseProfile.white(0.1, 2, 4)
         with pytest.raises(ValueError, match="gap"):
             brute_force_pareto(self.channel, noise, [1.0, 1.0], levels=3, gap=gap)
+
+    @pytest.mark.parametrize("budgets,field", [
+        # One budget used to raise a raw IndexError, a third was ignored,
+        # a negative one gave a front holding nan and a nan one an empty
+        # argmax.
+        ([1.0], "budgets"), ([1.0, 1.0, 1.0], "budgets"),
+        ([1.0, -1.0], r"budgets\[1\]"), ([float("nan"), 1.0], r"budgets\[0\]"),
+    ])
+    def test_rejects_bad_budgets(self, budgets, field):
+        noise = NoiseProfile.white(0.1, 2, 4)
+        with pytest.raises(ValueError, match=field):
+            brute_force_pareto(self.channel, noise, budgets, levels=3)
 
 
 def broadcast_pareto(channel, noise, budgets, levels, gap=1.0):

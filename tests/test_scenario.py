@@ -132,6 +132,26 @@ class TestLoadConfig:
             ("name-array", lambda c: c.update(name=["unit"]), "name"),
             ("near_user-bool", lambda c: c.update(near_user=True), "near_user"),
         ]),
+        # Values of the right type but out of range used to get past the
+        # load and fail at run time under a library message, or to run.
+        *(pytest.param(mutate, path, id=name) for name, mutate, path in [
+            ("fext_coeff-negative", lambda c: c["channel"].update(fext_coeff=-1e-16),
+             "channel.fext_coeff"),
+            ("attenuation-negative", lambda c: c["channel"].update(attenuation=-5e-4),
+             "channel.attenuation"),
+            ("coupling-3x2",
+             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, 0.5]] * 3),
+             "channel.coupling_lengths_km"),
+            ("coupling-short-row",
+             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, 0.5], [0.5]]),
+             "channel.coupling_lengths_km"),
+            ("coupling-negative",
+             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, -0.1], [0.5, 0.5]]),
+             "channel.coupling_lengths_km"),
+            ("oracle_levels-one", lambda c: c.update(oracle_levels=1), "oracle_levels"),
+            ("detail-negative", lambda c: c.update(detail_rd_bps=-5.0),
+             "detail_rd_bps"),
+        ]),
     ])
     def test_field_errors_carry_paths(self, tmp_path, mutate, path):
         cfg = base_config(tmp_path)
