@@ -20,7 +20,7 @@ import numpy as np
 from . import nearfar, scenario, symmetric
 from .channel import (ChannelCsvError, NoiseProfile, _write_rows,
                       load_channel_csv, load_noise_csv, write_psd_csv)
-from .dfdm import dfdm_round
+from .dfdm import _Sweep
 from .game import capacity, is_nash_equilibrium
 from .oracle import SearchSpaceError, brute_force_pareto
 from .waterfilling import InfeasibleError, iterate_iwf
@@ -149,8 +149,8 @@ def cmd_dfdm(args) -> int:
     channel, noise = _load_instance(args)
     g = _gap(args)
     near, far = args.near_user, 1 - args.near_user
-    res, allocs = dfdm_round(channel, noise, args.budgets, args.rd, near, g)
-    far_rate = capacity(far, allocs, channel, noise, g)
+    sweep = _Sweep(channel, noise, args.budgets, near, g)
+    res, allocs, _, far_rate = sweep.round(args.rd)
     if args.json:
         widths = channel.grid.widths
         _print_json({

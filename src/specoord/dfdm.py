@@ -9,6 +9,14 @@ afford the high end of the spectrum, the far user cannot.
 The protocol is one-shot: the near user measures the received noise floor
 (background noise plus whatever the others currently transmit), allocates,
 and the far user re-water-fills once in response.
+
+Everything a sweep of near-user targets shares is built once, on the
+receiver kernel's plain arrays: both receivers, the near user's floor
+against the far user's opening move, the full-band fill and its rate, and
+a memo of the rate above each cutoff, which does not depend on the target.
+A round then bisects on the memo, fills above its cutoff, lets the far user
+respond, and rates both users.  find_cutoff, dfdm_allocate and dfdm_round
+are one-target uses of the same search.
 """
 
 from __future__ import annotations
@@ -19,11 +27,12 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import PowerAllocation, _check_inputs, _fill, _rate, capacity
+from .game import (AT_MOST_POWER, PowerAllocation, _check_budget, _check_floor,
+                   _check_inputs, _fill, _floor, _rate, _receiver, capacity,
+                   power_matrix)
 from .oracle import RateRegionCurve
-from .waterfilling import (EffectiveNoise, InfeasibleError, IwfReport,
-                           achievable_rate, effective_noise, iterate_iwf,
-                           waterfill_fm, waterfill_ra)
+from .waterfilling import (InfeasibleError, IwfReport, _fill_fm, effective_noise,
+                           iterate_iwf, waterfill_ra)
 
 
 @dataclass(frozen=True)
@@ -37,10 +46,78 @@ class DfdmResult:
     target_rate: float
 
 
-def _masked(eff: EffectiveNoise, cutoff: int) -> EffectiveNoise:
-    usable = eff.usable.copy()
-    usable[:cutoff] = False
-    return EffectiveNoise(user=eff.user, values=eff.values, usable=usable)
+class _Search:
+    """One user's cutoff search against fixed others, for any number of
+    targets.
+
+    Holds the receiver's arrays, its effective noise on its usable tones,
+    the full-band rate-adaptive rate (0.0 with no usable tone) and a memo of
+    the rate above each cutoff.  The usable tones at or above a cutoff are a
+    suffix of the usable tones, so each probe fills and rates views of the
+    one gather, and the memo is keyed by where that suffix starts.
+    """
+
+    def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
+                 user: int, budget: float, others: Sequence[PowerAllocation],
+                 gap: float):
+        p = power_matrix(others, channel.num_users, channel.num_tones)
+        self.rx = _receiver(channel, noise, user, gap)
+        self.floors = _floor(user, p, self.rx, gap)
+        _check_floor(self.floors)
+        _check_budget(budget)
+        self.user, self.budget = user, budget
+        self.k, self.edges = channel.num_tones, channel.grid.edges
+        self._memo: dict[int, float] = {}
+        self.full = self.rate_above(0)
+
+    def _above(self, s: int) -> tuple:
+        _, tones, widths, _, _ = self.rx
+        return tones[s:], self.floors[s:], widths[s:]
+
+    def rate_above(self, cutoff: int) -> float:
+        """Rate of the budget water-filled on the usable tones >= cutoff."""
+        s = int(np.searchsorted(self.rx[1], cutoff))
+        if s not in self._memo:
+            rate = 0.0
+            if s < self.rx[1].size:
+                above = self._above(s)
+                power, _, _ = _fill(*above, self.k, self.budget)
+                rate = _rate(power, *above)
+            self._memo[s] = rate
+        return self._memo[s]
+
+    def cutoff(self, target: float) -> int:
+        """Largest cutoff index k such that tones k..K-1 still carry the
+        target; K for a zero target.  Raises InfeasibleError when even the
+        full band cannot carry it."""
+        if not target >= 0:  # also rejects nan
+            raise ValueError("target_rate must be >= 0")
+        if target == 0:
+            return self.k
+        floor = target * (1 - 1e-12)
+        if self.full < floor:
+            raise InfeasibleError(
+                f"target {target} exceeds full-band rate {self.full}",
+                max_achievable=self.full)
+        lo, hi = 0, self.k  # rate_above(lo) >= target, rate_above(hi) < target
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.rate_above(mid) >= floor:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def allocate(self, target: float) -> DfdmResult:
+        """The cutoff, then the least power above it that meets the target."""
+        cutoff = self.cutoff(target)
+        above = self._above(int(np.searchsorted(self.rx[1], cutoff)))
+        power, _ = _fill_fm(*above, self.k, self.budget, target)
+        return DfdmResult(
+            cutoff_index=cutoff, cutoff_hz=float(self.edges[cutoff]),
+            allocation=PowerAllocation(self.user, power, self.budget,
+                                       AT_MOST_POWER),
+            achieved_rate=_rate(power, *above), target_rate=target)
 
 
 def find_cutoff(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
@@ -52,46 +129,10 @@ def find_cutoff(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     The achievable rate (rate-adaptive water-filling of the full budget on
     the remaining tones) is non-increasing in the cutoff, so a binary
     search applies.  Returns K for a zero target, once the inputs pass their
-    checks; raises InfeasibleError when even the full band cannot carry the
-    target.  The full-band rate comes from waterfill_ra, which checks the
-    budget; the probes run on the receiver kernel.
+    checks; raises InfeasibleError, carrying the full-band rate, when even
+    the full band cannot carry the target.
     """
-    if not target_rate >= 0:  # also rejects nan
-        raise ValueError("target_rate must be >= 0")
-    k = channel.num_tones
-    eff = effective_noise(user, others, channel, noise, gap)
-    if target_rate == 0:
-        return k
-    full = 0.0
-    if eff.usable.any():
-        alloc, _ = waterfill_ra(eff, budget, channel.grid)
-        full = achievable_rate(alloc.power, eff, channel.grid)
-    floor = target_rate * (1 - 1e-12)
-    if full < floor:
-        raise InfeasibleError(
-            f"target {target_rate} exceeds full-band rate {full}",
-            max_achievable=full)
-
-    # The usable tones at or above a cutoff are a suffix of the usable
-    # tones, so each probe fills and rates views of one gather.
-    tones = eff.usable.nonzero()[0]
-    floors, widths = eff.values[tones], channel.grid.widths[tones]
-
-    def rate_above(cutoff: int) -> float:
-        s = int(np.searchsorted(tones, cutoff))
-        if s == tones.size:
-            return 0.0
-        power, _, _ = _fill(tones[s:], floors[s:], widths[s:], k, budget)
-        return _rate(power, tones[s:], floors[s:], widths[s:])
-
-    lo, hi = 0, k  # rate_above(lo) >= target, rate_above(hi) < target
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if rate_above(mid) >= floor:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _Search(channel, noise, user, budget, others, gap).cutoff(target_rate)
 
 
 def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
@@ -99,14 +140,7 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
                   others: Sequence[PowerAllocation] = (),
                   gap: float = 1.0) -> DfdmResult:
     """Cutoff search plus minimum-power allocation above the cutoff."""
-    cutoff = find_cutoff(channel, noise, user, target_rate, budget, others, gap)
-    eff = _masked(effective_noise(user, others, channel, noise, gap), cutoff)
-    alloc, _ = waterfill_fm(eff, budget, target_rate, channel.grid)
-    achieved = achievable_rate(alloc.power, eff, channel.grid)
-    return DfdmResult(cutoff_index=cutoff,
-                      cutoff_hz=float(channel.grid.edges[cutoff]),
-                      allocation=alloc, achieved_rate=achieved,
-                      target_rate=target_rate)
+    return _Search(channel, noise, user, budget, others, gap).allocate(target_rate)
 
 
 def _far_user(near_user: int) -> int:
@@ -122,6 +156,53 @@ def far_alone(channel: ChannelMatrixSet, noise: NoiseProfile, far_user: int,
     return waterfill_ra(eff, budget, channel.grid)[0]
 
 
+class _Sweep:
+    """The rounds of a DFDM sweep on one 2-user instance and far opening.
+
+    The near user's search is shared by every round, so later rounds reuse
+    the probes of earlier ones.  round(target) returns the near user's
+    DfdmResult, both allocations in user order, and the near and far rates
+    against them, from the round's own floors.
+    """
+
+    def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
+                 budgets: Sequence[float], near_user: int, gap: float,
+                 far_initial: PowerAllocation | None = None):
+        budgets = _check_inputs(channel, noise, gap, budgets, users=2)
+        self.near, self.far = near_user, _far_user(near_user)
+        k = channel.num_tones
+        if far_initial is None:
+            far_initial = far_alone(channel, noise, self.far,
+                                    budgets[self.far], gap)
+        elif far_initial.user != self.far or far_initial.power.size != k:
+            raise ValueError(
+                f"far_initial must be the far user {self.far}'s allocation "
+                f"over {k} tones, got user {far_initial.user}'s over "
+                f"{far_initial.power.size}")
+        self.search = _Search(channel, noise, self.near, budgets[self.near],
+                              [far_initial], gap)
+        self.far_rx = _receiver(channel, noise, self.far, gap)
+        self.far_budget, self.gap = budgets[self.far], gap
+
+    def round(self, target: float) -> tuple:
+        near, far, search, gap = self.near, self.far, self.search, self.gap
+        res = search.allocate(target)
+        p = np.zeros((2, search.k))
+        p[near] = res.allocation.power
+        _, tones, widths, _, _ = self.far_rx
+        floors = _floor(far, p, self.far_rx, gap)
+        _check_floor(floors)
+        power, _, _ = _fill(tones, floors, widths, search.k, self.far_budget)
+        far_rate = _rate(power, tones, floors, widths)
+        p[far] = power
+        _, tones, widths, _, _ = search.rx
+        near_rate = _rate(p[near], tones, _floor(near, p, search.rx, gap), widths)
+        far_best = PowerAllocation(far, power, self.far_budget)
+        allocs = ((far_best, res.allocation) if far == 0
+                  else (res.allocation, far_best))
+        return res, allocs, near_rate, far_rate
+
+
 def dfdm_round(channel: ChannelMatrixSet, noise: NoiseProfile,
                budgets: Sequence[float], target_rate: float,
                near_user: int = 1, gap: float = 1.0,
@@ -130,20 +211,13 @@ def dfdm_round(channel: ChannelMatrixSet, noise: NoiseProfile,
     """One dynamic-FDM round on a 2-user channel.
 
     The far user water-fills against background noise (`far_initial`, when
-    given, is that allocation, so a sweep computes it once), the near user
-    measures and runs dfdm_allocate, and the far user best-responds once.
-    Returns the near user's DfdmResult and both allocations in user order.
+    given, must be that allocation of the far user, so a caller can compute
+    it once), the near user measures and runs dfdm_allocate, and the far
+    user best-responds once.  Returns the near user's DfdmResult and both
+    allocations in user order.
     """
-    budgets = _check_inputs(channel, noise, gap, budgets, users=2)
-    far_user = _far_user(near_user)
-    if far_initial is None:
-        far_initial = far_alone(channel, noise, far_user, budgets[far_user], gap)
-    res = dfdm_allocate(channel, noise, near_user, target_rate,
-                        budgets[near_user], others=[far_initial], gap=gap)
-    far_eff = effective_noise(far_user, [res.allocation], channel, noise, gap)
-    far_best, _ = waterfill_ra(far_eff, budgets[far_user], channel.grid)
-    allocs = (far_best, res.allocation) if far_user == 0 else (res.allocation, far_best)
-    return res, allocs
+    sweep = _Sweep(channel, noise, budgets, near_user, gap, far_initial)
+    return sweep.round(target_rate)[:2]
 
 
 def near_fmiwf(channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -168,17 +242,12 @@ def dfdm_vs_fmiwf_region(channel: ChannelMatrixSet, noise: NoiseProfile,
     Per target: one dfdm_round, and one near_fmiwf run to a fixed point.
     Points are (target, far rate).
     """
-    budgets = _check_inputs(channel, noise, gap, budgets, users=2)
-    far_user = _far_user(near_user)
-    far_initial = far_alone(channel, noise, far_user, budgets[far_user], gap)
-
+    sweep = _Sweep(channel, noise, budgets, near_user, gap)
     dfdm_pts, iwf_pts = [], []
     for rd in rd_values:
-        _, allocs = dfdm_round(channel, noise, budgets, float(rd), near_user,
-                               gap, far_initial)
-        dfdm_pts.append((rd, capacity(far_user, allocs, channel, noise, gap)))
+        dfdm_pts.append((rd, sweep.round(float(rd))[3]))
         report = near_fmiwf(channel, noise, budgets, rd, near_user, gap)
-        iwf_pts.append((rd, capacity(far_user, report.allocations, channel,
+        iwf_pts.append((rd, capacity(sweep.far, report.allocations, channel,
                                      noise, gap)))
 
     return {"dfdm": RateRegionCurve("dfdm", np.array(dfdm_pts)),

@@ -26,10 +26,10 @@ from . import symmetric
 from .channel import (ChannelMatrixSet, NoiseProfile, _write_rows,
                       format_float, load_channel_csv, make_uniform_grid,
                       synthetic_dsl_channel, write_psd_csv)
-from .dfdm import dfdm_round, far_alone, near_fmiwf
+from .dfdm import _Sweep, far_alone, near_fmiwf
 from .game import capacity, sinr_per_tone
 from .oracle import brute_force_pareto
-from .waterfilling import effective_noise, iterate_iwf, waterfill_ra
+from .waterfilling import iterate_iwf
 
 VALID_METHODS = ("ra-iwf", "fm-iwf", "dfdm", "oracle")
 
@@ -300,24 +300,26 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
 
     far_initial = far_alone(channel, noise, far, budgets[far], gap)
     far_free = capacity(far, [far_initial], channel, noise, gap)
-    near_eff0 = effective_noise(near, [far_initial], channel, noise, gap)
-    near_full, _ = waterfill_ra(near_eff0, budgets[near], grid)
-    near_max = capacity(near, [near_full, far_initial], channel, noise, gap)
+    sweep = _Sweep(channel, noise, budgets, near, gap, far_initial)
+    near_max = sweep.search.full
 
     targets = _sweep_targets(config, near_max)
     detail_rd = (config.detail_rd_bps if config.detail_rd_bps is not None
                  else targets[len(targets) // 2])
 
-    def fmiwf_allocs(rd: float):
-        return near_fmiwf(channel, noise, budgets, rd, near, gap).allocations
+    def rated(allocs) -> tuple:
+        return (allocs, capacity(near, allocs, channel, noise, gap),
+                capacity(far, allocs, channel, noise, gap))
 
-    def dfdm_allocs(rd: float):
-        return dfdm_round(channel, noise, budgets, rd, near, gap, far_initial)[1]
+    def fmiwf_round(rd: float) -> tuple:
+        return rated(near_fmiwf(channel, noise, budgets, rd, near, gap).allocations)
 
-    def rate_row(method: str, target: str, allocs) -> tuple:
-        return (method, target,
-                format_float(capacity(near, allocs, channel, noise, gap)),
-                format_float(capacity(far, allocs, channel, noise, gap)))
+    def dfdm_round(rd: float) -> tuple:
+        # The round rates both users against its own floors.
+        return sweep.round(rd)[1:]
+
+    def row(method: str, target: str, near_rate: float, far_rate: float) -> tuple:
+        return method, target, format_float(near_rate), format_float(far_rate)
 
     rows = []
     details: dict[str, tuple] = {}
@@ -326,22 +328,22 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
             curve = brute_force_pareto(channel, noise, budgets, gap=gap,
                                        levels=config.oracle_levels)
             for r2, r1 in curve.points:
-                rows.append((method, "", format_float(r2), format_float(r1)))
+                rows.append(row(method, "", r2, r1))
             continue
         if method == "ra-iwf":
-            allocs = iterate_iwf(channel, noise, budgets, mode="ra",
-                                 gap=gap).allocations
-            rows.append(rate_row(method, "", allocs))
+            allocs, near_rate, far_rate = rated(iterate_iwf(
+                channel, noise, budgets, mode="ra", gap=gap).allocations)
+            rows.append(row(method, "", near_rate, far_rate))
             details[method] = allocs
             continue
-        make = fmiwf_allocs if method == "fm-iwf" else dfdm_allocs
+        play = fmiwf_round if method == "fm-iwf" else dfdm_round
         for rd in targets:
-            allocs = make(rd)
-            rows.append(rate_row(method, format_float(rd), allocs))
+            allocs, near_rate, far_rate = play(rd)
+            rows.append(row(method, format_float(rd), near_rate, far_rate))
             if rd == detail_rd:
                 details[method] = allocs
         if method not in details:
-            details[method] = make(detail_rd)
+            details[method] = play(detail_rd)[0]
 
     files = {}
     region_path = os.path.join(out_dir, "rate_region.csv")

@@ -118,20 +118,27 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
     if not target_rate >= 0:  # also rejects nan
         raise ValueError("target_rate must be >= 0")
     w = grid.widths
+    if w.size != eff.values.size:
+        raise ValueError("effective noise does not match grid")
     tones = eff.usable.nonzero()[0]
     if target_rate > 0:
         if tones.size == 0:
             raise InfeasibleError("no usable tones", max_achievable=0.0)
         _check_budget(budget)
-        if w.size != eff.values.size:
-            raise ValueError("effective noise does not match grid")
-    power, mu, short = _fill(tones, eff.values[tones], w[tones],
-                             eff.values.size, budget, target_rate)
-    if short is not None:
-        raise InfeasibleError(
-            f"target rate {target_rate} exceeds achievable {short}",
-            max_achievable=short)
+    power, mu = _fill_fm(tones, eff.values[tones], w[tones], w.size, budget,
+                         target_rate)
     return PowerAllocation(eff.user, power, budget, AT_MOST_POWER), mu
+
+
+def _fill_fm(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray,
+             k: int, budget: float, target: float) -> tuple[np.ndarray, float]:
+    """The kernel's fixed-margin fill (power, mu); raises InfeasibleError,
+    carrying the full-budget rate, when the target is out of reach."""
+    power, mu, short = _fill(tones, floors, widths, k, budget, target)
+    if short is not None:
+        raise InfeasibleError(f"target rate {target} exceeds achievable {short}",
+                              max_achievable=short)
+    return power, mu
 
 
 def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,

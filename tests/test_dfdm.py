@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
-                              make_uniform_grid)
-from specoord.dfdm import (dfdm_allocate, dfdm_round, dfdm_vs_fmiwf_region,
-                           find_cutoff, near_fmiwf)
-from specoord.game import PowerAllocation
+                              format_float, make_uniform_grid)
+from specoord.dfdm import (_Sweep, dfdm_allocate, dfdm_round,
+                           dfdm_vs_fmiwf_region, far_alone, find_cutoff,
+                           near_fmiwf)
+from specoord.game import AT_MOST_POWER, FULL_POWER, PowerAllocation, capacity
+from specoord.scenario import build_channel, load_config, run_scenario
 from specoord.waterfilling import (EffectiveNoise, InfeasibleError,
                                    achievable_rate, effective_noise,
-                                   waterfill_ra)
+                                   waterfill_fm, waterfill_ra)
 
 
 def solo_channel(num_tones):
@@ -331,3 +333,185 @@ class TestTwoUserEntry:
         channel, noise = coupled_channel()
         with pytest.raises(ValueError, match="near_user"):
             near_fmiwf(channel, noise, [1.0, 1.0], 0.4, near_user=-1)
+
+
+class TestFarInitial:
+    """dfdm_round's far_initial must be the far user's allocation."""
+
+    def test_rejects_the_near_users_allocation(self):
+        # It used to run silently: the near user then measured no
+        # interference from the far user, and the cutoff came out as 7.
+        channel, noise = coupled_channel()
+        own = PowerAllocation(1, np.full(8, 0.1), 1.0)
+        with pytest.raises(ValueError, match="far_initial"):
+            dfdm_round(channel, noise, [1.0, 1.0], 0.4, near_user=1,
+                       far_initial=own)
+
+    def test_rejects_another_tone_count(self):
+        channel, noise = coupled_channel()
+        short = PowerAllocation(0, np.full(7, 0.1), 1.0)
+        with pytest.raises(ValueError, match="far_initial"):
+            dfdm_round(channel, noise, [1.0, 1.0], 0.4, near_user=1,
+                       far_initial=short)
+
+
+def full_band_rate(channel, noise, near, budget, far_initial, gap):
+    eff = effective_noise(near, [far_initial], channel, noise, gap)
+    alloc, _ = waterfill_ra(eff, budget, channel.grid)
+    return achievable_rate(alloc.power, eff, channel.grid)
+
+
+def reference_round(channel, noise, budgets, target, near, gap, far_initial):
+    """One DFDM round by the per-step public recipe: find_cutoff, then
+    waterfill_fm on the near user's effective noise masked below the
+    cutoff, the far user's waterfill_ra against that, then capacity for
+    both users.  Returns (cutoff, achieved rate, allocations in user order,
+    near rate, far rate): what each round of a shared sweep must reproduce
+    bit for bit."""
+    far = 1 - near
+    cut = find_cutoff(channel, noise, near, target, budgets[near],
+                      [far_initial], gap)
+    eff = effective_noise(near, [far_initial], channel, noise, gap)
+    usable = eff.usable.copy()
+    usable[:cut] = False
+    masked = EffectiveNoise(near, eff.values, usable)
+    near_alloc, _ = waterfill_fm(masked, budgets[near], target, channel.grid)
+    achieved = achievable_rate(near_alloc.power, masked, channel.grid)
+    far_eff = effective_noise(far, [near_alloc], channel, noise, gap)
+    far_best, _ = waterfill_ra(far_eff, budgets[far], channel.grid)
+    allocs = sorted([near_alloc, far_best], key=lambda a: a.user)
+    return (cut, achieved, allocs,
+            capacity(near, allocs, channel, noise, gap),
+            capacity(far, allocs, channel, noise, gap))
+
+
+# Target fractions of the full-band rate: unsorted, repeated, zero and the
+# full band itself.
+FRACTIONS = [0.6, 0.0, 0.3, 0.6, 1.0, 0.05, 0.9, 0.0, 0.3]
+
+
+class TestSharedSweep:
+    """The rounds of one sweep share the near floor, the full-band fill and
+    the probe memo; each must equal the per-step recipe bit for bit."""
+
+    @pytest.mark.parametrize("seed,dark_top",
+                             [(s, False) for s in range(6)] + [(6, True), (7, True)])
+    def test_rounds_match_the_recipe(self, seed, dark_top):
+        # random_instance has masked tones, gap > 1 and near user seed % 2.
+        channel, noise, near, others, gap, budget = random_instance(seed, dark_top)
+        far = 1 - near
+        budgets = [budget, 0.5 * budget + 1.0]
+        given = seed % 3 == 0  # a caller's far opening, else far_alone
+        far_initial = (others[0] if given
+                       else far_alone(channel, noise, far, budgets[far], gap))
+        sweep = _Sweep(channel, noise, budgets, near, gap,
+                       far_initial if given else None)
+        full = full_band_rate(channel, noise, near, budgets[near], far_initial,
+                              gap)
+        assert sweep.search.full == full
+        for frac in FRACTIONS:
+            target = frac * full
+            res, allocs, near_rate, far_rate = sweep.round(target)
+            cut, achieved, want, want_near, want_far = reference_round(
+                channel, noise, budgets, target, near, gap, far_initial)
+            assert (res.cutoff_index, res.cutoff_hz) == (cut, channel.grid.edges[cut])
+            assert (res.achieved_rate, res.target_rate) == (achieved, target)
+            assert res.allocation is allocs[near]
+            assert (allocs[near].mode, allocs[far].mode) == (AT_MOST_POWER,
+                                                             FULL_POWER)
+            for got, exp in zip(allocs, want):
+                assert (got.user, got.mode, got.budget) == (exp.user, exp.mode,
+                                                            exp.budget)
+                assert got.power.tobytes() == exp.power.tobytes()
+            assert (near_rate, far_rate) == (want_near, want_far)
+        # An infeasible round reports the recipe's full-band rate and
+        # leaves the sweep usable.
+        with pytest.raises(InfeasibleError) as exc:
+            sweep.round(full * 1.001)
+        assert exc.value.max_achievable == full
+        assert sweep.round(0.3 * full)[2] == reference_round(
+            channel, noise, budgets, 0.3 * full, near, gap, far_initial)[3]
+
+    @pytest.mark.parametrize("near,gap_db,plan", [
+        (1, 0.0, None),
+        (0, 3.0, [[[0.3e6, 0.9e6]], None]),
+        (1, 6.0, [None, [[0.2e6, 0.5e6], [0.7e6, 1.1e6]]]),
+    ])
+    def test_scenario_rows_match_the_recipe(self, tmp_path, near, gap_db, plan):
+        cfg = {
+            "name": "rows",
+            "grid": {"f_start_hz": 0.0, "f_end_hz": 1.2e6, "num_tones": 48},
+            "channel": {"kind": "synthetic", "lengths_km": [2.5, 0.7],
+                        "group_sizes": [6, 9]},
+            "noise_psd_dbm_hz": -135.0, "budgets_mw": [20.0, 30.0],
+            "methods": ["dfdm"], "sweep": {"count": 1}, "near_user": near,
+            "gap_db": gap_db, "band_plan_hz": plan,
+            "output_dir": str(tmp_path)}
+        config = load_config(cfg)
+        channel = build_channel(config)
+        noise = NoiseProfile.from_psd_dbm_hz(config.noise_psd_dbm_hz,
+                                             channel.grid, 2)
+        budgets, gap, far = list(config.budgets_mw), config.gap, 1 - near
+        far_initial = far_alone(channel, noise, far, budgets[far], gap)
+        full = full_band_rate(channel, noise, near, budgets[near], far_initial,
+                              gap)
+        targets = [f * full for f in FRACTIONS]
+        report = run_scenario(load_config(dict(cfg, sweep={"rd_bps": targets})))
+        want = []
+        for t in targets:
+            *_, near_rate, far_rate = reference_round(
+                channel, noise, budgets, t, near, gap, far_initial)
+            want.append(("dfdm", format_float(t), format_float(near_rate),
+                         format_float(far_rate)))
+        assert report["rows"] == want
+        assert report["near_max_bps"] == full
+
+
+def relabelled(channel, noise, budgets):
+    """The same instance with the two users' labels swapped: both gain axes,
+    the noise rows and the budgets reversed."""
+    return (ChannelMatrixSet(channel.gains[:, ::-1, ::-1].copy(), channel.grid),
+            NoiseProfile(noise.values[::-1].copy()), budgets[::-1])
+
+
+class TestRelabelling:
+    """Swapping the users' labels and the near user relabels the outcome of
+    a DFDM round and of the region sweep's DFDM curve, bit for bit."""
+
+    @pytest.mark.parametrize("seed,dark_top,dense",
+                             [(s, False, s > 1) for s in range(4)] + [(6, True, False)])
+    def test_round_relabels(self, seed, dark_top, dense):
+        channel, noise, near, _, gap, budget = random_instance(seed, dark_top)
+        if dense:  # every tone usable by both users
+            gains = channel.gains.copy()
+            for u in (0, 1):
+                gains[:, u, u] = np.maximum(gains[:, u, u], 0.05)
+            channel = ChannelMatrixSet(gains, channel.grid)
+        budgets = [budget, 0.5 * budget + 1.0]
+        swapped = relabelled(channel, noise, budgets)
+        far_initial = far_alone(channel, noise, 1 - near, budgets[1 - near], gap)
+        full = full_band_rate(channel, noise, near, budgets[near], far_initial,
+                              gap)
+        for frac in (0.0, 0.3, 0.8, 1.0):
+            res, allocs = dfdm_round(channel, noise, budgets, frac * full, near,
+                                     gap)
+            res2, allocs2 = dfdm_round(*swapped, frac * full, 1 - near, gap)
+            assert res2.cutoff_index == res.cutoff_index
+            assert res2.achieved_rate == res.achieved_rate
+            for u in (0, 1):
+                assert allocs2[u].user == u
+                assert allocs2[u].mode == allocs[1 - u].mode
+                assert allocs2[u].power.tobytes() == allocs[1 - u].power.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_region_dfdm_curve_relabels(self, seed):
+        channel, noise, near, _, gap, budget = random_instance(seed)
+        budgets = [budget, 0.5 * budget + 1.0]
+        far_initial = far_alone(channel, noise, 1 - near, budgets[1 - near], gap)
+        full = full_band_rate(channel, noise, near, budgets[near], far_initial,
+                              gap)
+        rds = [0.5 * full, 0.0, 0.9 * full, 0.5 * full]
+        curves = dfdm_vs_fmiwf_region(channel, noise, budgets, rds, near, gap)
+        curves2 = dfdm_vs_fmiwf_region(*relabelled(channel, noise, budgets),
+                                       rds, 1 - near, gap)
+        assert curves2["dfdm"].points.tobytes() == curves["dfdm"].points.tobytes()

@@ -210,6 +210,12 @@ class TestWaterfillFm:
         with pytest.raises(ValueError):
             waterfill_fm(eff_of([1.0]), 1.0, -0.1, unit_grid(1))
 
+    @pytest.mark.parametrize("target", [0.0, 0.5])
+    def test_rejects_a_grid_of_another_size_at_any_target(self, target):
+        # At target 0 it used to return a 3-tone allocation.
+        with pytest.raises(ValueError, match="does not match grid"):
+            waterfill_fm(eff_of([1.0, 2.0, 3.0]), 1.0, target, unit_grid(4))
+
     def test_rejects_nan_target(self):
         # It used to surface as a nan power, rejected as a bad allocation.
         with pytest.raises(ValueError, match="target_rate"):
