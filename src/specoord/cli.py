@@ -148,9 +148,8 @@ def cmd_iwf(args) -> int:
 def cmd_dfdm(args) -> int:
     channel, noise = _load_instance(args)
     g = _gap(args)
-    near, far = args.near_user, 1 - args.near_user
-    sweep = _Sweep(channel, noise, args.budgets, near, g)
-    res, allocs, _, far_rate = sweep.round(args.rd)
+    sweep = _Sweep(channel, noise, args.budgets, args.near_user, g)
+    allocs, _, far_rate, res = sweep.round(args.rd)
     if args.json:
         widths = channel.grid.widths
         _print_json({
@@ -162,10 +161,10 @@ def cmd_dfdm(args) -> int:
         })
     else:
         print(f"cutoff: tone {res.cutoff_index} ({res.cutoff_hz:.6g} Hz)")
-        print(f"near user {near + 1}: rate {res.achieved_rate:.9g} bit/s "
+        print(f"near user {sweep.near + 1}: rate {res.achieved_rate:.9g} bit/s "
               f"(target {res.target_rate:.9g}), "
               f"power {float(np.sum(res.allocation.power)):.9g} mW")
-        print(f"far user {far + 1}: rate {far_rate:.9g} bit/s")
+        print(f"far user {sweep.far + 1}: rate {far_rate:.9g} bit/s")
     if args.psd_out:
         write_psd_csv([a.power for a in allocs], channel.grid, args.psd_out)
         if not args.json:

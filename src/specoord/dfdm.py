@@ -10,13 +10,16 @@ The protocol is one-shot: the near user measures the received noise floor
 (background noise plus whatever the others currently transmit), allocates,
 and the far user re-water-fills once in response.
 
-Everything a sweep of near-user targets shares is built once, on the
-receiver kernel's plain arrays: both receivers, the near user's floor
-against the far user's opening move, the full-band fill and its rate, and
-a memo of the rate above each cutoff, which does not depend on the target.
-A round then bisects on the memo, fills above its cutoff, lets the far user
-respond, and rates both users.  find_cutoff, dfdm_allocate and dfdm_round
-are one-target uses of the same search.
+One sweep of near-user targets owns the near/far comparison of DFDM with
+fixed-margin IWF (FM-IWF).  What its targets share is built once, on the
+receiver kernel's plain arrays: the near and far roles, the far user's
+opening move and that move's rate, both receivers, the near user's floor
+against the opening, the full-band fill and its rate, and a memo of the
+rate above each cutoff, which does not depend on the target.  A DFDM round
+then bisects on the memo, fills above its cutoff, lets the far user
+respond, and rates both users; an FM-IWF fixed point is rated on the same
+two receivers.  find_cutoff, dfdm_allocate and dfdm_round are one-target
+uses of the same search.
 """
 
 from __future__ import annotations
@@ -27,9 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import (AT_MOST_POWER, PowerAllocation, _check_budget, _check_floor,
-                   _check_inputs, _fill, _floor, _rate, _receiver, capacity,
-                   power_matrix)
+from .game import (AT_MOST_POWER, PowerAllocation, _check_budget,
+                   _check_inputs, _fill, _floor, _rate, _receiver, power_matrix)
 from .oracle import RateRegionCurve
 from .waterfilling import (InfeasibleError, IwfReport, _fill_fm, effective_noise,
                            iterate_iwf, waterfill_ra)
@@ -63,7 +65,6 @@ class _Search:
         p = power_matrix(others, channel.num_users, channel.num_tones)
         self.rx = _receiver(channel, noise, user, gap)
         self.floors = _floor(user, p, self.rx, gap)
-        _check_floor(self.floors)
         _check_budget(budget)
         self.user, self.budget = user, budget
         self.k, self.edges = channel.num_tones, channel.grid.edges
@@ -157,67 +158,73 @@ def far_alone(channel: ChannelMatrixSet, noise: NoiseProfile, far_user: int,
 
 
 class _Sweep:
-    """The rounds of a DFDM sweep on one 2-user instance and far opening.
+    """A near user's target sweep on one 2-user instance, for both protocols.
 
-    The near user's search is shared by every round, so later rounds reuse
-    the probes of earlier ones.  round(target) returns the near user's
-    DfdmResult, both allocations in user order, and the near and far rates
-    against them, from the round's own floors.
+    The roles come from near_user.  The far user opens by water-filling
+    against background noise, and far_free is that opening's rate.  The near
+    user's search against the opening is shared by every DFDM round, so
+    later rounds reuse the probes of earlier ones.  Any profile is rated on
+    the two receivers the sweep holds.  round (DFDM) and fmiwf (FM-IWF)
+    return (allocs, near_rate, far_rate, detail): both allocations in user
+    order, both rates, and the near user's DfdmResult or the IwfReport.
     """
 
     def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
-                 budgets: Sequence[float], near_user: int, gap: float,
-                 far_initial: PowerAllocation | None = None):
-        budgets = _check_inputs(channel, noise, gap, budgets, users=2)
+                 budgets: Sequence[float], near_user: int, gap: float):
+        self.budgets = _check_inputs(channel, noise, gap, budgets, users=2)
         self.near, self.far = near_user, _far_user(near_user)
-        k = channel.num_tones
-        if far_initial is None:
-            far_initial = far_alone(channel, noise, self.far,
-                                    budgets[self.far], gap)
-        elif far_initial.user != self.far or far_initial.power.size != k:
-            raise ValueError(
-                f"far_initial must be the far user {self.far}'s allocation "
-                f"over {k} tones, got user {far_initial.user}'s over "
-                f"{far_initial.power.size}")
-        self.search = _Search(channel, noise, self.near, budgets[self.near],
-                              [far_initial], gap)
+        self.channel, self.noise, self.gap = channel, noise, gap
+        opening = far_alone(channel, noise, self.far, self.budgets[self.far], gap)
+        self.search = _Search(channel, noise, self.near, self.budgets[self.near],
+                              [opening], gap)
         self.far_rx = _receiver(channel, noise, self.far, gap)
-        self.far_budget, self.gap = budgets[self.far], gap
+        alone = power_matrix([opening], 2, channel.num_tones)
+        self.far_free = self._rate_of(self.far, alone)
+
+    def _rate_of(self, user: int, p: np.ndarray) -> float:
+        rx = self.search.rx if user == self.near else self.far_rx
+        return _rate(p[user], rx[1], _floor(user, p, rx, self.gap), rx[2])
+
+    def rated(self, allocs: Sequence[PowerAllocation]) -> tuple:
+        """(allocs, near rate, far rate) of a 2-user profile."""
+        p = power_matrix(allocs, 2, self.search.k)
+        return allocs, self._rate_of(self.near, p), self._rate_of(self.far, p)
 
     def round(self, target: float) -> tuple:
-        near, far, search, gap = self.near, self.far, self.search, self.gap
+        near, far, search = self.near, self.far, self.search
         res = search.allocate(target)
         p = np.zeros((2, search.k))
         p[near] = res.allocation.power
         _, tones, widths, _, _ = self.far_rx
-        floors = _floor(far, p, self.far_rx, gap)
-        _check_floor(floors)
-        power, _, _ = _fill(tones, floors, widths, search.k, self.far_budget)
-        far_rate = _rate(power, tones, floors, widths)
+        floors = _floor(far, p, self.far_rx, self.gap)
+        power, _, _ = _fill(tones, floors, widths, search.k, self.budgets[far])
         p[far] = power
-        _, tones, widths, _, _ = search.rx
-        near_rate = _rate(p[near], tones, _floor(near, p, search.rx, gap), widths)
-        far_best = PowerAllocation(far, power, self.far_budget)
+        far_best = PowerAllocation(far, power, self.budgets[far])
         allocs = ((far_best, res.allocation) if far == 0
                   else (res.allocation, far_best))
-        return res, allocs, near_rate, far_rate
+        return (allocs, self._rate_of(near, p),
+                _rate(power, tones, floors, widths), res)
+
+    def fmiwf(self, target: float) -> tuple:
+        report = near_fmiwf(self.channel, self.noise, self.budgets, target,
+                            self.near, self.gap)
+        return (*self.rated(report.allocations), report)
 
 
 def dfdm_round(channel: ChannelMatrixSet, noise: NoiseProfile,
                budgets: Sequence[float], target_rate: float,
-               near_user: int = 1, gap: float = 1.0,
-               far_initial: PowerAllocation | None = None
+               near_user: int = 1, gap: float = 1.0
                ) -> tuple[DfdmResult, tuple[PowerAllocation, PowerAllocation]]:
     """One dynamic-FDM round on a 2-user channel.
 
-    The far user water-fills against background noise (`far_initial`, when
-    given, must be that allocation of the far user, so a caller can compute
-    it once), the near user measures and runs dfdm_allocate, and the far
-    user best-responds once.  Returns the near user's DfdmResult and both
-    allocations in user order.
+    The far user water-fills against background noise (far_alone), the near
+    user measures and runs dfdm_allocate, and the far user best-responds
+    once.  Returns the near user's DfdmResult and both allocations in user
+    order.
     """
-    sweep = _Sweep(channel, noise, budgets, near_user, gap, far_initial)
-    return sweep.round(target_rate)[:2]
+    allocs, _, _, res = _Sweep(channel, noise, budgets, near_user,
+                               gap).round(target_rate)
+    return res, allocs
 
 
 def near_fmiwf(channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -239,16 +246,14 @@ def dfdm_vs_fmiwf_region(channel: ChannelMatrixSet, noise: NoiseProfile,
                          ) -> dict[str, RateRegionCurve]:
     """Far-user rate against the near user's target, for both protocols.
 
-    Per target: one dfdm_round, and one near_fmiwf run to a fixed point.
-    Points are (target, far rate).
+    Per target: one DFDM round, and one near_fmiwf run to a fixed point, on
+    one shared sweep.  Points are (target, far rate).
     """
     sweep = _Sweep(channel, noise, budgets, near_user, gap)
     dfdm_pts, iwf_pts = [], []
     for rd in rd_values:
-        dfdm_pts.append((rd, sweep.round(float(rd))[3]))
-        report = near_fmiwf(channel, noise, budgets, rd, near_user, gap)
-        iwf_pts.append((rd, capacity(sweep.far, report.allocations, channel,
-                                     noise, gap)))
+        dfdm_pts.append((rd, sweep.round(float(rd))[2]))
+        iwf_pts.append((rd, sweep.fmiwf(rd)[2]))
 
     return {"dfdm": RateRegionCurve("dfdm", np.array(dfdm_pts)),
             "fm-iwf": RateRegionCurve("fm-iwf", np.array(iwf_pts))}

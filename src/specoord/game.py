@@ -141,7 +141,8 @@ def _receiver(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
 
 def _floor(user: int, p: np.ndarray, rx: tuple, gap: float) -> np.ndarray:
     """Effective noise of one receiver (rx from _receiver) on its usable
-    tones against p, the (N, K) power matrix, leaving its own row out."""
+    tones against p, the (N, K) power matrix, leaving its own row out;
+    checked to be finite and > 0."""
     gains_in, tones, _, direct, noise_row = rx
     own = p[user].copy()
     p[user] = 0.0
@@ -149,7 +150,9 @@ def _floor(user: int, p: np.ndarray, rx: tuple, gap: float) -> np.ndarray:
     p[user] = own
     if tones.size < interference.size:
         interference = interference[tones]
-    return gap * (interference + noise_row) / direct
+    floors = gap * (interference + noise_row) / direct
+    _check_floor(floors)
+    return floors
 
 
 def _rate(power: np.ndarray, tones: np.ndarray, floors: np.ndarray,
@@ -180,7 +183,8 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     per-Hz floors.  Returns (power over the k tones, mu, short).  short is
     None unless the target exceeds the full-budget rate: it is then that
     rate, and power and mu are the full-budget response.  Inputs are not
-    validated here; the callers check budgets, targets and floors.
+    validated here; the callers check budgets and targets, and _floor
+    checks the floors.
     """
     if target == 0:
         return (np.zeros(k),
@@ -292,7 +296,6 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
         rx = _receiver(channel, noise, alloc.user, gap)
         _, tones, widths, _, _ = rx
         floors = _floor(alloc.user, p, rx, gap)
-        _check_floor(floors)
         rates[idx] = _rate(p[alloc.user], tones, floors, widths)
         best, _, _ = _fill(tones, floors, widths, k, alloc.budget)
         gains[idx] = _rate(best, tones, floors, widths) - rates[idx]

@@ -26,8 +26,8 @@ from . import symmetric
 from .channel import (ChannelMatrixSet, NoiseProfile, _write_rows,
                       format_float, load_channel_csv, make_uniform_grid,
                       synthetic_dsl_channel, write_psd_csv)
-from .dfdm import _Sweep, far_alone, near_fmiwf
-from .game import capacity, sinr_per_tone
+from .dfdm import _Sweep
+from .game import sinr_per_tone
 from .oracle import brute_force_pareto
 from .waterfilling import iterate_iwf
 
@@ -98,12 +98,12 @@ class ScenarioConfig:
     budgets_mw: tuple
     methods: tuple
     sweep: dict
-    near_user: int = 1
-    gap_db: float = 0.0
-    band_plan_hz: tuple | None = None
-    detail_rd_bps: float | None = None
-    oracle_levels: int = 11
-    output_dir: str = "scenario_out"
+    near_user: int
+    gap_db: float
+    band_plan_hz: tuple | None
+    detail_rd_bps: float | None
+    oracle_levels: int
+    output_dir: str
 
     @property
     def gap(self) -> float:
@@ -111,7 +111,8 @@ class ScenarioConfig:
 
 
 def load_config(source) -> ScenarioConfig:
-    """Parse and validate a scenario config from a dict or a JSON file path."""
+    """Parse and validate a scenario config from a dict or a JSON file path
+    into a config that holds every default resolved."""
     if isinstance(source, (str, os.PathLike)):
         with open(source) as fh:
             try:
@@ -132,13 +133,14 @@ def load_config(source) -> ScenarioConfig:
     if not f_end > f_start >= 0:
         raise ConfigError("grid.f_end_hz", "need f_end_hz > f_start_hz >= 0")
 
-    chan = _object(_need(raw, "channel", ""), "channel")
+    chan = dict(_object(_need(raw, "channel", ""), "channel"))
     kind = _need(chan, "kind", "channel")
     if kind == "synthetic":
         lengths = _numbers(_need(chan, "lengths_km", "channel"), "channel.lengths_km")
         if len(lengths) != 2 or any(l < 0 for l in lengths):
             raise ConfigError("channel.lengths_km", "need two non-negative lengths")
-        sizes = _array(chan.get("group_sizes", [1, 1]), "channel.group_sizes")
+        sizes = chan["group_sizes"] = _array(chan.get("group_sizes", [1, 1]),
+                                             "channel.group_sizes")
         if len(sizes) != 2 or any(
                 _integer(s, f"channel.group_sizes[{i}]") < 1 for i, s in enumerate(sizes)):
             raise ConfigError("channel.group_sizes", "need two sizes >= 1")
@@ -167,11 +169,12 @@ def load_config(source) -> ScenarioConfig:
     if len(set(methods)) < len(methods):
         raise ConfigError("methods", "must not repeat a method")
 
-    sweep = _object(_need(raw, "sweep", ""), "sweep")
+    sweep = dict(_object(_need(raw, "sweep", ""), "sweep"))
     if "rd_bps" in sweep:
         rd = _numbers(sweep["rd_bps"], "sweep.rd_bps")
         if not rd or any(r < 0 for r in rd):
             raise ConfigError("sweep.rd_bps", "need non-negative targets")
+        sweep["rd_bps"] = rd
     else:
         if _integer(sweep.get("count", 0), "sweep.count") < 1:
             raise ConfigError("sweep.count", "must be >= 1")
@@ -180,6 +183,7 @@ def load_config(source) -> ScenarioConfig:
         if not 0 < lo <= hi <= 1:
             raise ConfigError("sweep.min_fraction",
                               "need 0 < min_fraction <= max_fraction <= 1")
+        sweep.update(min_fraction=lo, max_fraction=hi)
 
     near = _integer(raw.get("near_user", 1), "near_user")
     if near not in (0, 1):
@@ -220,12 +224,12 @@ def load_config(source) -> ScenarioConfig:
     return ScenarioConfig(
         name=name,
         grid_spec=dict(grid),
-        channel_spec=dict(chan),
+        channel_spec=chan,
         noise_psd_dbm_hz=_number(_need(raw, "noise_psd_dbm_hz", ""),
                                  "noise_psd_dbm_hz"),
         budgets_mw=tuple(budgets),
         methods=tuple(methods),
-        sweep=dict(sweep),
+        sweep=sweep,
         near_user=near,
         gap_db=gap_db,
         band_plan_hz=plan,
@@ -249,10 +253,9 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
         channel = synthetic_dsl_channel(
             spec["lengths_km"], grid,
             coupling_lengths_km=spec.get("coupling_lengths_km"),
-            attenuation=spec.get("attenuation", 5e-4),
-            fext_coeff=spec.get("fext_coeff", 1e-16))
+            **{k: spec[k] for k in ("attenuation", "fext_coeff") if k in spec})
         # Crosstalk into each receiver is the other group's power sum.
-        s0, s1 = spec.get("group_sizes", [1, 1])
+        s0, s1 = spec["group_sizes"]
         channel = ChannelMatrixSet(channel.gains * np.array([[1, s1], [s0, 1]]),
                                    grid)
 
@@ -272,11 +275,10 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
 
 def _sweep_targets(config: ScenarioConfig, max_rate: float) -> list[float]:
     if "rd_bps" in config.sweep:
-        return [float(r) for r in config.sweep["rd_bps"]]
-    count = int(config.sweep["count"])
-    lo = config.sweep.get("min_fraction", 0.1) * max_rate
-    hi = config.sweep.get("max_fraction", 0.95) * max_rate
-    return list(np.linspace(lo, hi, count))
+        return list(config.sweep["rd_bps"])
+    lo = config.sweep["min_fraction"] * max_rate
+    hi = config.sweep["max_fraction"] * max_rate
+    return list(np.linspace(lo, hi, config.sweep["count"]))
 
 
 def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
@@ -296,27 +298,10 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     noise = NoiseProfile.from_psd_dbm_hz(config.noise_psd_dbm_hz, grid, 2)
     gap = config.gap
     budgets = list(config.budgets_mw)
-    near, far = config.near_user, 1 - config.near_user
-
-    far_initial = far_alone(channel, noise, far, budgets[far], gap)
-    far_free = capacity(far, [far_initial], channel, noise, gap)
-    sweep = _Sweep(channel, noise, budgets, near, gap, far_initial)
-    near_max = sweep.search.full
-
-    targets = _sweep_targets(config, near_max)
+    sweep = _Sweep(channel, noise, budgets, config.near_user, gap)
+    targets = _sweep_targets(config, sweep.search.full)
     detail_rd = (config.detail_rd_bps if config.detail_rd_bps is not None
                  else targets[len(targets) // 2])
-
-    def rated(allocs) -> tuple:
-        return (allocs, capacity(near, allocs, channel, noise, gap),
-                capacity(far, allocs, channel, noise, gap))
-
-    def fmiwf_round(rd: float) -> tuple:
-        return rated(near_fmiwf(channel, noise, budgets, rd, near, gap).allocations)
-
-    def dfdm_round(rd: float) -> tuple:
-        # The round rates both users against its own floors.
-        return sweep.round(rd)[1:]
 
     def row(method: str, target: str, near_rate: float, far_rate: float) -> tuple:
         return method, target, format_float(near_rate), format_float(far_rate)
@@ -327,18 +312,20 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
         if method == "oracle":
             curve = brute_force_pareto(channel, noise, budgets, gap=gap,
                                        levels=config.oracle_levels)
-            for r2, r1 in curve.points:
-                rows.append(row(method, "", r2, r1))
+            # The curve's columns are (user 1, user 0) rates.
+            points = curve.points[:, [1 - sweep.near, 1 - sweep.far]]
+            for near_rate, far_rate in points[points[:, 0].argsort(kind="stable")]:
+                rows.append(row(method, "", near_rate, far_rate))
             continue
         if method == "ra-iwf":
-            allocs, near_rate, far_rate = rated(iterate_iwf(
+            allocs, near_rate, far_rate = sweep.rated(iterate_iwf(
                 channel, noise, budgets, mode="ra", gap=gap).allocations)
             rows.append(row(method, "", near_rate, far_rate))
             details[method] = allocs
             continue
-        play = fmiwf_round if method == "fm-iwf" else dfdm_round
+        play = sweep.fmiwf if method == "fm-iwf" else sweep.round
         for rd in targets:
-            allocs, near_rate, far_rate = play(rd)
+            allocs, near_rate, far_rate, _ = play(rd)
             rows.append(row(method, format_float(rd), near_rate, far_rate))
             if rd == detail_rd:
                 details[method] = allocs
@@ -365,8 +352,8 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
         files[f"sinr_{method}"] = sinr_path
 
     return {"name": config.name, "files": files, "rows": rows,
-            "near_user": near, "near_max_bps": near_max,
-            "far_free_bps": far_free, "detail_rd_bps": detail_rd}
+            "near_user": sweep.near, "near_max_bps": sweep.search.full,
+            "far_free_bps": sweep.far_free, "detail_rd_bps": detail_rd}
 
 
 def emit_region_map(snr_range: tuple, h_range: tuple, resolution: int,

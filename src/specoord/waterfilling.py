@@ -81,6 +81,10 @@ def effective_noise(user: int, allocations: Sequence[PowerAllocation],
 def achievable_rate(power: np.ndarray, eff: EffectiveNoise,
                     grid: FrequencyGrid) -> float:
     """Rate of a power vector against an effective noise floor."""
+    if grid.widths.size != eff.values.size:
+        raise ValueError("effective noise does not match grid")
+    if np.shape(power) != eff.values.shape:
+        raise ValueError("power does not match effective noise")
     tones = eff.usable.nonzero()[0]
     return _rate(power, tones, eff.values[tones], grid.widths[tones])
 
@@ -211,7 +215,6 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
         delta = 0.0
         for i, rx in enumerate(receivers):
             floors = _floor(i, basis, rx, gap)
-            _check_floor(floors)
             power, _, short = _fill(rx[1], floors, rx[2], k, budgets[i],
                                     targets[i])
             if short is None:

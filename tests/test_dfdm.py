@@ -335,26 +335,6 @@ class TestTwoUserEntry:
             near_fmiwf(channel, noise, [1.0, 1.0], 0.4, near_user=-1)
 
 
-class TestFarInitial:
-    """dfdm_round's far_initial must be the far user's allocation."""
-
-    def test_rejects_the_near_users_allocation(self):
-        # It used to run silently: the near user then measured no
-        # interference from the far user, and the cutoff came out as 7.
-        channel, noise = coupled_channel()
-        own = PowerAllocation(1, np.full(8, 0.1), 1.0)
-        with pytest.raises(ValueError, match="far_initial"):
-            dfdm_round(channel, noise, [1.0, 1.0], 0.4, near_user=1,
-                       far_initial=own)
-
-    def test_rejects_another_tone_count(self):
-        channel, noise = coupled_channel()
-        short = PowerAllocation(0, np.full(7, 0.1), 1.0)
-        with pytest.raises(ValueError, match="far_initial"):
-            dfdm_round(channel, noise, [1.0, 1.0], 0.4, near_user=1,
-                       far_initial=short)
-
-
 def full_band_rate(channel, noise, near, budget, far_initial, gap):
     eff = effective_noise(near, [far_initial], channel, noise, gap)
     alloc, _ = waterfill_ra(eff, budget, channel.grid)
@@ -401,17 +381,17 @@ class TestSharedSweep:
         channel, noise, near, others, gap, budget = random_instance(seed, dark_top)
         far = 1 - near
         budgets = [budget, 0.5 * budget + 1.0]
-        given = seed % 3 == 0  # a caller's far opening, else far_alone
-        far_initial = (others[0] if given
-                       else far_alone(channel, noise, far, budgets[far], gap))
-        sweep = _Sweep(channel, noise, budgets, near, gap,
-                       far_initial if given else None)
+        far_initial = far_alone(channel, noise, far, budgets[far], gap)
+        sweep = _Sweep(channel, noise, budgets, near, gap)
         full = full_band_rate(channel, noise, near, budgets[near], far_initial,
                               gap)
+        assert (sweep.near, sweep.far) == (near, far)
         assert sweep.search.full == full
+        assert sweep.far_free == capacity(far, [far_initial], channel, noise,
+                                          gap)
         for frac in FRACTIONS:
             target = frac * full
-            res, allocs, near_rate, far_rate = sweep.round(target)
+            allocs, near_rate, far_rate, res = sweep.round(target)
             cut, achieved, want, want_near, want_far = reference_round(
                 channel, noise, budgets, target, near, gap, far_initial)
             assert (res.cutoff_index, res.cutoff_hz) == (cut, channel.grid.edges[cut])
@@ -429,8 +409,25 @@ class TestSharedSweep:
         with pytest.raises(InfeasibleError) as exc:
             sweep.round(full * 1.001)
         assert exc.value.max_achievable == full
-        assert sweep.round(0.3 * full)[2] == reference_round(
+        assert sweep.round(0.3 * full)[1] == reference_round(
             channel, noise, budgets, 0.3 * full, near, gap, far_initial)[3]
+
+    @pytest.mark.parametrize("seed", [0, 3, 6])
+    def test_fmiwf_rates_match_capacity(self, seed):
+        # The sweep rates a profile on the receivers it holds: the same
+        # bits as capacity, which builds them afresh.
+        channel, noise, near, _, gap, budget = random_instance(seed, seed == 6)
+        budgets = [budget, 0.5 * budget + 1.0]
+        sweep = _Sweep(channel, noise, budgets, near, gap)
+        for frac in (0.0, 0.4, 0.9):
+            target = frac * sweep.search.full
+            allocs, near_rate, far_rate, report = sweep.fmiwf(target)
+            want = near_fmiwf(channel, noise, budgets, target, near, gap)
+            assert report.iterations == want.iterations
+            for got, exp in zip(allocs, want.allocations):
+                assert got.power.tobytes() == exp.power.tobytes()
+            assert near_rate == capacity(near, allocs, channel, noise, gap)
+            assert far_rate == capacity(1 - near, allocs, channel, noise, gap)
 
     @pytest.mark.parametrize("near,gap_db,plan", [
         (1, 0.0, None),

@@ -177,6 +177,27 @@ class TestNashCheck:
         assert result.is_nash
 
 
+class TestUnderflowingFloor:
+    """A floor that underflows to 0 is refused by every measure of the
+    profile, as iterate_iwf and effective_noise refuse it."""
+
+    MEASURES = [
+        lambda a, ch, nz: capacity(0, a, ch, nz),
+        lambda a, ch, nz: sinr_per_tone(0, a, ch, nz),
+        lambda a, ch, nz: is_nash_equilibrium(a, ch, nz),
+    ]
+
+    @pytest.mark.parametrize("measure", MEASURES,
+                             ids=["capacity", "sinr", "nash"])
+    def test_refused(self, measure):
+        # capacity and sinr_per_tone used to divide by the zero floor: a
+        # RuntimeWarning, and inf without -W error.
+        channel, noise = one_tone_instance(direct=1e300, noise=1e-300)
+        alloc = [PowerAllocation(0, np.array([1.0]), 1.0)]
+        with pytest.raises(ValueError, match="effective noise must be finite"):
+            measure(alloc, channel, noise)
+
+
 class TestNoiseShape:
     """A noise profile must hold one row per user and one column per tone."""
 

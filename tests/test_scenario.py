@@ -160,6 +160,20 @@ class TestLoadConfig:
             load_config(cfg)
         assert exc.value.path == path
 
+    def test_stores_resolved_defaults(self, tmp_path):
+        cfg = base_config(tmp_path, sweep={"count": 2})
+        cfg["channel"].pop("group_sizes")
+        config = load_config(cfg)
+        assert config.channel_spec["group_sizes"] == [1, 1]
+        assert "attenuation" not in config.channel_spec  # synthetic_dsl_channel's
+        assert config.sweep == {"count": 2, "min_fraction": 0.1,
+                                "max_fraction": 0.95}
+        assert (config.near_user, config.gap_db, config.oracle_levels,
+                config.band_plan_hz, config.detail_rd_bps) == (1, 0.0, 11,
+                                                               None, None)
+        cfg.pop("output_dir")
+        assert load_config(cfg).output_dir == "scenario_out"
+
     def test_csv_channel_requires_path(self, tmp_path):
         cfg = base_config(tmp_path, channel={"kind": "csv"})
         with pytest.raises(ConfigError) as exc:
@@ -291,6 +305,40 @@ class TestRunScenario:
         report = run_scenario(load_config(cfg))
         oracle_rows = [r for r in report["rows"] if r[0] == "oracle"]
         assert oracle_rows and all(r[1] == "" for r in oracle_rows)
+
+
+class TestScenarioRelabels:
+    """Relabelling the two users (both gain axes, the noise rows and the
+    budgets reversed) and flipping near_user gives the same dfdm and oracle
+    rows, near_max_bps and far_free_bps.  ra-iwf and fm-iwf are left out:
+    Gauss-Seidel order does not relabel."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_relabel(self, tmp_path, seed):
+        # The oracle rows used to ignore near_user: (user 1, user 0) rates
+        # under both roles.
+        rng = np.random.default_rng(seed)
+        gains = rng.uniform(0.2, 1.0, (2, 2, 2))
+        gains[:, 0, 1] *= 0.05
+        gains[:, 1, 0] *= 0.4
+        channel = ChannelMatrixSet(gains, make_uniform_grid(0, 2e5, 2))
+        swapped = ChannelMatrixSet(gains[:, ::-1, ::-1].copy(), channel.grid)
+        budgets = [float(b) for b in rng.uniform(10.0, 30.0, 2)]
+        reports = []
+        for label, ch, b, near in (("a", channel, budgets, 1),
+                                   ("b", swapped, budgets[::-1], 0)):
+            path = tmp_path / f"{label}.csv"
+            write_channel_csv(ch, path)
+            cfg = base_config(tmp_path, channel={"kind": "csv", "path": str(path)},
+                              budgets_mw=b, methods=["dfdm", "oracle"],
+                              near_user=near, noise_psd_dbm_hz=-60.0,
+                              output_dir=str(tmp_path / label))
+            reports.append(run_scenario(load_config(cfg)))
+        a, b = reports
+        assert any(r[0] == "oracle" for r in a["rows"])
+        assert a["rows"] == b["rows"]
+        assert a["near_max_bps"] == b["near_max_bps"]
+        assert a["far_free_bps"] == b["far_free_bps"]
 
 
 class TestCrossPath:

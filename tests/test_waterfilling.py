@@ -84,6 +84,23 @@ class TestEffectiveNoise:
         assert rate == pytest.approx(math.log2(3.0), rel=1e-15)
 
 
+class TestAchievableRateSizes:
+    """achievable_rate refuses a grid or a power vector of another size,
+    as waterfill_ra and waterfill_fm refuse the grid."""
+
+    def test_rejects_a_grid_of_another_size(self):
+        # It used to rate the first three of four tones: 6.0, not 3.0.
+        grid = FrequencyGrid(np.array([0.0, 1.0, 3.0, 6.0, 10.0]))
+        with pytest.raises(ValueError, match="does not match grid"):
+            achievable_rate(np.ones(3), eff_of([1.0, 1.0, 1.0]), grid)
+
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_rejects_a_power_vector_of_another_size(self, size):
+        # A 5-tone vector used to be rated on its first three tones.
+        with pytest.raises(ValueError, match="power does not match"):
+            achievable_rate(np.ones(size), eff_of([1.0, 1.0, 1.0]), unit_grid(3))
+
+
 class TestWaterfillRa:
     def test_both_tones_active(self):
         alloc, mu = waterfill_ra(eff_of([1.0, 3.0]), 4.0, unit_grid(2))
@@ -328,6 +345,65 @@ class TestIterateIwf:
         with pytest.raises(ValueError):
             iterate_iwf(channel, noise, [1.0, 1.0],
                         initial=[PowerAllocation(0, np.zeros(2), 1.0)] )
+
+
+def dsl_like_instance(seed):
+    """A 2-user channel with 64 uneven tones, masked (zero-gain) tones for
+    both users, weak crosstalk, uneven noise and uneven budgets."""
+    rng = np.random.default_rng(seed)
+    k = 64
+    grid = FrequencyGrid(np.cumsum(np.r_[0.0, rng.uniform(0.5, 2.0, k)]))
+    gains = rng.uniform(0.0, 0.05, (k, 2, 2))
+    for u in (0, 1):
+        gains[:, u, u] = np.where(rng.random(k) < 0.2, 0.0,
+                                  rng.uniform(0.1, 2.0, k))
+    noise = NoiseProfile(rng.uniform(1e-3, 0.1, (2, k)))
+    budgets = [float(b) for b in rng.uniform(5.0, 40.0, 2)]
+    return ChannelMatrixSet(gains, grid), noise, budgets
+
+
+class TestJacobiRelations:
+    """Relations of Jacobi IWF that need no reference solver, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_scaling_budgets_and_noise_scales_the_powers(self, seed):
+        channel, noise, budgets = dsl_like_instance(seed)
+        base = iterate_iwf(channel, noise, budgets, schedule=JACOBI)
+        scaled = iterate_iwf(channel, NoiseProfile(4 * noise.values),
+                             [4 * b for b in budgets], schedule=JACOBI)
+        assert base.converged
+        assert scaled.iterations == base.iterations
+        for a, b in zip(scaled.allocations, base.allocations):
+            assert a.power.tobytes() == (4 * b.power).tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_relabelling_the_users_relabels_the_powers(self, seed):
+        channel, noise, budgets = dsl_like_instance(seed)
+        base = iterate_iwf(channel, noise, budgets, schedule=JACOBI)
+        swapped = iterate_iwf(
+            ChannelMatrixSet(channel.gains[:, ::-1, ::-1].copy(), channel.grid),
+            NoiseProfile(noise.values[::-1].copy()), budgets[::-1],
+            schedule=JACOBI)
+        assert swapped.iterations == base.iterations
+        for u in (0, 1):
+            assert swapped.allocations[u].user == u
+            assert (swapped.allocations[u].power.tobytes()
+                    == base.allocations[1 - u].power.tobytes())
+
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_a_user_without_crosstalk_plays_alone(self, seed):
+        # Both relations above hold for a solver that transposes the
+        # crosstalk, since relabelling reverses both gain axes; this one
+        # fixes which axis is the receiver.
+        channel, noise, budgets = dsl_like_instance(seed)
+        gains = channel.gains.copy()
+        gains[:, 0, 1] = 0.0  # nothing from user 1 reaches receiver 0
+        channel = ChannelMatrixSet(gains, channel.grid)
+        report = iterate_iwf(channel, noise, budgets, schedule=JACOBI)
+        alone, _ = waterfill_ra(effective_noise(0, (), channel, noise),
+                                budgets[0], channel.grid)
+        assert report.allocations[0].power.tobytes() == alone.power.tobytes()
 
 
 class TestIterateIwfEntryChecks:
