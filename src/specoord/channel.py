@@ -207,23 +207,6 @@ def synthetic_dsl_channel(lengths_km, grid: FrequencyGrid,
 # Noise files use the same frequency convention with columns n_1..n_N.
 
 
-def _read_rows(path) -> list[list[str]]:
-    with open(path, newline="") as fh:
-        return [row for row in csv.reader(fh) if row]
-
-
-def _edges_from_upper(freqs: np.ndarray, path) -> FrequencyGrid:
-    if np.any(np.diff(freqs) <= 0):
-        raise ChannelCsvError(f"{path}: frequencies must be strictly ascending")
-    if freqs.size >= 2:
-        f0 = 2 * freqs[0] - freqs[1]
-    else:
-        f0 = 0.0
-    if f0 >= freqs[0]:
-        raise ChannelCsvError(f"{path}: cannot reconstruct a positive first tone width")
-    return FrequencyGrid(np.concatenate([[f0], freqs]))
-
-
 def _parse_float(cell: str, path, line: int) -> float:
     try:
         return float(cell)
@@ -231,26 +214,48 @@ def _parse_float(cell: str, path, line: int) -> float:
         raise ChannelCsvError(f"{path}: line {line}: not a number: {cell!r}") from None
 
 
-def load_channel_csv(path) -> ChannelMatrixSet:
-    rows = _read_rows(path)
+def _read_table(path, header: tuple, value: tuple) -> tuple[FrequencyGrid, np.ndarray]:
+    """Read an all-numeric CSV of the layout _write_rows writes: a header
+    freq_hz,<names>, then one row per tone, its upper edge first.
+
+    header is (rule, form): rule(names) accepts the names after freq_hz,
+    and a refused header is reported as needing freq_hz,<form>.  value is
+    (rule, message): rule(v) is true for a bad value after the edge.
+    Returns the grid and the (tones, names) values.
+    """
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
     if len(rows) < 2:
         raise ChannelCsvError(f"{path}: no tone rows")
-    header = rows[0]
-    n_sq = len(header) - 1
-    n = int(round(np.sqrt(n_sq)))
-    if header[0] != "freq_hz" or n * n != n_sq or n < 1:
-        raise ChannelCsvError(f"{path}: header must be freq_hz,g_1_1,...,g_N_N")
-    freqs, stacks = [], []
+    (header_ok, form), (bad, message) = header, value
+    if rows[0][0] != "freq_hz" or not header_ok(rows[0][1:]):
+        raise ChannelCsvError(f"{path}: header must be freq_hz,{form}")
+    width = len(rows[0])
+    table = []
     for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ChannelCsvError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
+        if len(row) != width:
+            raise ChannelCsvError(f"{path}: line {ln}: expected {width} fields, got {len(row)}")
         vals = [_parse_float(c, path, ln) for c in row]
-        if any(v < 0 for v in vals[1:]):
-            raise ChannelCsvError(f"{path}: line {ln}: negative gain")
-        freqs.append(vals[0])
-        stacks.append(np.array(vals[1:]).reshape(n, n))
-    grid = _edges_from_upper(np.array(freqs), path)
-    return ChannelMatrixSet(np.stack(stacks), grid)
+        if any(bad(v) for v in vals[1:]):
+            raise ChannelCsvError(f"{path}: line {ln}: {message}")
+        table.append(vals)
+    table = np.array(table)
+    freqs = table[:, 0]
+    if np.any(np.diff(freqs) <= 0):
+        raise ChannelCsvError(f"{path}: frequencies must be strictly ascending")
+    f0 = 2 * freqs[0] - freqs[1] if freqs.size >= 2 else 0.0
+    if f0 >= freqs[0]:
+        raise ChannelCsvError(f"{path}: cannot reconstruct a positive first tone width")
+    return FrequencyGrid(np.r_[f0, freqs]), table[:, 1:].copy()
+
+
+def load_channel_csv(path) -> ChannelMatrixSet:
+    def square(names):
+        return names != [] and round(len(names) ** 0.5) ** 2 == len(names)
+    grid, gains = _read_table(path, (square, "g_1_1,...,g_N_N"),
+                              (lambda v: v < 0, "negative gain"))
+    n = round(gains.shape[1] ** 0.5)
+    return ChannelMatrixSet(gains.reshape(-1, n, n), grid)
 
 
 def write_channel_csv(channel: ChannelMatrixSet, path) -> None:
@@ -261,24 +266,11 @@ def write_channel_csv(channel: ChannelMatrixSet, path) -> None:
 
 
 def load_noise_csv(path) -> tuple[NoiseProfile, FrequencyGrid]:
-    rows = _read_rows(path)
-    if len(rows) < 2:
-        raise ChannelCsvError(f"{path}: no tone rows")
-    header = rows[0]
-    n = len(header) - 1
-    if header[0] != "freq_hz" or n < 1 or header[1:] != [f"n_{i + 1}" for i in range(n)]:
-        raise ChannelCsvError(f"{path}: header must be freq_hz,n_1,...,n_N")
-    freqs, vals = [], []
-    for ln, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise ChannelCsvError(f"{path}: line {ln}: expected {len(header)} fields, got {len(row)}")
-        nums = [_parse_float(c, path, ln) for c in row]
-        if any(v <= 0 for v in nums[1:]):
-            raise ChannelCsvError(f"{path}: line {ln}: noise must be > 0")
-        freqs.append(nums[0])
-        vals.append(nums[1:])
-    grid = _edges_from_upper(np.array(freqs), path)
-    return NoiseProfile(np.array(vals).T), grid
+    def numbered(names):
+        return names != [] and names == [f"n_{i + 1}" for i in range(len(names))]
+    grid, noise = _read_table(path, (numbered, "n_1,...,n_N"),
+                              (lambda v: v <= 0, "noise must be > 0"))
+    return NoiseProfile(noise.T), grid
 
 
 def write_noise_csv(noise: NoiseProfile, grid: FrequencyGrid, path) -> None:

@@ -15,11 +15,13 @@ fixed-margin IWF (FM-IWF).  What its targets share is built once, on the
 receiver kernel's plain arrays: the near and far roles, the far user's
 opening move and that move's rate, both receivers, the near user's floor
 against the opening, the full-band fill and its rate, and a memo of the
-rate above each cutoff, which does not depend on the target.  A DFDM round
-then bisects on the memo, fills above its cutoff, lets the far user
-respond, and rates both users; an FM-IWF fixed point is rated on the same
-two receivers.  find_cutoff, dfdm_allocate and dfdm_round are one-target
-uses of the same search.
+rate on each suffix of the near user's usable tones, keyed by where the
+suffix starts.  A DFDM round bisects over that key, fills above its
+cutoff, lets the far user respond with the step that made the opening,
+and rates both users; an FM-IWF fixed point is rated on the same two
+receivers.  A suffix carries a target when its rate reaches
+target * (1 - 1e-12), the one feasibility rule.  find_cutoff,
+dfdm_allocate and dfdm_round are one-target uses of the same search.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .channel import ChannelMatrixSet, NoiseProfile
 from .game import (AT_MOST_POWER, PowerAllocation, _check_budget,
                    _check_inputs, _fill, _floor, _rate, _receiver, power_matrix)
 from .oracle import RateRegionCurve
-from .waterfilling import (InfeasibleError, IwfReport, _fill_fm, effective_noise,
+from .waterfilling import (InfeasibleError, IwfReport, effective_noise,
                            iterate_iwf, waterfill_ra)
 
 
@@ -49,35 +51,32 @@ class DfdmResult:
 
 
 class _Search:
-    """One user's cutoff search against fixed others, for any number of
-    targets.
+    """One user's cutoff search against the others' powers p, an (N, K)
+    matrix, for any number of targets.
 
     Holds the receiver's arrays, its effective noise on its usable tones,
     the full-band rate-adaptive rate (0.0 with no usable tone) and a memo of
-    the rate above each cutoff.  The usable tones at or above a cutoff are a
-    suffix of the usable tones, so each probe fills and rates views of the
-    one gather, and the memo is keyed by where that suffix starts.
+    the rate on each suffix of the usable tones, keyed by where the suffix
+    starts.  The search bisects over that key, and each probe fills and
+    rates views of the one gather.
     """
 
     def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
-                 user: int, budget: float, others: Sequence[PowerAllocation],
-                 gap: float):
-        p = power_matrix(others, channel.num_users, channel.num_tones)
+                 user: int, budget: float, p: np.ndarray, gap: float):
         self.rx = _receiver(channel, noise, user, gap)
         self.floors = _floor(user, p, self.rx, gap)
         _check_budget(budget)
         self.user, self.budget = user, budget
         self.k, self.edges = channel.num_tones, channel.grid.edges
         self._memo: dict[int, float] = {}
-        self.full = self.rate_above(0)
+        self.full = self.rate_from(0)
 
     def _above(self, s: int) -> tuple:
         _, tones, widths, _, _ = self.rx
         return tones[s:], self.floors[s:], widths[s:]
 
-    def rate_above(self, cutoff: int) -> float:
-        """Rate of the budget water-filled on the usable tones >= cutoff."""
-        s = int(np.searchsorted(self.rx[1], cutoff))
+    def rate_from(self, s: int) -> float:
+        """Rate of the budget water-filled on the s-th usable tone on."""
         if s not in self._memo:
             rate = 0.0
             if s < self.rx[1].size:
@@ -87,33 +86,35 @@ class _Search:
             self._memo[s] = rate
         return self._memo[s]
 
-    def cutoff(self, target: float) -> int:
-        """Largest cutoff index k such that tones k..K-1 still carry the
-        target; K for a zero target.  Raises InfeasibleError when even the
-        full band cannot carry it."""
+    def allocate(self, target: float) -> DfdmResult:
+        """The cutoff, then the least power above it that meets the target.
+
+        A suffix carries the target when its rate reaches target *
+        (1 - 1e-12), the one feasibility rule.  The cutoff is the first
+        tone of the shortest such suffix (K for a zero target), and the
+        fill aims at the smaller of the target and that suffix's rate.
+        """
         if not target >= 0:  # also rejects nan
             raise ValueError("target_rate must be >= 0")
-        if target == 0:
-            return self.k
-        floor = target * (1 - 1e-12)
-        if self.full < floor:
-            raise InfeasibleError(
-                f"target {target} exceeds full-band rate {self.full}",
-                max_achievable=self.full)
-        lo, hi = 0, self.k  # rate_above(lo) >= target, rate_above(hi) < target
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.rate_above(mid) >= floor:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def allocate(self, target: float) -> DfdmResult:
-        """The cutoff, then the least power above it that meets the target."""
-        cutoff = self.cutoff(target)
-        above = self._above(int(np.searchsorted(self.rx[1], cutoff)))
-        power, _ = _fill_fm(*above, self.k, self.budget, target)
+        tones = self.rx[1]
+        lo = hi = tones.size  # the empty suffix carries a zero target
+        if target > 0:
+            floor = target * (1 - 1e-12)
+            if self.full < floor:
+                raise InfeasibleError(
+                    f"target {target} exceeds full-band rate {self.full}",
+                    max_achievable=self.full)
+            lo = 0  # rate_from(lo) >= floor > rate_from(hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if self.rate_from(mid) >= floor:
+                    lo = mid
+                else:
+                    hi = mid
+        cutoff = int(tones[lo]) if lo < tones.size else self.k
+        above = self._above(lo)
+        power, _, _ = _fill(*above, self.k, self.budget,
+                            min(target, self.rate_from(lo)))
         return DfdmResult(
             cutoff_index=cutoff, cutoff_hz=float(self.edges[cutoff]),
             allocation=PowerAllocation(self.user, power, self.budget,
@@ -129,11 +130,15 @@ def find_cutoff(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
 
     The achievable rate (rate-adaptive water-filling of the full budget on
     the remaining tones) is non-increasing in the cutoff, so a binary
-    search applies.  Returns K for a zero target, once the inputs pass their
-    checks; raises InfeasibleError, carrying the full-band rate, when even
-    the full band cannot carry the target.
+    search over the suffixes of the usable tones applies.  Tones k..K-1
+    carry the target when their rate reaches target * (1 - 1e-12), the
+    rule dfdm_allocate fills by.  Returns K for a zero target, once the
+    inputs pass their checks; raises InfeasibleError, carrying the
+    full-band rate, when even the full band cannot carry the target.
     """
-    return _Search(channel, noise, user, budget, others, gap).cutoff(target_rate)
+    p = power_matrix(others, channel.num_users, channel.num_tones)
+    return _Search(channel, noise, user, budget, p,
+                   gap).allocate(target_rate).cutoff_index
 
 
 def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
@@ -141,7 +146,8 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
                   others: Sequence[PowerAllocation] = (),
                   gap: float = 1.0) -> DfdmResult:
     """Cutoff search plus minimum-power allocation above the cutoff."""
-    return _Search(channel, noise, user, budget, others, gap).allocate(target_rate)
+    p = power_matrix(others, channel.num_users, channel.num_tones)
+    return _Search(channel, noise, user, budget, p, gap).allocate(target_rate)
 
 
 def _far_user(near_user: int) -> int:
@@ -160,13 +166,14 @@ def far_alone(channel: ChannelMatrixSet, noise: NoiseProfile, far_user: int,
 class _Sweep:
     """A near user's target sweep on one 2-user instance, for both protocols.
 
-    The roles come from near_user.  The far user opens by water-filling
-    against background noise, and far_free is that opening's rate.  The near
-    user's search against the opening is shared by every DFDM round, so
-    later rounds reuse the probes of earlier ones.  Any profile is rated on
-    the two receivers the sweep holds.  round (DFDM) and fmiwf (FM-IWF)
-    return (allocs, near_rate, far_rate, detail): both allocations in user
-    order, both rates, and the near user's DfdmResult or the IwfReport.
+    The roles come from near_user.  The far user's one step, _far_step,
+    opens against silence (far_free is the opening's rate) and ends each
+    DFDM round.  The near user's search against the opening is shared by
+    every DFDM round, so later rounds reuse the probes of earlier ones.  Any
+    profile is rated on the two receivers the sweep holds.  round (DFDM) and
+    fmiwf (FM-IWF) return (allocs, near_rate, far_rate, detail): both
+    allocations in user order, both rates, and the near user's DfdmResult
+    or the IwfReport.
     """
 
     def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -174,12 +181,20 @@ class _Sweep:
         self.budgets = _check_inputs(channel, noise, gap, budgets, users=2)
         self.near, self.far = near_user, _far_user(near_user)
         self.channel, self.noise, self.gap = channel, noise, gap
-        opening = far_alone(channel, noise, self.far, self.budgets[self.far], gap)
-        self.search = _Search(channel, noise, self.near, self.budgets[self.near],
-                              [opening], gap)
         self.far_rx = _receiver(channel, noise, self.far, gap)
-        alone = power_matrix([opening], 2, channel.num_tones)
-        self.far_free = self._rate_of(self.far, alone)
+        p = np.zeros((2, channel.num_tones))
+        self.far_free = self._far_step(p)
+        self.search = _Search(channel, noise, self.near, self.budgets[self.near],
+                              p, gap)
+
+    def _far_step(self, p: np.ndarray) -> float:
+        """Water-fill the far row of p, a (2, K) profile, against the near
+        row on the far receiver; return the far user's rate."""
+        _, tones, widths, _, _ = self.far_rx
+        floors = _floor(self.far, p, self.far_rx, self.gap)
+        p[self.far], _, _ = _fill(tones, floors, widths, p.shape[1],
+                                  self.budgets[self.far])
+        return _rate(p[self.far], tones, floors, widths)
 
     def _rate_of(self, user: int, p: np.ndarray) -> float:
         rx = self.search.rx if user == self.near else self.far_rx
@@ -195,15 +210,11 @@ class _Sweep:
         res = search.allocate(target)
         p = np.zeros((2, search.k))
         p[near] = res.allocation.power
-        _, tones, widths, _, _ = self.far_rx
-        floors = _floor(far, p, self.far_rx, self.gap)
-        power, _, _ = _fill(tones, floors, widths, search.k, self.budgets[far])
-        p[far] = power
-        far_best = PowerAllocation(far, power, self.budgets[far])
+        far_rate = self._far_step(p)
+        far_best = PowerAllocation(far, p[far], self.budgets[far])
         allocs = ((far_best, res.allocation) if far == 0
                   else (res.allocation, far_best))
-        return (allocs, self._rate_of(near, p),
-                _rate(power, tones, floors, widths), res)
+        return allocs, self._rate_of(near, p), far_rate, res
 
     def fmiwf(self, target: float) -> tuple:
         report = near_fmiwf(self.channel, self.noise, self.budgets, target,

@@ -86,8 +86,12 @@ def _masked_channel() -> tuple:
 
 
 def write_inputs(inputs: str) -> list[float]:
-    """Write the input CSVs; return the DFDM targets in bit/s."""
+    """Write the input CSVs and scenario configs; return the DFDM targets
+    in bit/s."""
     os.makedirs(inputs, exist_ok=True)
+    for name, cfg in SCENARIOS.items():
+        with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
+            fh.write(json.dumps(cfg).replace(INPUTS, inputs))
     g = np.array([[[0.9, 0.02], [0.3, 0.6]], [[0.7, 0.04], [0.2, 0.5]]])
     write_channel_csv(ChannelMatrixSet(g, make_uniform_grid(0, 2e5, 2)),
                       os.path.join(inputs, "two_tone.csv"))
@@ -134,18 +138,10 @@ def run_case(argv: list[str], inputs: str, out: str) -> None:
         fh.write(text.replace(out, OUT))
 
 
-def write_scenarios(inputs: str) -> None:
-    for name, cfg in SCENARIOS.items():
-        cfg = json.loads(json.dumps(cfg).replace(INPUTS, inputs))
-        with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
-            json.dump(cfg, fh)
-
-
 def main() -> None:
     shutil.rmtree(DATA, ignore_errors=True)
     inputs = os.path.join(DATA, "inputs")
     cases = commands(write_inputs(inputs))
-    write_scenarios(inputs)
     for name, argv in cases.items():
         run_case(argv, inputs, os.path.join(DATA, name))
     shutil.rmtree(inputs)

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
+                              load_channel_csv, load_noise_csv,
                               make_uniform_grid, write_channel_csv,
                               write_noise_csv)
 from specoord.cli import _parser, build_parser, main
+from specoord.dfdm import far_alone
 from specoord.nearfar import dfdm_rate_bounds, NearFarParams, rr_iwf_bounds
+from specoord.waterfilling import (EffectiveNoise, achievable_rate,
+                                   effective_noise, waterfill_ra)
 
 
 def strict_loads(text: str):
@@ -166,6 +170,25 @@ class TestDfdm:
         assert code == 3
         err = capsys.readouterr().err
         assert "infeasible" in err and "best achievable" in err
+
+    def test_target_within_the_tolerance_exits_0(self, tmp_path, capsys):
+        # A target just above the rate of tones 4..7, within the cutoff
+        # search's 1e-12 tolerance, used to exit 3.
+        chan, noise_path = coupled_csv(tmp_path)
+        channel, (noise, _) = load_channel_csv(chan), load_noise_csv(noise_path)
+        eff = effective_noise(1, [far_alone(channel, noise, 0, 1.0)], channel,
+                              noise)
+        usable = eff.usable.copy()
+        usable[:4] = False
+        above = EffectiveNoise(1, eff.values, usable)
+        alloc, _ = waterfill_ra(above, 1.0, channel.grid)
+        rd = achievable_rate(alloc.power, above, channel.grid) * (1 + 5e-13)
+        code = main(["dfdm", "--channel", chan, "--noise", noise_path,
+                     "--budgets", "1,1", "--rd", repr(rd), "--json"])
+        assert code == 0
+        data = strict_loads(capsys.readouterr().out)
+        assert data["cutoff_index"] == 4
+        assert data["rate_bps"] >= rd * (1 - 1e-12)
 
     def test_negative_target_exits_2(self, tmp_path, capsys):
         # It used to exit 0, printing "rate 0 bit/s (target -1)".

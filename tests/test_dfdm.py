@@ -173,8 +173,9 @@ class TestFindCutoff:
 
 
 class TestKernelProbes:
-    """find_cutoff probes on the receiver kernel; every cutoff and every
-    full-band rate must equal a scan with the public-API probe."""
+    """find_cutoff and dfdm_allocate probe on the receiver kernel; every
+    cutoff and every full-band rate must equal a scan with the public-API
+    probe, and every cutoff the scan accepts must be filled."""
 
     @pytest.mark.parametrize("seed,dark_top",
                              [(s, False) for s in range(6)] + [(6, True), (7, True)])
@@ -184,12 +185,18 @@ class TestKernelProbes:
                                     gap)
         if dark_top:
             assert rates[-1 - channel.num_tones // 3] == 0.0
-        # Each probe's own rate as a target, the full-band rate among them.
-        for target in rates:
+        # Each probe's own rate as a target, the full-band rate among them,
+        # and a target just above it but within the 1e-12 tolerance, which
+        # dfdm_allocate used to refuse as infeasible.
+        for target in [t * f for t in rates for f in (1.0, 1 + 5e-13)]:
             want, _ = reference_cutoff(channel, noise, near, target, budget,
                                        others, gap)
             got = find_cutoff(channel, noise, near, target, budget, others, gap)
             assert got == want
+            res = dfdm_allocate(channel, noise, near, target, budget, others,
+                                gap)
+            assert res.cutoff_index == want
+            assert res.achieved_rate >= target * (1 - 1e-12)
 
     @pytest.mark.parametrize("seed,dark_top", [(0, False), (1, False), (6, True)])
     def test_infeasible_reports_the_public_full_band_rate(self, seed, dark_top):

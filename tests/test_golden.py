@@ -52,7 +52,6 @@ def fresh(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     inputs = root / "inputs"
     make_golden.write_inputs(str(inputs))
-    make_golden.write_scenarios(str(inputs))
     for name, argv in MANIFEST["cases"].items():
         make_golden.run_case(argv, str(inputs), str(root / name))
     return root
