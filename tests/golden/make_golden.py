@@ -8,8 +8,11 @@ and name the cause of the change in CHANGES.md:
 The set is small and fixed: `specoord run` on four scenarios (64 to 128
 tones, a band plan, gap > 1, near user 0 and 1, and a 2-tone CSV channel
 carrying all four methods), `specoord dfdm --json --psd-out` on a masked
-channel at several targets, and a 20x20 `region-map`.  Each case's files
-go to data/<case>/, with its exit code, stdout and stderr in io.txt.
+channel at several targets, `specoord iwf --psd-out` (rate-adaptive under
+both schedules, and fixed-margin) on the 2-tone channel and on an 8-tone
+3-user channel whose first two users keep two and one usable tones, a
+6-point `region-sweep` and a 20x20 `region-map`.  Each case's files go to
+data/<case>/, with its exit code, stdout and stderr in io.txt.
 data/manifest.json records each case's command line and the numpy version
 that wrote the set.
 """
@@ -27,7 +30,6 @@ import numpy as np
 
 from specoord import cli
 from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
-                              load_channel_csv, load_noise_csv,
                               make_uniform_grid, write_channel_csv,
                               write_noise_csv)
 from specoord.dfdm import far_alone
@@ -73,7 +75,10 @@ def _masked_channel() -> tuple:
     user and per-tone noise, built from closed forms only."""
     k = 16
     t = np.arange(k, dtype=float)
-    grid = FrequencyGrid(np.r_[0.0, np.cumsum(1.0 + 0.5 * np.cos(t))] * 1e3)
+    upper = np.cumsum(1.0 + 0.5 * np.cos(t)) * 1e3
+    # The CSVs carry upper tone edges only, and the reader rebuilds the
+    # first lower edge from the first spacing; start the grid there.
+    grid = FrequencyGrid(np.r_[2 * upper[0] - upper[1], upper])
     gains = np.empty((k, 2, 2))
     gains[:, 0, 0] = 2.0 * np.exp(-0.15 * t)
     gains[:, 1, 1] = 1.0 + 0.5 * np.sin(t)
@@ -83,6 +88,24 @@ def _masked_channel() -> tuple:
     gains[[0, 7, 12], 1, 1] = 0.0
     noise = NoiseProfile(np.vstack([0.01 + 0.002 * t, 0.02 + 0.001 * t[::-1]]))
     return ChannelMatrixSet(gains, grid), noise
+
+
+def _sparse_channel() -> tuple:
+    """An 8-tone 3-user channel on a uniform grid: user 1 keeps two usable
+    tones, user 2 one and user 3 seven, with per-tone noise."""
+    k, n = 8, 3
+    t = np.arange(k, dtype=float)
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    gains = 0.02 * (1 + i + 2 * j) * (1 + 0.3 * np.cos(t[:, None, None] + i - j))
+    gains[:, 0, 0] = 1.5 * np.exp(-0.1 * t)
+    gains[:, 1, 1] = 0.8 + 0.4 * np.sin(t)
+    gains[:, 2, 2] = 1.2 * np.exp(-0.05 * t)
+    gains[[0, 1, 2, 4, 5, 7], 0, 0] = 0.0
+    gains[[0, 1, 2, 3, 4, 6, 7], 1, 1] = 0.0
+    gains[1, 2, 2] = 0.0
+    noise = NoiseProfile(np.vstack([0.01 + 0.002 * t, 0.02 + 0.001 * t[::-1],
+                                    np.full(k, 0.015)]))
+    return ChannelMatrixSet(gains, make_uniform_grid(0, 8e3, k)), noise
 
 
 def write_inputs(inputs: str) -> list[float]:
@@ -95,14 +118,13 @@ def write_inputs(inputs: str) -> list[float]:
     g = np.array([[[0.9, 0.02], [0.3, 0.6]], [[0.7, 0.04], [0.2, 0.5]]])
     write_channel_csv(ChannelMatrixSet(g, make_uniform_grid(0, 2e5, 2)),
                       os.path.join(inputs, "two_tone.csv"))
-    channel, noise = _masked_channel()
-    paths = [os.path.join(inputs, f) for f in ("masked.csv", "masked_noise.csv")]
-    write_channel_csv(channel, paths[0])
-    write_noise_csv(noise, channel.grid, paths[1])
-    # The targets come from the channel as read back: the CSVs carry upper
-    # tone edges only, so the first tone's width is recovered from the
-    # spacing of the next two.
-    channel, (noise, _) = load_channel_csv(paths[0]), load_noise_csv(paths[1])
+    masked = _masked_channel()
+    for name, (channel, noise) in (("masked", masked),
+                                   ("sparse", _sparse_channel())):
+        write_channel_csv(channel, os.path.join(inputs, f"{name}.csv"))
+        write_noise_csv(noise, channel.grid,
+                        os.path.join(inputs, f"{name}_noise.csv"))
+    channel, noise = masked
     budgets, near, gap = [4.0, 6.0], 1, 10 ** 0.2
     opening = far_alone(channel, noise, 0, budgets[0], gap)
     eff = effective_noise(near, [opening], channel, noise, gap)
@@ -121,6 +143,22 @@ def commands(targets: list[float]) -> dict[str, list[str]]:
             "--noise", f"{INPUTS}/masked_noise.csv", "--budgets", "4,6",
             "--gap-db", "2", "--rd", repr(rd), "--json",
             "--psd-out", f"{OUT}/psd.csv"]
+    # Each iwf channel: its instance arguments and its fixed-margin targets.
+    iwf = {"two_tone": (["--noise-psd-dbm-hz", "-60", "--budgets", "20,10"],
+                        "1e6,none"),
+           "sparse": (["--noise", f"{INPUTS}/sparse_noise.csv", "--budgets",
+                       "4,6,5", "--gap-db", "2"], "2e3,none,8e3")}
+    for chan, (instance, targets) in iwf.items():
+        for play, extra in (("gs", ["--schedule", "gauss-seidel"]),
+                            ("jacobi", ["--schedule", "jacobi"]),
+                            ("fm", ["--mode", "fm", "--targets", targets])):
+            cases[f"iwf_{chan}_{play}"] = [
+                "iwf", "--channel", f"{INPUTS}/{chan}.csv", *instance, *extra,
+                "--psd-out", f"{OUT}/psd.csv"]
+    cases["region_sweep"] = ["region-sweep", "--alpha", "0.5", "--beta", "0.3",
+                             "--gamma", "0.1", "--r2-min", "0.2", "--r2-max",
+                             "2.0", "--count", "6",
+                             "--output", f"{OUT}/sweep.csv"]
     cases["region_map"] = ["region-map", "--resolution", "20",
                            "--output", f"{OUT}/region_map.csv"]
     return cases
