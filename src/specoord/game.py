@@ -10,6 +10,14 @@ _receiver checks the inputs and slices the receiver's arrays, _floor is its
 effective noise (interference plus noise over its own gain), _rate its rate
 and _fill its water-filling response.  Payoffs, the Nash certificate, the
 water-filling module and the DFDM cutoff search all run on it.
+
+_fill sorts the per-Hz floors and takes the longest feasible prefix.  A
+rate-adaptive fill on at most two usable tones, as in the symmetric
+two-band game, skips the arrays: _fill_pair runs the same IEEE operations
+in the same order on Python floats.  That is exact on any numpy, because
+each sum the prefix path takes (both running sums, the active widths and
+floors, and the k-tone power vector whose other entries are zero) has at
+most one non-trivial addition, which no summation grouping can reorder.
 """
 
 from __future__ import annotations
@@ -185,6 +193,11 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     rate, and power and mu are the full-budget response.  Inputs are not
     validated here; the callers check budgets and targets, and _floor
     checks the floors.
+
+    A rate-adaptive fill on one or two usable tones goes to _fill_pair, a
+    closed form on Python floats with the same result in every bit.
+    Fixed-margin fills stay on the arrays: their log1p, log2 and powers
+    may differ in the last bit between math and numpy.
     """
     if target == 0:
         return (np.zeros(k),
@@ -195,10 +208,12 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
             raise InfeasibleError("no usable tones to allocate power on",
                                   max_achievable=0.0)
         return np.zeros(k), 0.0, unmet
-    nu = floors / widths
     if budget == 0:
-        return np.zeros(k), float(nu.min()), unmet
+        return np.zeros(k), float((floors / widths).min()), unmet
+    if target is None and tones.size <= 2:
+        return _fill_pair(tones, floors, widths, k, budget)
 
+    nu = floors / widths
     order = nu.argsort(kind="stable")
     nu_s = nu[order]
     n_s = floors[order]
@@ -241,6 +256,32 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
         mu = levels[int(np.argmax(fits))]
     power = np.zeros(k)
     power[tones] = np.maximum(0.0, mu * widths - floors)
+    return power, float(mu), None
+
+
+def _fill_pair(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray,
+               k: int, budget: float) -> tuple[np.ndarray, float, None]:
+    """_fill's rate-adaptive response for a budget > 0 on one or two usable
+    tones, step for step on Python floats: tone a is the cheaper per-Hz
+    floor (the first on a tie, as a stable sort keeps it), and tone b is
+    active when the two-tone level clears its floor."""
+    t, n, w = tones.tolist(), floors.tolist(), widths.tolist()
+    if len(t) == 2 and n[1] / w[1] < n[0] / w[0]:
+        t.reverse(), n.reverse(), w.reverse()
+    if len(t) == 2 and (budget + (n[0] + n[1])) / (w[0] + w[1]) > n[1] / w[1]:
+        w_sum, n_sum = w[0] + w[1], n[0] + n[1]
+    else:
+        del t[1:], n[1:], w[1:]
+        w_sum, n_sum = w[0], n[0]
+    mu = (budget + n_sum) / w_sum
+    p = [mu * wi - ni for wi, ni in zip(w, n)]
+    deficit = budget - (p[0] + p[1] if len(p) == 2 else p[0])
+    mu += deficit / w_sum
+    power = np.zeros(k)
+    for ti, pi, wi in zip(t, p, w):
+        pi += deficit * wi / w_sum
+        # np.maximum(pi, 0.0): nan stays nan, and -0.0 becomes 0.0.
+        power[ti] = pi if pi > 0.0 or pi != pi else 0.0
     return power, float(mu), None
 
 

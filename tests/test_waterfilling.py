@@ -3,13 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specoord.channel import (ChannelMatrixSet, NoiseProfile, FrequencyGrid,
                               make_uniform_grid, symmetric_two_band_channel)
 from specoord.game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
-                           capacity, is_nash_equilibrium)
+                           _fill, capacity, is_nash_equilibrium)
 from specoord.waterfilling import (GAUSS_SEIDEL, JACOBI, EffectiveNoise,
                                    InfeasibleError, achievable_rate,
                                    effective_noise, iterate_iwf,
@@ -160,6 +160,83 @@ class TestWaterfillRa:
         levels = floors[active] + alloc.power[active]
         assert np.allclose(levels, mu, rtol=1e-9)
         assert np.all(floors[~active] >= mu * (1 - 1e-9))
+
+
+def reference_ra_fill(tones, floors, widths, k, budget):
+    """The rate-adaptive fill by sorting the per-Hz floors and taking the
+    longest feasible prefix, on arrays: the path that _fill's closed form
+    on one or two usable tones must reproduce bit for bit."""
+    nu = floors / widths
+    if budget == 0:
+        return np.zeros(k), float(nu.min())
+    order = nu.argsort(kind="stable")
+    nu_s, n_s, w_s = nu[order], floors[order], widths[order]
+    fits = (budget + np.add.accumulate(n_s)) / np.add.accumulate(w_s) > nu_s
+    fits[0] = True
+    m = int(fits.nonzero()[0][-1]) + 1
+    active, w_act, n_act = tones[order[:m]], w_s[:m], n_s[:m]
+    w_sum = float(w_act.sum())
+    mu = (budget + float(n_act.sum())) / w_sum
+    power = np.zeros(k)
+    active_power = mu * w_act - n_act
+    power[active] = active_power
+    deficit = budget - float(power.sum())
+    active_power += deficit * w_act / w_sum
+    power[active] = active_power
+    mu += deficit / w_sum
+    np.maximum(power, 0.0, out=power)
+    return power, float(mu)
+
+
+@st.composite
+def few_tone_fills(draw):
+    """(tones, floors, widths, k, budget): one or two usable tones among
+    k <= 6, floors from 1e-12 to 1e6, equal per-Hz floors on some pairs,
+    and budgets of 0, below half an ulp of every floor, or up to 1e12."""
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, min(k, 2)))
+    tones = np.sort(draw(st.permutations(range(k)))[:m])
+    floors = [draw(st.floats(1e-12, 1e6))]
+    widths = [draw(st.floats(1e-3, 1e6))]
+    if m == 2:
+        if draw(st.booleans()):
+            # Scaling both by a power of two keeps floor/width exact.
+            scale = 2.0 ** draw(st.integers(-3, 3))
+            floors.append(floors[0] * scale)
+            widths.append(widths[0] * scale)
+        else:
+            floors.append(draw(st.floats(1e-12, 1e6)))
+            widths.append(draw(st.floats(1e-3, 1e6)))
+    kind = draw(st.sampled_from(["zero", "below an ulp", "any"]))
+    if kind == "zero":
+        budget = 0.0
+    elif kind == "below an ulp":
+        budget = min(floors) * draw(st.floats(1e-30, 1e-17))
+    else:
+        budget = draw(st.floats(1e-12, 1e12))
+    return tones, np.array(floors), np.array(widths), k, budget
+
+
+class TestFillOnFewTones:
+    """_fill's closed form on one or two usable tones gives the bits of
+    the sorted-prefix path."""
+
+    @settings(max_examples=400)
+    @given(case=few_tone_fills())
+    # A tie with a budget too small to lift the level off it: the whole
+    # budget goes to the first of the two tones, as a stable sort orders.
+    @example(case=(np.array([1, 3]), np.array([0.5, 0.5]), np.array([1.0, 1.0]),
+                   5, 1e-20))
+    # Rounding leaves a residue that the uniform shift of the level removes.
+    @example(case=(np.array([0, 2]), np.array([0.1, 0.3]), np.array([1.0, 3.0]),
+                   3, 1.3))
+    def test_matches_the_sorted_prefix_path(self, case):
+        tones, floors, widths, k, budget = case
+        power, mu, short = _fill(tones, floors, widths, k, budget)
+        want_power, want_mu = reference_ra_fill(tones, floors, widths, k, budget)
+        assert short is None
+        assert power.tobytes() == want_power.tobytes()
+        assert mu == want_mu
 
 
 class TestWaterfillFm:
