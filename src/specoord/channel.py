@@ -204,6 +204,7 @@ def synthetic_dsl_channel(lengths_km, grid: FrequencyGrid,
 #     freq_hz,g_1_1,g_1_2,...,g_N_N
 # The lower edge of the first tone is recovered from the first spacing
 # (exact for uniform grids); a single-tone file is assumed to start at 0.
+# The writers refuse a grid whose first edge that rule would not give back.
 # Noise files use the same frequency convention with columns n_1..n_N.
 
 
@@ -258,7 +259,21 @@ def load_channel_csv(path) -> ChannelMatrixSet:
     return ChannelMatrixSet(gains.reshape(-1, n, n), grid)
 
 
+def _check_csv_grid(grid: FrequencyGrid) -> None:
+    """Refuse a grid the reader would rebuild otherwise: its first edge
+    must lie within 1e-9 of the smallest width of 2 f1 - f2 (of 0 for a
+    single tone), the same tolerance as the CLI's noise grid check."""
+    edges = grid.edges[:3].tolist()
+    rebuilt = 2 * edges[1] - edges[2] if len(edges) > 2 else 0.0
+    if not abs(rebuilt - edges[0]) <= 1e-9 * grid.widths.min():
+        raise ValueError(
+            f"grid: first edge {edges[0]!r} Hz would read back as {rebuilt!r} "
+            f"Hz; the CSV keeps upper edges only and rebuilds the first one "
+            f"from the first spacing (as 0 for a single tone)")
+
+
 def write_channel_csv(channel: ChannelMatrixSet, path) -> None:
+    _check_csv_grid(channel.grid)
     n = channel.num_users
     header = ["freq_hz"] + [f"g_{i + 1}_{j + 1}" for i in range(n) for j in range(n)]
     _write_rows(path, header, channel.grid.edges[1:],
@@ -274,6 +289,7 @@ def load_noise_csv(path) -> tuple[NoiseProfile, FrequencyGrid]:
 
 
 def write_noise_csv(noise: NoiseProfile, grid: FrequencyGrid, path) -> None:
+    _check_csv_grid(grid)
     header = ["freq_hz"] + [f"n_{i + 1}" for i in range(noise.num_users)]
     _write_rows(path, header, grid.edges[1:], noise.values.T)
 

@@ -188,6 +188,49 @@ class TestCsvRoundTrip:
         with pytest.raises(ChannelCsvError, match="negative"):
             load_channel_csv(path)
 
+    # Widths 1,500 then 1,270 Hz from edge 0: the reader would rebuild the
+    # first edge as 2 * 1500 - 2770 = 230 Hz.
+    UNEVEN = FrequencyGrid(np.array([0.0, 1500.0, 2770.0, 4040.0]))
+
+    def test_channel_writer_refuses_a_grid_it_would_lose(self, tmp_path):
+        channel = ChannelMatrixSet(np.ones((3, 1, 1)), self.UNEVEN)
+        path = tmp_path / "c.csv"
+        with pytest.raises(ValueError, match=r"grid: first edge 0\.0 Hz would "
+                                             r"read back as 230\.0 Hz"):
+            write_channel_csv(channel, path)
+        assert not path.exists()
+
+    def test_noise_writer_refuses_a_grid_it_would_lose(self, tmp_path):
+        noise = NoiseProfile(np.ones((2, 3)))
+        path = tmp_path / "n.csv"
+        with pytest.raises(ValueError, match=r"grid: first edge 0\.0 Hz would "
+                                             r"read back as 230\.0 Hz"):
+            write_noise_csv(noise, self.UNEVEN, path)
+        assert not path.exists()
+
+    def test_uneven_grid_from_the_rebuilt_edge_round_trips(self, tmp_path):
+        grid = FrequencyGrid(np.r_[230.0, self.UNEVEN.edges[1:]])
+        gains = np.arange(1.0, 13.0).reshape(3, 2, 2)
+        noise = NoiseProfile(np.arange(1.0, 7.0).reshape(2, 3))
+        write_channel_csv(ChannelMatrixSet(gains, grid), tmp_path / "c.csv")
+        write_noise_csv(noise, grid, tmp_path / "n.csv")
+        loaded, (lnoise, lgrid) = (load_channel_csv(tmp_path / "c.csv"),
+                                   load_noise_csv(tmp_path / "n.csv"))
+        assert loaded.grid.edges.tobytes() == grid.edges.tobytes()
+        assert lgrid.edges.tobytes() == grid.edges.tobytes()
+        assert loaded.gains.tobytes() == gains.tobytes()
+        assert lnoise.values.tobytes() == noise.values.tobytes()
+
+    def test_single_tone_grid_must_start_at_zero(self, tmp_path):
+        channel = ChannelMatrixSet(np.ones((1, 1, 1)), FrequencyGrid([100.0, 300.0]))
+        with pytest.raises(ValueError, match=r"first edge 100\.0 Hz would read "
+                                             r"back as 0\.0 Hz"):
+            write_channel_csv(channel, tmp_path / "c.csv")
+        write_channel_csv(ChannelMatrixSet(np.ones((1, 1, 1)),
+                                           FrequencyGrid([0.0, 300.0])),
+                          tmp_path / "c.csv")
+        assert list(load_channel_csv(tmp_path / "c.csv").grid.edges) == [0.0, 300.0]
+
     # The file format stores tone upper edges, so only uniform grids
     # recover their first lower edge exactly.
     @given(width=st.floats(min_value=1e-3, max_value=1e6),
