@@ -267,15 +267,15 @@ def _fill_pair(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray,
     active when the two-tone level clears its floor."""
     t, n, w = tones.tolist(), floors.tolist(), widths.tolist()
     if len(t) == 2 and n[1] / w[1] < n[0] / w[0]:
-        t.reverse(), n.reverse(), w.reverse()
+        t, n, w = t[::-1], n[::-1], w[::-1]
     if len(t) == 2 and (budget + (n[0] + n[1])) / (w[0] + w[1]) > n[1] / w[1]:
         w_sum, n_sum = w[0] + w[1], n[0] + n[1]
     else:
-        del t[1:], n[1:], w[1:]
+        t, n, w = t[:1], n[:1], w[:1]
         w_sum, n_sum = w[0], n[0]
     mu = (budget + n_sum) / w_sum
     p = [mu * wi - ni for wi, ni in zip(w, n)]
-    deficit = budget - (p[0] + p[1] if len(p) == 2 else p[0])
+    deficit = budget - sum(p)
     mu += deficit / w_sum
     power = np.zeros(k)
     for ti, pi, wi in zip(t, p, w):
