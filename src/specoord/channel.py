@@ -276,7 +276,7 @@ def write_channel_csv(channel: ChannelMatrixSet, path) -> None:
     _check_csv_grid(channel.grid)
     n = channel.num_users
     header = ["freq_hz"] + [f"g_{i + 1}_{j + 1}" for i in range(n) for j in range(n)]
-    _write_rows(path, header, channel.grid.edges[1:],
+    _write_rows(path, header, _texts(channel.grid.edges[1:]),
                 channel.gains.reshape(channel.num_tones, n * n))
 
 
@@ -291,14 +291,19 @@ def load_noise_csv(path) -> tuple[NoiseProfile, FrequencyGrid]:
 def write_noise_csv(noise: NoiseProfile, grid: FrequencyGrid, path) -> None:
     _check_csv_grid(grid)
     header = ["freq_hz"] + [f"n_{i + 1}" for i in range(noise.num_users)]
-    _write_rows(path, header, grid.edges[1:], noise.values.T)
+    _write_rows(path, header, _texts(grid.edges[1:]), noise.values.T)
 
 
 def write_psd_csv(power, grid: FrequencyGrid, path) -> None:
     """Per-Hz transmit PSDs, one column per user, from an (N, K) power matrix."""
+    _write_psd(path, _texts(grid.edges[1:]), power, grid.widths)
+
+
+def _write_psd(path, freqs: list[str], power, widths: np.ndarray) -> None:
+    """write_psd_csv with the upper tone edges already as text (_texts)."""
     power = np.asarray(power)
     header = ["freq_hz"] + [f"psd_{i + 1}" for i in range(power.shape[0])]
-    _write_rows(path, header, grid.edges[1:], (power / grid.widths).T)
+    _write_rows(path, header, freqs, (power / widths).T)
 
 
 # 17 significant digits read back as the same double; every CSV number uses it.
@@ -309,10 +314,21 @@ def format_float(value: float) -> str:
     return _FLOAT % value
 
 
-def _write_rows(path, header, first, rest) -> None:
-    """Write an all-numeric CSV: a first column plus a (rows, cols) matrix."""
-    table = np.column_stack((first, rest))
-    line = ",".join([_FLOAT] * table.shape[1]) + "\n"
-    body = (line * table.shape[0]) % tuple(table.ravel().tolist())
+def _texts(values) -> list[str]:
+    """format_float of each number in a 1-D array."""
+    return [_FLOAT % v for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _write_rows(path, header, first: list[str], rest) -> None:
+    """Write a CSV: a first column, already as text (_texts), plus a
+    (rows, cols) matrix of numbers.  Tables on one grid format their shared
+    first column once."""
+    rest = np.asarray(rest, dtype=float)
+    cols = rest.shape[1]
+    cells: list = [None] * (len(first) * (cols + 1))
+    cells[::cols + 1] = first
+    for j in range(cols):
+        cells[j + 1::cols + 1] = rest[:, j].tolist()
+    line = ",".join(["%s"] + [_FLOAT] * cols) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n" + body)
+        fh.write(",".join(header) + "\n" + (line * len(first)) % tuple(cells))

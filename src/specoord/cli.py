@@ -18,12 +18,12 @@ import sys
 import numpy as np
 
 from . import nearfar, scenario, symmetric
-from .channel import (ChannelCsvError, NoiseProfile, _write_rows,
+from .channel import (ChannelCsvError, NoiseProfile, _texts, _write_rows,
                       load_channel_csv, load_noise_csv, write_psd_csv)
 from .dfdm import _Sweep
 from .game import capacity, is_nash_equilibrium
 from .oracle import SearchSpaceError, brute_force_pareto
-from .waterfilling import InfeasibleError, iterate_iwf
+from .waterfilling import MAX_ITER, TOL, InfeasibleError, iterate_iwf
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -223,7 +223,7 @@ def cmd_region_sweep(args) -> int:
         db = nearfar.dfdm_rate_bounds(float(target), params)
         bounds.append((fm.lower, fm.upper, db.lower, db.upper))
     _write_rows(args.output, ["r2", "fmiwf_lo", "fmiwf_hi", "dfdm_lo", "dfdm_hi"],
-                r2, np.array(bounds).reshape(len(r2), 4))
+                _texts(r2), np.array(bounds).reshape(len(r2), 4))
     print(f"wrote {len(r2)} rows to {args.output}")
     return EXIT_OK
 
@@ -232,7 +232,7 @@ def cmd_oracle(args) -> int:
     channel, noise = _load_instance(args)
     curve = brute_force_pareto(channel, noise, args.budgets,
                                levels=args.levels, gap=_gap(args))
-    _write_rows(args.output, curve.columns, curve.points[:, 0],
+    _write_rows(args.output, curve.columns, _texts(curve.points[:, 0]),
                 curve.points[:, 1:])
     print(f"wrote {curve.points.shape[0]} frontier points to {args.output}")
     return EXIT_OK
@@ -301,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "'none' = full power")
     p.add_argument("--schedule", choices=("gauss-seidel", "jacobi"),
                    default="gauss-seidel")
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--max-iter", type=int, default=MAX_ITER)
+    p.add_argument("--tol", type=float, default=TOL)
     p.add_argument("--psd-out", help="write the final PSDs to this CSV")
     p.set_defaults(func=cmd_iwf)
 

@@ -18,10 +18,13 @@ against the opening, the full-band fill and its rate, and a memo of the
 rate on each suffix of the near user's usable tones, keyed by where the
 suffix starts.  A DFDM round bisects over that key, fills above its
 cutoff, lets the far user respond with the step that made the opening,
-and rates both users; an FM-IWF fixed point is rated on the same two
-receivers.  A suffix carries a target when its rate reaches
-target * (1 - 1e-12), the one feasibility rule.  find_cutoff,
-dfdm_allocate and dfdm_round are one-target uses of the same search.
+and rates both users.  FM-IWF runs its Gauss-Seidel loop on the same two
+receivers, far user first, so its first sweep reuses the opening and the
+near floor against it; with the order set by role, not by index, swapping
+the users' labels and near_user relabels it exactly.  A suffix carries a
+target when its rate reaches target * (1 - 1e-12), the one feasibility
+rule.  find_cutoff, dfdm_allocate and dfdm_round are one-target uses of
+the same search.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import (AT_MOST_POWER, PowerAllocation, _check_budget,
+from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation, _check_budget,
                    _check_inputs, _fill, _floor, _rate, _receiver, power_matrix)
 from .oracle import RateRegionCurve
-from .waterfilling import (InfeasibleError, IwfReport, effective_noise,
-                           iterate_iwf, waterfill_ra)
+from .waterfilling import (GAUSS_SEIDEL, MAX_ITER, TOL, InfeasibleError,
+                           IwfReport, _step, effective_noise, waterfill_ra)
 
 
 @dataclass(frozen=True)
@@ -169,36 +172,46 @@ class _Sweep:
     The roles come from near_user.  The far user's one step, _far_step,
     opens against silence (far_free is the opening's rate) and ends each
     DFDM round.  The near user's search against the opening is shared by
-    every DFDM round, so later rounds reuse the probes of earlier ones.  Any
-    profile is rated on the two receivers the sweep holds.  round (DFDM) and
-    fmiwf (FM-IWF) return (allocs, near_rate, far_rate, detail): both
-    allocations in user order, both rates, and the near user's DfdmResult
-    or the IwfReport.
+    every DFDM round, so later rounds reuse the probes of earlier ones, and
+    by FM-IWF's first sweep.  Any profile is rated on the two receivers
+    the sweep holds.  round (DFDM) and fmiwf (FM-IWF) return (allocs,
+    near_rate, far_rate, detail): both allocations in user order, both
+    rates, and the near user's DfdmResult or the IwfReport.
     """
 
     def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
                  budgets: Sequence[float], near_user: int, gap: float):
         self.budgets = _check_inputs(channel, noise, gap, budgets, users=2)
         self.near, self.far = near_user, _far_user(near_user)
-        self.channel, self.noise, self.gap = channel, noise, gap
+        self.gap = gap
         self.far_rx = _receiver(channel, noise, self.far, gap)
-        p = np.zeros((2, channel.num_tones))
-        self.far_free = self._far_step(p)
+        # The opening profile: the far user's move, the near user silent.
+        self.opening = np.zeros((2, channel.num_tones))
+        self.far_free = self._far_step(self.opening)
         self.search = _Search(channel, noise, self.near, self.budgets[self.near],
-                              p, gap)
+                              self.opening, gap)
 
-    def _far_step(self, p: np.ndarray) -> float:
-        """Water-fill the far row of p, a (2, K) profile, against the near
-        row on the far receiver; return the far user's rate."""
+    def _far_fill(self, p: np.ndarray) -> tuple:
+        """The far user's rate-adaptive fill against the near row of p, a
+        (2, K) profile, on the far receiver: (power, floors)."""
         _, tones, widths, _, _ = self.far_rx
         floors = _floor(self.far, p, self.far_rx, self.gap)
-        p[self.far], _, _ = _fill(tones, floors, widths, p.shape[1],
-                                  self.budgets[self.far])
-        return _rate(p[self.far], tones, floors, widths)
+        power, _, _ = _fill(tones, floors, widths, p.shape[1],
+                            self.budgets[self.far])
+        return power, floors
+
+    def _far_step(self, p: np.ndarray) -> float:
+        """Water-fill the far row of p; return the far user's rate."""
+        p[self.far], floors = self._far_fill(p)
+        return _rate(p[self.far], self.far_rx[1], floors, self.far_rx[2])
 
     def _rate_of(self, user: int, p: np.ndarray) -> float:
         rx = self.search.rx if user == self.near else self.far_rx
         return _rate(p[user], rx[1], _floor(user, p, rx, self.gap), rx[2])
+
+    def _in_order(self, near_alloc, far_alloc) -> tuple:
+        return ((far_alloc, near_alloc) if self.far == 0
+                else (near_alloc, far_alloc))
 
     def rated(self, allocs: Sequence[PowerAllocation]) -> tuple:
         """(allocs, near rate, far rate) of a 2-user profile."""
@@ -212,14 +225,57 @@ class _Sweep:
         p[near] = res.allocation.power
         far_rate = self._far_step(p)
         far_best = PowerAllocation(far, p[far], self.budgets[far])
-        allocs = ((far_best, res.allocation) if far == 0
-                  else (res.allocation, far_best))
-        return allocs, self._rate_of(near, p), far_rate, res
+        return (self._in_order(res.allocation, far_best),
+                self._rate_of(near, p), far_rate, res)
 
     def fmiwf(self, target: float) -> tuple:
-        report = near_fmiwf(self.channel, self.noise, self.budgets, target,
-                            self.near, self.gap)
-        return (*self.rated(report.allocations), report)
+        """Gauss-Seidel fixed-margin IWF, the far user first: it plays
+        rate-adaptively, the near user holds target at the least power.
+
+        Sweep 1 starts from the opening and the near floor against it, so
+        only the near user's fill is new; each later sweep is the far
+        user's step, then the near user's.  An unreachable target falls
+        back to the near user's full-budget fill for that sweep.  The loop
+        stops when a sweep's largest per-tone change drops to TOL times the
+        larger budget, or after MAX_ITER sweeps.  The report equals
+        iterate_iwf(mode="fm") on the instance labelled far user 0, near
+        user 1, relabelled to the sweep's users.
+        """
+        if not target >= 0:  # also rejects nan
+            raise ValueError("target_rate must be >= 0")
+        target = float(target)
+        near, far, search = self.near, self.far, self.search
+        rx, budget, k = search.rx, self.budgets[near], search.k
+        tones, widths = rx[1], rx[2]
+        p = self.opening.copy()
+        floors = search.floors
+        far_step = _step(p[far], p[near])  # the opening's step from silence
+        limit = TOL * max(max(self.budgets), 1e-300)
+        changes = []
+        for sweep in range(MAX_ITER):
+            if sweep:
+                power, _ = self._far_fill(p)
+                far_step = _step(power, p[far])
+                p[far] = power
+                floors = _floor(near, p, rx, self.gap)
+            power, _, short = _fill(tones, floors, widths, k, budget, target)
+            changes.append(max(0.0, far_step, _step(power, p[near])))
+            p[near] = power
+            if changes[-1] <= limit:
+                break
+        # The last near floor is against the last far move: it rates the
+        # near user, and only the far user needs one more floor.
+        near_rate = _rate(p[near], tones, floors, widths)
+        allocs = self._in_order(
+            PowerAllocation(near, p[near], budget,
+                            AT_MOST_POWER if short is None else FULL_POWER),
+            PowerAllocation(far, p[far], self.budgets[far], FULL_POWER))
+        report = IwfReport(allocations=allocs, iterations=len(changes),
+                           converged=changes[-1] <= limit,
+                           changes=np.array(changes), mode="fm",
+                           schedule=GAUSS_SEIDEL,
+                           shortfall_users=() if short is None else (near,))
+        return allocs, near_rate, self._rate_of(far, p), report
 
 
 def dfdm_round(channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -243,12 +299,13 @@ def near_fmiwf(channel: ChannelMatrixSet, noise: NoiseProfile,
                near_user: int = 1, gap: float = 1.0) -> IwfReport:
     """Fixed-margin IWF with the near user holding target_rate.
 
-    The far user plays rate-adaptively; both iterate to a fixed point.
+    The far user plays rate-adaptively; both iterate to a fixed point,
+    Gauss-Seidel with the far user first, on a _Sweep's two receivers.
+    The report is iterate_iwf(mode="fm") on the instance labelled far
+    user 0, near user 1, so swapping the users' labels and near_user
+    relabels it bit for bit.
     """
-    targets: list[float | None] = [float(target_rate)] * 2
-    targets[_far_user(near_user)] = None
-    return iterate_iwf(channel, noise, budgets, mode="fm", targets=targets,
-                       gap=gap)
+    return _Sweep(channel, noise, budgets, near_user, gap).fmiwf(target_rate)[3]
 
 
 def dfdm_vs_fmiwf_region(channel: ChannelMatrixSet, noise: NoiseProfile,

@@ -9,7 +9,9 @@ The numeric kernel works on plain arrays, one receiver at a time:
 _receiver checks the inputs and slices the receiver's arrays, _floor is its
 effective noise (interference plus noise over its own gain), _rate its rate
 and _fill its water-filling response.  Payoffs, the Nash certificate, the
-water-filling module and the DFDM cutoff search all run on it.
+water-filling module and the DFDM cutoff search all run on it.  Its
+reductions call the ufuncs (np.add.reduce, np.minimum.reduce) directly:
+the same pairwise sums as np.sum and .sum(), without their dispatch.
 
 _fill sorts the per-Hz floors and takes the longest feasible prefix.  A
 rate-adaptive fill on at most two usable tones, as in the symmetric
@@ -76,7 +78,8 @@ class PowerAllocation:
 
 def _check_power(power: np.ndarray) -> None:
     # min and max are nan when any entry is, which fails both tests.
-    if power.size and not (power.min() >= 0 and power.max() < np.inf):
+    if power.size and not (np.minimum.reduce(power) >= 0
+                           and np.maximum.reduce(power) < np.inf):
         raise ValueError("powers must be finite and non-negative")
 
 
@@ -169,13 +172,14 @@ def _rate(power: np.ndarray, tones: np.ndarray, floors: np.ndarray,
     summed over all K tones so that every caller rounds alike."""
     terms = np.zeros(power.size)
     terms[tones] = widths * np.log1p(power[tones] / floors)
-    return float(np.sum(terms) / np.log(2.0))
+    return float(np.add.reduce(terms) / np.log(2.0))
 
 
 def _check_floor(floors: np.ndarray) -> None:
     """Effective noise on usable tones must be finite and > 0."""
     # min and max are nan when any entry is, which fails both tests.
-    if floors.size and not (floors.min() > 0 and floors.max() < np.inf):
+    if floors.size and not (np.minimum.reduce(floors) > 0
+                            and np.maximum.reduce(floors) < np.inf):
         raise ValueError("usable effective noise must be finite and > 0")
 
 
@@ -201,7 +205,8 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     """
     if target == 0:
         return (np.zeros(k),
-                float((floors / widths).min()) if tones.size else 0.0, None)
+                float(np.minimum.reduce(floors / widths)) if tones.size else 0.0,
+                None)
     unmet = None if target is None else 0.0
     if tones.size == 0:
         if budget > 0:
@@ -209,7 +214,7 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
                                   max_achievable=0.0)
         return np.zeros(k), 0.0, unmet
     if budget == 0:
-        return np.zeros(k), float((floors / widths).min()), unmet
+        return np.zeros(k), float(np.minimum.reduce(floors / widths)), unmet
     if target is None and tones.size <= 2:
         return _fill_pair(tones, floors, widths, k, budget)
 
@@ -228,13 +233,13 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     m = int(fits.nonzero()[0][-1]) + 1
     active, w_act, n_act = tones[order[:m]], w_s[:m], n_s[:m]
     # Scalars as Python floats: the same values, cheaper to combine.
-    w_sum = float(w_act.sum())
-    mu = (budget + float(n_act.sum())) / w_sum
+    w_sum = float(np.add.reduce(w_act))
+    mu = (budget + float(np.add.reduce(n_act))) / w_sum
     power = np.zeros(k)
     active_power = mu * w_act - n_act
     power[active] = active_power
     # Remove the rounding residue by a uniform shift of the water level.
-    deficit = budget - float(power.sum())
+    deficit = budget - float(np.add.reduce(power))
     active_power += deficit * w_act / w_sum
     power[active] = active_power
     mu += deficit / w_sum

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmetric
-from .channel import (ChannelMatrixSet, NoiseProfile, _write_rows,
-                      format_float, load_channel_csv, make_uniform_grid,
-                      synthetic_dsl_channel, write_psd_csv)
+from .channel import (ChannelMatrixSet, NoiseProfile, _texts, _write_psd,
+                      _write_rows, format_float, load_channel_csv,
+                      make_uniform_grid, synthetic_dsl_channel)
 from .dfdm import _Sweep
 from .game import sinr_per_tone
 from .oracle import brute_force_pareto
@@ -340,13 +340,14 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
             fh.write(",".join(row) + "\n")
     files["rate_region"] = region_path
 
+    freqs = _texts(grid.edges[1:])  # the first column of every PSD and SINR file
     for method, allocs in details.items():
         tag = method.replace("-", "_")
         psd_path = os.path.join(out_dir, f"psd_{tag}.csv")
-        write_psd_csv([a.power for a in allocs], grid, psd_path)
+        _write_psd(psd_path, freqs, [a.power for a in allocs], grid.widths)
         sinr_path = os.path.join(out_dir, f"sinr_{tag}.csv")
         sinrs = [sinr_per_tone(u, allocs, channel, noise) for u in (0, 1)]
-        _write_rows(sinr_path, ["freq_hz", "sinr_1", "sinr_2"], grid.edges[1:],
+        _write_rows(sinr_path, ["freq_hz", "sinr_1", "sinr_2"], freqs,
                     np.column_stack(sinrs))
         files[f"psd_{method}"] = psd_path
         files[f"sinr_{method}"] = sinr_path

@@ -24,6 +24,10 @@ from .game import (AT_MOST_POWER, FULL_POWER, InfeasibleError,
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
+# IWF's default sweep limit and convergence tolerance (relative to the
+# largest budget), shared by every IWF loop.
+MAX_ITER = 500
+TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -138,10 +142,20 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
     return PowerAllocation(eff.user, power, budget, AT_MOST_POWER), mu
 
 
+def _step(power: np.ndarray, old: np.ndarray) -> float:
+    """Largest per-tone change of a best response from old to power."""
+    # The core clips powers at 0, so only a nan or inf power can be
+    # invalid, and either one makes the step non-finite.
+    step = float(np.maximum.reduce(np.abs(power - old)))
+    if not step < np.inf:
+        raise ValueError("powers must be finite and non-negative")
+    return step
+
+
 def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
                 budgets: Sequence[float], mode: str = "ra",
                 targets: Sequence[float | None] | None = None,
-                max_iter: int = 500, tol: float = 1e-10,
+                max_iter: int = MAX_ITER, tol: float = TOL,
                 schedule: str = GAUSS_SEIDEL,
                 initial: Sequence[PowerAllocation] | None = None,
                 gap: float = 1.0) -> IwfReport:
@@ -216,12 +230,7 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
             else:  # an unreachable target falls back to full-budget play
                 modes[i] = FULL_POWER
                 shortfall.add(i)
-            # The core clips powers at 0, so only a nan or inf power can be
-            # invalid, and either one makes the step non-finite.
-            step = float(np.abs(power - p[i]).max())
-            if not step < np.inf:
-                raise ValueError("powers must be finite and non-negative")
-            delta = max(delta, step)
+            delta = max(delta, _step(power, p[i]))
             p[i] = power
         changes.append(delta)
         iterations = sweep + 1

@@ -8,7 +8,7 @@ from specoord.channel import (ChannelCsvError, ChannelMatrixSet, FrequencyGrid,
                               make_uniform_grid, nearfar_two_band_channel,
                               symmetric_two_band_channel, synthetic_dsl_channel,
                               write_channel_csv, write_noise_csv, write_psd_csv)
-from specoord.channel import _write_rows
+from specoord.channel import _texts, _write_rows
 
 
 class TestFrequencyGrid:
@@ -262,13 +262,54 @@ class TestWriteRows:
         table = np.concatenate([rng.normal(size=(6, 3)) * 10.0 ** rng.integers(
             -20, 20, size=(6, 3)), np.reshape(special + special[:2], (4, 3))])
         path = tmp_path / "rows.csv"
-        _write_rows(path, ["a", "b", "c"], table[:, 0], table[:, 1:])
+        _write_rows(path, ["a", "b", "c"], _texts(table[:, 0]), table[:, 1:])
         assert path.read_text() == per_cell_csv(["a", "b", "c"], table)
 
     def test_zero_rows_write_the_header_alone(self, tmp_path):
         path = tmp_path / "rows.csv"
-        _write_rows(path, ["a", "b", "c"], np.empty(0), np.empty((0, 2)))
+        _write_rows(path, ["a", "b", "c"], _texts(np.empty(0)), np.empty((0, 2)))
         assert path.read_text() == "a,b,c\n"
+
+    @staticmethod
+    def one_percent_writer(path, header, first, rest):
+        """The writer as it was before its first column came as text: one
+        %.17g template over the whole stacked table."""
+        table = np.column_stack((first, rest))
+        line = ",".join(["%.17g"] * table.shape[1]) + "\n"
+        body = (line * table.shape[0]) % tuple(table.ravel().tolist())
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(header) + "\n" + body)
+
+    @pytest.mark.parametrize("rows,cols", [(0, 2), (0, 0), (5, 0), (1, 3)],
+                             ids=["no-rows", "no-rows-or-columns",
+                                  "no-value-columns", "one-row"])
+    def test_edge_shapes_match_the_one_percent_writer(self, tmp_path, rng,
+                                                       rows, cols):
+        first, rest = rng.normal(size=rows) * 1e5, rng.normal(size=(rows, cols))
+        header = ["f"] + [f"v{j}" for j in range(cols)]
+        self.one_percent_writer(tmp_path / "old.csv", header, first, rest)
+        _write_rows(tmp_path / "new.csv", header, _texts(first), rest)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_tables_on_two_grids_back_to_back(self, tmp_path, rng):
+        # Each table keeps its own first column and width: nothing of the
+        # first table's template or text carries over to the second.
+        for name, k, cols in (("a", 6, 2), ("b", 9, 3), ("c", 6, 2)):
+            grid = FrequencyGrid(np.cumsum(np.r_[rng.random(), rng.random(k) + 0.1]))
+            rest = rng.random((k, cols))
+            header = ["freq_hz"] + [f"v{j}" for j in range(cols)]
+            self.one_percent_writer(tmp_path / f"{name}_old.csv", header,
+                                    grid.edges[1:], rest)
+            _write_rows(tmp_path / f"{name}.csv", header, _texts(grid.edges[1:]),
+                        rest)
+            write_psd_csv(rest.T, grid, tmp_path / f"{name}_psd.csv")
+            self.one_percent_writer(
+                tmp_path / f"{name}_psd_old.csv",
+                ["freq_hz"] + [f"psd_{j + 1}" for j in range(cols)],
+                grid.edges[1:], rest / grid.widths[:, None])
+            for new, old in ((name, f"{name}_old"), (f"{name}_psd", f"{name}_psd_old")):
+                assert ((tmp_path / f"{new}.csv").read_bytes()
+                        == (tmp_path / f"{old}.csv").read_bytes())
 
     def test_psd_is_power_over_width(self, tmp_path, rng):
         grid = FrequencyGrid(np.cumsum(np.r_[0.0, rng.random(7) + 0.1]))

@@ -15,7 +15,7 @@ from specoord.game import AT_MOST_POWER, FULL_POWER, PowerAllocation, capacity
 from specoord.scenario import build_channel, load_config, run_scenario
 from specoord.waterfilling import (EffectiveNoise, InfeasibleError,
                                    achievable_rate, effective_noise,
-                                   waterfill_fm, waterfill_ra)
+                                   iterate_iwf, waterfill_fm, waterfill_ra)
 
 
 def solo_channel(num_tones):
@@ -419,22 +419,41 @@ class TestSharedSweep:
         assert sweep.round(0.3 * full)[1] == reference_round(
             channel, noise, budgets, 0.3 * full, near, gap, far_initial)[3]
 
-    @pytest.mark.parametrize("seed", [0, 3, 6])
+    @pytest.mark.parametrize("seed", range(40))
     def test_fmiwf_rates_match_capacity(self, seed):
-        # The sweep rates a profile on the receivers it holds: the same
-        # bits as capacity, which builds them afresh.
+        # The sweep runs FM-IWF far user first on the receivers it holds:
+        # the report of iterate_iwf on the instance labelled far user 0,
+        # near user 1, and the same rate bits as capacity, which builds the
+        # receivers afresh.  The last target is out of the near user's reach.
         channel, noise, near, _, gap, budget = random_instance(seed, seed == 6)
         budgets = [budget, 0.5 * budget + 1.0]
+        ordered = ((channel, noise, budgets) if near == 1
+                   else relabelled(channel, noise, budgets))
+        role = {near: 1, 1 - near: 0}  # a user's label in the ordered instance
         sweep = _Sweep(channel, noise, budgets, near, gap)
-        for frac in (0.0, 0.4, 0.9):
-            target = frac * sweep.search.full
+        full = sweep.search.full
+        for target in [f * full for f in (0.0, 0.3, 0.4, 0.6, 0.9)] + [2 * full + 1]:
             allocs, near_rate, far_rate, report = sweep.fmiwf(target)
-            want = near_fmiwf(channel, noise, budgets, target, near, gap)
-            assert report.iterations == want.iterations
-            for got, exp in zip(allocs, want.allocations):
+            want = iterate_iwf(*ordered, mode="fm", targets=[None, target],
+                               gap=gap)
+            assert report.allocations is allocs
+            for u, got in enumerate(allocs):
+                exp = want.allocations[role[u]]
+                assert (got.user, got.mode, got.budget) == (u, exp.mode, exp.budget)
                 assert got.power.tobytes() == exp.power.tobytes()
+            assert (report.iterations, report.converged) == (want.iterations,
+                                                             want.converged)
+            assert report.changes.tobytes() == want.changes.tobytes()
+            assert tuple(role[u] for u in report.shortfall_users) == \
+                want.shortfall_users
+            assert (report.mode, report.schedule) == (want.mode, want.schedule)
             assert near_rate == capacity(near, allocs, channel, noise, gap)
             assert far_rate == capacity(1 - near, allocs, channel, noise, gap)
+        assert report.shortfall_users == (near,)
+        assert allocs[near].mode == FULL_POWER
+        assert near_fmiwf(channel, noise, budgets, 0.6 * full, near,
+                          gap).changes.tobytes() == sweep.fmiwf(
+                              0.6 * full)[3].changes.tobytes()
 
     @pytest.mark.parametrize("near,gap_db,plan", [
         (1, 0.0, None),
@@ -480,7 +499,8 @@ def relabelled(channel, noise, budgets):
 
 class TestRelabelling:
     """Swapping the users' labels and the near user relabels the outcome of
-    a DFDM round and of the region sweep's DFDM curve, bit for bit."""
+    a DFDM round, of an FM-IWF run and of the region sweep's two curves,
+    bit for bit."""
 
     @pytest.mark.parametrize("seed,dark_top,dense",
                              [(s, False, s > 1) for s in range(4)] + [(6, True, False)])
@@ -518,4 +538,25 @@ class TestRelabelling:
         curves = dfdm_vs_fmiwf_region(channel, noise, budgets, rds, near, gap)
         curves2 = dfdm_vs_fmiwf_region(*relabelled(channel, noise, budgets),
                                        rds, 1 - near, gap)
-        assert curves2["dfdm"].points.tobytes() == curves["dfdm"].points.tobytes()
+        for method in ("dfdm", "fm-iwf"):
+            assert (curves2[method].points.tobytes()
+                    == curves[method].points.tobytes())
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fmiwf_relabels(self, seed):
+        # Gauss-Seidel in index order settled on other fixed points for
+        # some of these when near was user 0.
+        channel, noise, near, _, gap, budget = random_instance(seed)
+        budgets = [budget, 0.5 * budget + 1.0]
+        sweep = _Sweep(channel, noise, budgets, near, gap)
+        swapped = _Sweep(*relabelled(channel, noise, budgets), 1 - near, gap)
+        for frac in (0.0, 0.3, 0.6, 0.9):
+            allocs, near_rate, far_rate, report = sweep.fmiwf(
+                frac * sweep.search.full)
+            allocs2, near_rate2, far_rate2, report2 = swapped.fmiwf(
+                frac * sweep.search.full)
+            assert (near_rate2, far_rate2) == (near_rate, far_rate)
+            assert report2.changes.tobytes() == report.changes.tobytes()
+            for u in (0, 1):
+                assert allocs2[u].mode == allocs[1 - u].mode
+                assert allocs2[u].power.tobytes() == allocs[1 - u].power.tobytes()

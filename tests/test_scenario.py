@@ -309,14 +309,16 @@ class TestRunScenario:
 
 class TestScenarioRelabels:
     """Relabelling the two users (both gain axes, the noise rows and the
-    budgets reversed) and flipping near_user gives the same dfdm and oracle
-    rows, near_max_bps and far_free_bps.  ra-iwf and fm-iwf are left out:
-    Gauss-Seidel order does not relabel."""
+    budgets reversed) and flipping near_user gives the same dfdm, fm-iwf and
+    oracle rows, near_max_bps and far_free_bps.  FM-IWF runs the far user
+    first whatever its label.  ra-iwf is left out: its Gauss-Seidel loop
+    updates users in index order, which does not relabel."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rows_relabel(self, tmp_path, seed):
         # The oracle rows used to ignore near_user: (user 1, user 0) rates
-        # under both roles.
+        # under both roles.  The fm-iwf rows used to follow the users'
+        # index order.
         rng = np.random.default_rng(seed)
         gains = rng.uniform(0.2, 1.0, (2, 2, 2))
         gains[:, 0, 1] *= 0.05
@@ -330,12 +332,12 @@ class TestScenarioRelabels:
             path = tmp_path / f"{label}.csv"
             write_channel_csv(ch, path)
             cfg = base_config(tmp_path, channel={"kind": "csv", "path": str(path)},
-                              budgets_mw=b, methods=["dfdm", "oracle"],
+                              budgets_mw=b, methods=["dfdm", "fm-iwf", "oracle"],
                               near_user=near, noise_psd_dbm_hz=-60.0,
                               output_dir=str(tmp_path / label))
             reports.append(run_scenario(load_config(cfg)))
         a, b = reports
-        assert any(r[0] == "oracle" for r in a["rows"])
+        assert {r[0] for r in a["rows"]} == {"dfdm", "fm-iwf", "oracle"}
         assert a["rows"] == b["rows"]
         assert a["near_max_bps"] == b["near_max_bps"]
         assert a["far_free_bps"] == b["far_free_bps"]
