@@ -10,8 +10,11 @@ tones, a band plan, gap > 1, near user 0 and 1, and a 2-tone CSV channel
 carrying all four methods), `specoord dfdm --json --psd-out` on a masked
 channel at several targets, `specoord iwf --psd-out` (rate-adaptive under
 both schedules, and fixed-margin) on the 2-tone channel and on an 8-tone
-3-user channel whose first two users keep two and one usable tones, a
-6-point `region-sweep` and a 20x20 `region-map`.  Each case's files go to
+3-user channel whose first two users keep two and one usable tones, three
+more rate-adaptive `specoord iwf` runs on the 2-tone channel (Jacobi at a
+3 dB gap, a 5-sweep limit that stops short of convergence, and a copy with
+one user's tone masked), a 6-point `region-sweep` and a 20x20
+`region-map`.  Each case's files go to
 data/<case>/, with its exit code, stdout and stderr in io.txt.
 data/manifest.json records each case's command line and the numpy version
 that wrote the set.
@@ -116,8 +119,14 @@ def write_inputs(inputs: str) -> list[float]:
         with open(os.path.join(inputs, f"{name}.json"), "w") as fh:
             fh.write(json.dumps(cfg).replace(INPUTS, inputs))
     g = np.array([[[0.9, 0.02], [0.3, 0.6]], [[0.7, 0.04], [0.2, 0.5]]])
-    write_channel_csv(ChannelMatrixSet(g, make_uniform_grid(0, 2e5, 2)),
+    two = make_uniform_grid(0, 2e5, 2)
+    write_channel_csv(ChannelMatrixSet(g, two),
                       os.path.join(inputs, "two_tone.csv"))
+    # The same channel with user 1's second tone masked.
+    g = g.copy()
+    g[1, 0, 0] = 0.0
+    write_channel_csv(ChannelMatrixSet(g, two),
+                      os.path.join(inputs, "two_tone_masked.csv"))
     masked = _masked_channel()
     for name, (channel, noise) in (("masked", masked),
                                    ("sparse", _sparse_channel())):
@@ -155,6 +164,18 @@ def commands(targets: list[float]) -> dict[str, list[str]]:
             cases[f"iwf_{chan}_{play}"] = [
                 "iwf", "--channel", f"{INPUTS}/{chan}.csv", *instance, *extra,
                 "--psd-out", f"{OUT}/psd.csv"]
+    # Two-user rate-adaptive play on two tones: a gap, a sweep limit that
+    # stops short of convergence (exit 3), and one user's tone masked.
+    two_tone = ["iwf", "--noise-psd-dbm-hz", "-60", "--budgets", "20,10",
+                "--psd-out", f"{OUT}/psd.csv", "--channel"]
+    cases["iwf_two_tone_jacobi_gap"] = [
+        *two_tone, f"{INPUTS}/two_tone.csv", "--schedule", "jacobi",
+        "--gap-db", "3"]
+    cases["iwf_two_tone_max_iter"] = [
+        *two_tone, f"{INPUTS}/two_tone.csv", "--schedule", "gauss-seidel",
+        "--max-iter", "5"]
+    cases["iwf_two_tone_masked"] = [
+        *two_tone, f"{INPUTS}/two_tone_masked.csv", "--schedule", "jacobi"]
     cases["region_sweep"] = ["region-sweep", "--alpha", "0.5", "--beta", "0.3",
                              "--gamma", "0.1", "--r2-min", "0.2", "--r2-max",
                              "2.0", "--count", "6",
