@@ -21,7 +21,7 @@ from . import nearfar, scenario, symmetric
 from .channel import (ChannelCsvError, NoiseProfile, _texts, _write_rows,
                       load_channel_csv, load_noise_csv, write_psd_csv)
 from .dfdm import _Sweep
-from .game import capacity, is_nash_equilibrium
+from .game import _gap_from_db, capacity, is_nash_equilibrium
 from .oracle import SearchSpaceError, brute_force_pareto
 from .waterfilling import MAX_ITER, TOL, InfeasibleError, iterate_iwf
 
@@ -78,7 +78,11 @@ def _print_json(obj) -> None:
 
 
 def _gap(args) -> float:
-    return 10.0 ** (args.gap_db / 10.0)
+    gap = _gap_from_db(args.gap_db)
+    if gap == math.inf:
+        raise ValueError(f"--gap-db {args.gap_db!r} is too large: the linear "
+                         "gap overflows a float")
+    return gap
 
 
 def _add_instance_args(p: argparse.ArgumentParser) -> None:

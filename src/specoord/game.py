@@ -15,15 +15,20 @@ the same pairwise sums as np.sum and .sum(), without their dispatch.
 
 _fill sorts the per-Hz floors and takes the longest feasible prefix.  A
 rate-adaptive fill on at most two usable tones, as in the symmetric
-two-band game, skips the arrays: _fill_pair runs the same IEEE operations
-in the same order on Python floats.  That is exact on any numpy, because
-each sum the prefix path takes (both running sums, the active widths and
-floors, and the k-tone power vector whose other entries are zero) has at
-most one non-trivial addition, which no summation grouping can reorder.
+two-band game, skips the arrays: _pair, the one two-tone closed form, runs
+the same IEEE operations in the same order on Python floats, and
+_fill_pair scatters its result over the k tones.  That is exact on any
+numpy, because each sum the prefix path takes (both running sums, the
+active widths and floors, and the k-tone power vector whose other entries
+are zero) has at most one non-trivial addition, which no summation
+grouping can reorder.  The iterative water-filling loop calls _pair too,
+when it runs two rate-adaptive users on at most two tones on Python
+floats; see the waterfilling module.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,6 +41,10 @@ AT_MOST_POWER = "at-most-power"
 
 # Relative slack used when validating budget constraints.
 BUDGET_RTOL = 1e-9
+# The messages of the kernel's checks, shared by every loop that runs them.
+_BAD_POWER = "powers must be finite and non-negative"
+_BAD_FLOOR = "usable effective noise must be finite and > 0"
+_NO_TONES = "no usable tones to allocate power on"
 
 
 class InfeasibleError(ValueError):
@@ -80,7 +89,7 @@ def _check_power(power: np.ndarray) -> None:
     # min and max are nan when any entry is, which fails both tests.
     if power.size and not (np.minimum.reduce(power) >= 0
                            and np.maximum.reduce(power) < np.inf):
-        raise ValueError("powers must be finite and non-negative")
+        raise ValueError(_BAD_POWER)
 
 
 def _check_budget(budget: float, name: str = "budget") -> None:
@@ -121,8 +130,8 @@ def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
     if noise.values.shape != want:
         raise ValueError(f"noise has shape {noise.values.shape}, but the channel "
                          f"needs (users, tones) = {want}")
-    if not gap >= 1:  # also rejects nan
-        raise ValueError("gap must be >= 1")
+    if not 1 <= gap < math.inf:  # also rejects nan
+        raise ValueError("gap must be finite and >= 1")
     if budgets is not None:
         budgets = [float(b) for b in budgets]
         if len(budgets) != channel.num_users:
@@ -130,6 +139,15 @@ def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
         for i, b in enumerate(budgets):
             _check_budget(b, f"budgets[{i}]")
     return budgets
+
+
+def _gap_from_db(gap_db: float) -> float:
+    """The linear SNR gap of gap_db decibels: inf where it overflows a
+    float, for the caller to refuse by the name its user gave it."""
+    try:
+        return 10.0 ** (gap_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _receiver(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
@@ -180,7 +198,7 @@ def _check_floor(floors: np.ndarray) -> None:
     # min and max are nan when any entry is, which fails both tests.
     if floors.size and not (np.minimum.reduce(floors) > 0
                             and np.maximum.reduce(floors) < np.inf):
-        raise ValueError("usable effective noise must be finite and > 0")
+        raise ValueError(_BAD_FLOOR)
 
 
 def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
@@ -210,8 +228,7 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     unmet = None if target is None else 0.0
     if tones.size == 0:
         if budget > 0:
-            raise InfeasibleError("no usable tones to allocate power on",
-                                  max_achievable=0.0)
+            raise InfeasibleError(_NO_TONES, max_achievable=0.0)
         return np.zeros(k), 0.0, unmet
     if budget == 0:
         return np.zeros(k), float(np.minimum.reduce(floors / widths)), unmet
@@ -267,10 +284,21 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
 def _fill_pair(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray,
                k: int, budget: float) -> tuple[np.ndarray, float, None]:
     """_fill's rate-adaptive response for a budget > 0 on one or two usable
-    tones, step for step on Python floats: tone a is the cheaper per-Hz
-    floor (the first on a tie, as a stable sort keeps it), and tone b is
-    active when the two-tone level clears its floor."""
-    t, n, w = tones.tolist(), floors.tolist(), widths.tolist()
+    tones: _pair on the arrays' values, scattered over the k tones."""
+    active, values, mu = _pair(tones.tolist(), floors.tolist(),
+                               widths.tolist(), budget)
+    power = np.zeros(k)
+    power[active] = values
+    return power, float(mu), None
+
+
+def _pair(t: list, n: list, w: list, budget: float) -> tuple[list, list, float]:
+    """The two-tone closed form: _fill's rate-adaptive response for a
+    budget > 0 on the one or two usable tones t, with floors n and widths
+    w, step for step on Python floats.  Tone a is the cheaper per-Hz floor
+    (the first on a tie, as a stable sort keeps it), and tone b is active
+    when the two-tone level clears its floor.  Returns the active tones,
+    their powers and mu."""
     if len(t) == 2 and n[1] / w[1] < n[0] / w[0]:
         t, n, w = t[::-1], n[::-1], w[::-1]
     if len(t) == 2 and (budget + (n[0] + n[1])) / (w[0] + w[1]) > n[1] / w[1]:
@@ -282,12 +310,12 @@ def _fill_pair(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray,
     p = [mu * wi - ni for wi, ni in zip(w, n)]
     deficit = budget - sum(p)
     mu += deficit / w_sum
-    power = np.zeros(k)
-    for ti, pi, wi in zip(t, p, w):
+    values = []
+    for pi, wi in zip(p, w):
         pi += deficit * wi / w_sum
         # np.maximum(pi, 0.0): nan stays nan, and -0.0 becomes 0.0.
-        power[ti] = pi if pi > 0.0 or pi != pi else 0.0
-    return power, float(mu), None
+        values.append(pi if pi > 0.0 or pi != pi else 0.0)
+    return t, values, mu
 
 
 def sinr_per_tone(user: int, allocations: Sequence[PowerAllocation],

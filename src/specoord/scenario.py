@@ -27,7 +27,7 @@ from .channel import (ChannelMatrixSet, NoiseProfile, _texts, _write_psd,
                       _write_rows, format_float, load_channel_csv,
                       make_uniform_grid, synthetic_dsl_channel)
 from .dfdm import _Sweep
-from .game import sinr_per_tone
+from .game import _gap_from_db, sinr_per_tone
 from .oracle import brute_force_pareto
 from .waterfilling import iterate_iwf
 
@@ -107,7 +107,7 @@ class ScenarioConfig:
 
     @property
     def gap(self) -> float:
-        return 10.0 ** (self.gap_db / 10.0)
+        return _gap_from_db(self.gap_db)
 
 
 def load_config(source) -> ScenarioConfig:
@@ -209,6 +209,8 @@ def load_config(source) -> ScenarioConfig:
     gap_db = _number(raw.get("gap_db", 0.0), "gap_db")
     if gap_db < 0:
         raise ConfigError("gap_db", "must be >= 0")
+    if _gap_from_db(gap_db) == math.inf:
+        raise ConfigError("gap_db", "is too large: the linear gap overflows a float")
     detail = raw.get("detail_rd_bps")
     if detail is not None:
         detail = _number(detail, "detail_rd_bps")

@@ -8,19 +8,29 @@ plus noise referred to the user's own channel gain; both, and the loop, run
 on the receiver kernel of the game module.
 
 The iterative loop plays these best responses in sequence; its fixed points
-are Nash equilibria of the underlying interference game.
+are Nash equilibria of the underlying interference game.  It runs on the
+(N, K) power matrix, except for two users on at most two tones that both
+play rate-adaptive (mode "ra", or "fm" with no targets), as in the
+symmetric two-band game: there the sweeps run on Python floats, with the
+same bits.  With two users, the floor of a tone has one non-trivial
+product, the other user's power times its crosstalk gain; the matrix
+path's einsum only adds the exact zero of the user's own row to it, which
+no summation order and no fused multiply-add can round.  The fill is the
+kernel's two-tone closed form, exact on any numpy (see the game module).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
-from .game import (AT_MOST_POWER, FULL_POWER, InfeasibleError,
-                   PowerAllocation, _check_budget, _check_floor, _check_inputs,
-                   _fill, _floor, _rate, _receiver, power_matrix)
+from .game import (_BAD_FLOOR, _BAD_POWER, _NO_TONES, AT_MOST_POWER,
+                   FULL_POWER, InfeasibleError, PowerAllocation, _check_budget,
+                   _check_floor, _check_inputs, _fill, _floor, _pair, _rate,
+                   _receiver, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -148,8 +158,59 @@ def _step(power: np.ndarray, old: np.ndarray) -> float:
     # invalid, and either one makes the step non-finite.
     step = float(np.maximum.reduce(np.abs(power - old)))
     if not step < np.inf:
-        raise ValueError("powers must be finite and non-negative")
+        raise ValueError(_BAD_POWER)
     return step
+
+
+def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
+                 max_iter: int, limit: float, jacobi: bool) -> list:
+    """iterate_iwf's sweeps for two rate-adaptive users on at most two
+    tones, on Python floats: p holds the two power rows as lists and is
+    updated in place; returns the changes of the sweeps.
+
+    Each step runs the IEEE operations of _floor, _fill and _step in the
+    same order, and raises their errors.  The floor of a tone has one
+    non-trivial product, the other user's; einsum only adds the exact zero
+    of the own one to it.  The fill is _pair, the closed form _fill takes
+    on two tones.  Both checks test every tone, as the reductions they
+    replace do: Python's max and min drop a nan or not by where it stands.
+    """
+    k = len(p[0])
+    users = []
+    for i, (gains_in, tones, widths, direct, noise_row) in enumerate(receivers):
+        users.append((i, tones.tolist(), gains_in[tones, 1 - i].tolist(),
+                      direct.tolist(), noise_row.tolist(), widths.tolist(),
+                      budgets[i]))
+    changes = []
+    for _ in range(max_iter):
+        basis = list(p) if jacobi else p
+        delta = 0.0
+        for i, tones, cross, direct, noise_row, widths, budget in users:
+            other = basis[1 - i]
+            floors = []
+            for t, g, d, z in zip(tones, cross, direct, noise_row):
+                f = gap * (g * other[t] + z) / d
+                if not 0.0 < f < math.inf:
+                    raise ValueError(_BAD_FLOOR)
+                floors.append(f)
+            power = [0.0] * k
+            if budget > 0:
+                if not tones:
+                    raise InfeasibleError(_NO_TONES, max_achievable=0.0)
+                active, values, _ = _pair(tones, floors, widths, budget)
+                for t, v in zip(active, values):
+                    power[t] = v
+            for new, old in zip(power, p[i]):
+                step = abs(new - old)
+                if not step < math.inf:
+                    raise ValueError(_BAD_POWER)
+                if step > delta:
+                    delta = step
+            p[i] = power
+        changes.append(delta)
+        if delta <= limit:
+            break
+    return changes
 
 
 def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -172,7 +233,15 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     Convergence is declared when the largest per-tone power change in a
     sweep drops to tol * max(budgets).  Non-convergence is reported in the
     result, not raised.  Budgets, targets, tol and max_iter are checked at
-    entry, so a bad value raises even with max_iter=0.
+    entry, so a bad value raises even with max_iter=0, which returns the
+    caller's initial allocations.
+
+    Two users on at most two tones with no targets (mode "ra", or "fm"
+    with both targets None) sweep on Python floats instead of the (N, K)
+    matrix, which is exact: each floor has one non-trivial product per
+    tone, and the fill is the same closed form.  The result, and any
+    error raised, is the same in every bit; only numpy's overflow
+    warnings, which the float loop does not give, are left out.
     """
     n, k = channel.num_users, channel.num_tones
     budgets = _check_inputs(channel, noise, gap, budgets)
@@ -209,38 +278,45 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
         allocs.sort(key=lambda a: a.user)
 
     # The loop works on one (N, K) power matrix and each receiver's plain
-    # arrays; the dataclasses are built once, at return, with each user's
-    # last mode.
+    # arrays, or, for two rate-adaptive users on at most two tones, on
+    # Python floats; the dataclasses are built once, at return, with each
+    # user's last mode.
     p = power_matrix(allocs, n, k)
+    limit = tol * max(max(budgets), 1e-300)
     modes: list[str | None] = [None] * n
-    changes = []
-    converged = False
-    iterations = 0
     shortfall: set[int] = set()
-    for sweep in range(max_iter):
-        basis = p.copy() if schedule == JACOBI else p
-        delta = 0.0
-        for i, rx in enumerate(receivers):
-            floors = _floor(i, basis, rx, gap)
-            power, _, short = _fill(rx[1], floors, rx[2], k, budgets[i],
-                                    targets[i])
-            if short is None:
-                modes[i] = FULL_POWER if targets[i] is None else AT_MOST_POWER
-                shortfall.discard(i)
-            else:  # an unreachable target falls back to full-budget play
-                modes[i] = FULL_POWER
-                shortfall.add(i)
-            delta = max(delta, _step(power, p[i]))
-            p[i] = power
-        changes.append(delta)
-        iterations = sweep + 1
-        if delta <= tol * max(max(budgets), 1e-300):
-            converged = True
-            break
+    if n == 2 and k <= 2 and all(t is None for t in targets):
+        p = p.tolist()
+        changes = _pair_sweeps(receivers, p, budgets, gap, max_iter, limit,
+                               schedule == JACOBI)
+        if changes:
+            modes = [FULL_POWER] * n
+    else:
+        changes = []
+        for _ in range(max_iter):
+            basis = p.copy() if schedule == JACOBI else p
+            delta = 0.0
+            for i, rx in enumerate(receivers):
+                floors = _floor(i, basis, rx, gap)
+                power, _, short = _fill(rx[1], floors, rx[2], k, budgets[i],
+                                        targets[i])
+                if short is None:
+                    modes[i] = (FULL_POWER if targets[i] is None
+                                else AT_MOST_POWER)
+                    shortfall.discard(i)
+                else:  # an unreachable target falls back to full-budget play
+                    modes[i] = FULL_POWER
+                    shortfall.add(i)
+                delta = max(delta, _step(power, p[i]))
+                p[i] = power
+            changes.append(delta)
+            if delta <= limit:
+                break
 
     allocs = [a if m is None else PowerAllocation(i, p[i], budgets[i], m)
               for i, (a, m) in enumerate(zip(allocs, modes))]
-    return IwfReport(allocations=tuple(allocs), iterations=iterations,
-                     converged=converged, changes=np.array(changes),
+    return IwfReport(allocations=tuple(allocs), iterations=len(changes),
+                     converged=bool(changes) and changes[-1] <= limit,
+                     changes=np.array(changes),
                      mode=mode, schedule=schedule,
                      shortfall_users=tuple(sorted(shortfall)))

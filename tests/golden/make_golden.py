@@ -166,16 +166,14 @@ def commands(targets: list[float]) -> dict[str, list[str]]:
                 "--psd-out", f"{OUT}/psd.csv"]
     # Two-user rate-adaptive play on two tones: a gap, a sweep limit that
     # stops short of convergence (exit 3), and one user's tone masked.
-    two_tone = ["iwf", "--noise-psd-dbm-hz", "-60", "--budgets", "20,10",
-                "--psd-out", f"{OUT}/psd.csv", "--channel"]
-    cases["iwf_two_tone_jacobi_gap"] = [
-        *two_tone, f"{INPUTS}/two_tone.csv", "--schedule", "jacobi",
-        "--gap-db", "3"]
-    cases["iwf_two_tone_max_iter"] = [
-        *two_tone, f"{INPUTS}/two_tone.csv", "--schedule", "gauss-seidel",
-        "--max-iter", "5"]
-    cases["iwf_two_tone_masked"] = [
-        *two_tone, f"{INPUTS}/two_tone_masked.csv", "--schedule", "jacobi"]
+    for name, chan, extra in (
+            ("jacobi_gap", "two_tone", ["--schedule", "jacobi", "--gap-db", "3"]),
+            ("max_iter", "two_tone", ["--schedule", "gauss-seidel",
+                                      "--max-iter", "5"]),
+            ("masked", "two_tone_masked", ["--schedule", "jacobi"])):
+        cases[f"iwf_two_tone_{name}"] = [
+            "iwf", "--channel", f"{INPUTS}/{chan}.csv", *iwf["two_tone"][0],
+            *extra, "--psd-out", f"{OUT}/psd.csv"]
     cases["region_sweep"] = ["region-sweep", "--alpha", "0.5", "--beta", "0.3",
                              "--gamma", "0.1", "--r2-min", "0.2", "--r2-max",
                              "2.0", "--count", "6",

@@ -129,6 +129,15 @@ class TestIwf:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gap_db", ["4000", "inf"])
+    def test_gap_past_the_float_range_exits_2(self, tmp_path, capsys, gap_db):
+        # 4000 dB used to escape as an OverflowError traceback.
+        chan, noise = coupled_csv(tmp_path)
+        code = main(["iwf", "--channel", chan, "--noise", noise,
+                     "--budgets", "1,1", "--gap-db", gap_db])
+        assert code == 2
+        assert "--gap-db" in capsys.readouterr().err
+
     def test_targets_without_fm_mode_exit_2(self, tmp_path, capsys):
         chan, noise = coupled_csv(tmp_path)
         code = main(["iwf", "--channel", chan, "--noise", noise,

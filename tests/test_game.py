@@ -41,7 +41,7 @@ class TestCapacity:
         assert capacity(0, allocs, channel, noise, gap=2.0) == pytest.approx(
             math.log2(1 + 1 / 0.8), rel=1e-12)
 
-    @pytest.mark.parametrize("gap", [0.5, float("nan")])
+    @pytest.mark.parametrize("gap", [0.5, float("nan"), float("inf")])
     def test_rejects_bad_gap(self, gap):
         # A nan gap must not come out as a nan rate.
         channel, noise = one_tone_instance()

@@ -151,6 +151,8 @@ class TestLoadConfig:
             ("oracle_levels-one", lambda c: c.update(oracle_levels=1), "oracle_levels"),
             ("detail-negative", lambda c: c.update(detail_rd_bps=-5.0),
              "detail_rd_bps"),
+            # 10 ** 400 used to raise OverflowError when the run took the gap.
+            ("gap_db-overflow", lambda c: c.update(gap_db=4000.0), "gap_db"),
         ]),
     ])
     def test_field_errors_carry_paths(self, tmp_path, mutate, path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specoord import waterfilling
 from specoord.channel import (ChannelMatrixSet, NoiseProfile, FrequencyGrid,
                               make_uniform_grid, symmetric_two_band_channel)
 from specoord.game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
@@ -496,6 +497,14 @@ class TestIterateIwfEntryChecks:
         with pytest.raises(ValueError, match="tol"):
             iterate_iwf(self.channel, self.noise, [1.0, 1.0], tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, 5])
+    def test_rejects_an_infinite_gap(self, max_iter):
+        # It used to pass the entry check, and fail in the first sweep as
+        # "usable effective noise must be finite and > 0".
+        with pytest.raises(ValueError, match="gap must be finite"):
+            iterate_iwf(self.channel, self.noise, [1.0, 1.0], gap=math.inf,
+                        max_iter=max_iter)
+
     def test_rejects_negative_max_iter(self):
         # It used to return a report of 0 sweeps.
         with pytest.raises(ValueError, match="max_iter"):
@@ -648,3 +657,136 @@ class TestIterateIwfMatchesReference:
             modes = [a.mode for a in report.allocations]
             assert modes[1 if targets[0] == 80.0 else 0] == AT_MOST_POWER
             assert (shortfall == (0,)) == (targets[0] == 80.0)
+
+
+def iwf_outcome(solve, channel, noise, budgets, **kwargs):
+    """What a solver returns, as comparable values, or the error it raises
+    (type and message).  Numpy's overflow warnings are silenced: the float
+    loop has none to give, and both must end in the same error."""
+    try:
+        with np.errstate(all="ignore"):
+            out = solve(channel, noise, budgets, **kwargs)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    if isinstance(out, tuple):  # reference_iwf's
+        allocs, iterations, converged, changes, shortfall = out
+    else:
+        allocs, iterations, converged, changes, shortfall = (
+            out.allocations, out.iterations, out.converged, out.changes,
+            out.shortfall_users)
+    return ([(a.user, a.mode, a.budget, a.power.tobytes()) for a in allocs],
+            iterations, converged, changes.tobytes(), shortfall)
+
+
+@st.composite
+def two_user_games(draw):
+    """(channel, noise, budgets, kwargs) of a 2-user game on one or two
+    tones that iterate_iwf runs on Python floats: crosstalk gains up to
+    0.999, drawn per tone and direction, SNR from 1e-1 to 1e4, gap >= 1,
+    zero budgets, a masked tone for one or both users, skewed starts that
+    may hold power on a masked tone, and 0, 1, 3 or 60 sweeps."""
+    k = draw(st.integers(1, 2))
+    gains = np.empty((k, 2, 2))
+    for t in range(k):
+        for i in range(2):
+            for j in range(2):
+                gains[t, i, j] = draw(st.floats(0.5, 2.0) if i == j
+                                      else st.floats(0.0, 0.999))
+    for i in range(2):
+        if draw(st.booleans()):
+            gains[draw(st.integers(0, k - 1)), i, i] = 0.0
+    widths = [draw(st.floats(0.5, 2.0)) for _ in range(k)]
+    channel = ChannelMatrixSet(gains, FrequencyGrid(np.cumsum([0.0] + widths)))
+    snr = [10.0 ** draw(st.floats(-1.0, 4.0)) for _ in range(2)]
+    noise = NoiseProfile(np.array([[draw(st.floats(0.5, 2.0)) / s
+                                    for _ in range(k)] for s in snr]))
+    budgets = [draw(st.just(0.0) | st.floats(0.1, 10.0)) for _ in range(2)]
+    kwargs = dict(schedule=draw(st.sampled_from([GAUSS_SEIDEL, JACOBI])),
+                  max_iter=draw(st.sampled_from([0, 1, 3, 60])),
+                  gap=draw(st.just(1.0) | st.floats(1.0, 10.0)))
+    if draw(st.booleans()):
+        kwargs.update(mode="fm", targets=[None, None])
+    if draw(st.booleans()):
+        initial = []
+        for i in range(2):
+            total, share = draw(st.floats(0.0, 10.0)), draw(st.floats(0.0, 1.0))
+            power = [total * share, total * (1.0 - share)][:k]
+            initial.append(PowerAllocation(i, np.array(power), total))
+        kwargs["initial"] = initial[::draw(st.sampled_from([1, -1]))]
+    return channel, noise, budgets, kwargs
+
+
+def overflowing_game(noise_row, direct, budgets):
+    """A 2-user game on two tones whose user 0 sees noise_row over direct
+    gains direct: floors or water levels past the float range."""
+    gains = np.tile(np.array([[1.0, 0.3], [0.2, 1.0]]), (2, 1, 1))
+    gains[:, 0, 0] = direct
+    noise = NoiseProfile(np.array([noise_row, [0.1, 0.1]]))
+    return ChannelMatrixSet(gains, unit_grid(2)), noise, budgets
+
+
+class TestTwoUserFloatLoop:
+    """iterate_iwf's sweeps on Python floats, for two rate-adaptive users
+    on at most two tones, give the bits, the reports and the errors of the
+    per-user public steps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(game=two_user_games())
+    def test_matches_the_reference(self, game):
+        channel, noise, budgets, kwargs = game
+        got = iwf_outcome(iterate_iwf, channel, noise, budgets, **kwargs)
+        assert got == iwf_outcome(reference_iwf, channel, noise, budgets,
+                                  **kwargs)
+        if kwargs["max_iter"] == 0 and "initial" in kwargs:
+            # The caller's own allocations come back, sorted by user.
+            report = iterate_iwf(channel, noise, budgets, **kwargs)
+            want = sorted(kwargs["initial"], key=lambda a: a.user)
+            assert all(a is b for a, b in zip(report.allocations, want))
+
+    @pytest.mark.parametrize("schedule", [GAUSS_SEIDEL, JACOBI])
+    @pytest.mark.parametrize("game,message", [
+        # A floor past the float range: both tones, or the second only.
+        (([1e300, 1e300], [1e-10, 1e-10], [1.0, 1.0]), "effective noise"),
+        (([0.1, 1e300], [1.0, 1e-10], [1.0, 1.0]), "effective noise"),
+        # Finite floors whose water level overflows: the one usable tone
+        # of user 0 is the second, where its power turns nan.
+        (([0.1, 1e308], [0.0, 1.0], [1e308, 1.0]), "powers"),
+        # Two floors whose sum overflows.
+        (([1e308, 1e308], [1.0, 1.0], [1.0, 1.0]), "powers"),
+        # A budget with no usable tone to spend it on.
+        (([0.1, 0.1], [0.0, 0.0], [1.0, 1.0]), "no usable tones"),
+    ])
+    def test_raises_the_reference_error(self, schedule, game, message):
+        channel, noise, budgets = overflowing_game(*game)
+        got = iwf_outcome(iterate_iwf, channel, noise, budgets,
+                          schedule=schedule)
+        assert got == iwf_outcome(reference_iwf, channel, noise, budgets,
+                                  schedule=schedule)
+        assert message in got[1]
+
+    def test_runs_only_where_its_exactness_holds(self, monkeypatch):
+        calls = []
+        loop = waterfilling._pair_sweeps
+
+        def counted(*args):
+            calls.append(args)
+            return loop(*args)
+
+        monkeypatch.setattr(waterfilling, "_pair_sweeps", counted)
+
+        def takes_it(users, tones, **kwargs):
+            rng = np.random.default_rng(3)
+            gains = 0.2 * rng.random((tones, users, users))
+            for i in range(users):
+                gains[:, i, i] = 1.0
+            channel = ChannelMatrixSet(gains, unit_grid(tones))
+            noise = NoiseProfile(np.full((users, tones), 0.1))
+            del calls[:]
+            iterate_iwf(channel, noise, [1.0] * users, **kwargs)
+            return len(calls) == 1
+
+        assert takes_it(2, 1) and takes_it(2, 2, schedule=JACOBI)
+        assert takes_it(2, 2, mode="fm", targets=[None, None])
+        assert not takes_it(2, 3)
+        assert not takes_it(3, 2)
+        assert not takes_it(2, 2, mode="fm", targets=[0.5, None])
