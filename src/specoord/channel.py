@@ -10,6 +10,7 @@ consistent across budgets and noise (the bundled scenarios use mW).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,15 @@ import numpy as np
 
 class ChannelCsvError(ValueError):
     """Raised when a channel or noise CSV file cannot be parsed."""
+
+
+def _from_db(db: float) -> float:
+    """The linear value of db decibels: inf where it overflows a float,
+    for the caller to refuse by the name its user gave it."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def _lock(a: np.ndarray) -> np.ndarray:
@@ -119,8 +129,13 @@ class NoiseProfile:
     @classmethod
     def from_psd_dbm_hz(cls, psd_dbm_hz: float, grid: FrequencyGrid,
                         num_users: int) -> "NoiseProfile":
-        """White noise at a PSD in dBm/Hz, integrated over each tone (mW)."""
-        per_tone = 10.0 ** (psd_dbm_hz / 10.0) * grid.widths
+        """White noise at a PSD in dBm/Hz, integrated over each tone (mW).
+        A PSD whose linear value or tone power overflows a float is refused."""
+        with np.errstate(over="ignore"):
+            per_tone = _from_db(psd_dbm_hz) * grid.widths
+        if np.maximum.reduce(per_tone) == np.inf:
+            raise ValueError(f"noise PSD {psd_dbm_hz!r} dBm/Hz is too large: "
+                             "the noise power of a tone overflows a float")
         return cls(np.tile(per_tone, (num_users, 1)))
 
 
@@ -210,9 +225,12 @@ def synthetic_dsl_channel(lengths_km, grid: FrequencyGrid,
 
 def _parse_float(cell: str, path, line: int) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ChannelCsvError(f"{path}: line {line}: not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise ChannelCsvError(f"{path}: line {line}: not a finite number: {cell!r}")
+    return value
 
 
 def _read_table(path, header: tuple, value: tuple) -> tuple[FrequencyGrid, np.ndarray]:

@@ -18,10 +18,11 @@ import sys
 import numpy as np
 
 from . import nearfar, scenario, symmetric
-from .channel import (ChannelCsvError, NoiseProfile, _texts, _write_rows,
-                      load_channel_csv, load_noise_csv, write_psd_csv)
+from .channel import (ChannelCsvError, NoiseProfile, _from_db, _texts,
+                      _write_rows, load_channel_csv, load_noise_csv,
+                      write_psd_csv)
 from .dfdm import _Sweep
-from .game import _gap_from_db, capacity, is_nash_equilibrium
+from .game import capacity, is_nash_equilibrium
 from .oracle import SearchSpaceError, brute_force_pareto
 from .waterfilling import MAX_ITER, TOL, InfeasibleError, iterate_iwf
 
@@ -57,8 +58,11 @@ def _load_instance(args) -> tuple:
                 ngrid.edges, grid.edges, rtol=0, atol=1e-9 * grid.widths.min()):
             raise ChannelCsvError(f"{args.noise}: tone edges do not match the channel's")
     elif args.noise_psd_dbm_hz is not None:
-        noise = NoiseProfile.from_psd_dbm_hz(args.noise_psd_dbm_hz,
-                                             channel.grid, channel.num_users)
+        try:
+            noise = NoiseProfile.from_psd_dbm_hz(args.noise_psd_dbm_hz,
+                                                 channel.grid, channel.num_users)
+        except ValueError as exc:
+            raise ValueError(f"--noise-psd-dbm-hz: {exc}") from None
     else:
         raise ChannelCsvError("need --noise or --noise-psd-dbm-hz")
     return channel, noise
@@ -78,7 +82,7 @@ def _print_json(obj) -> None:
 
 
 def _gap(args) -> float:
-    gap = _gap_from_db(args.gap_db)
+    gap = _from_db(args.gap_db)
     if gap == math.inf:
         raise ValueError(f"--gap-db {args.gap_db!r} is too large: the linear "
                          "gap overflows a float")

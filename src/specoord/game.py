@@ -13,17 +13,8 @@ water-filling module and the DFDM cutoff search all run on it.  Its
 reductions call the ufuncs (np.add.reduce, np.minimum.reduce) directly:
 the same pairwise sums as np.sum and .sum(), without their dispatch.
 
-_fill sorts the per-Hz floors and takes the longest feasible prefix.  A
-rate-adaptive fill on at most two usable tones, as in the symmetric
-two-band game, skips the arrays: _pair, the one two-tone closed form, runs
-the same IEEE operations in the same order on Python floats, and
-_fill_pair scatters its result over the k tones.  That is exact on any
-numpy, because each sum the prefix path takes (both running sums, the
-active widths and floors, and the k-tone power vector whose other entries
-are zero) has at most one non-trivial addition, which no summation
-grouping can reorder.  The iterative water-filling loop calls _pair too,
-when it runs two rate-adaptive users on at most two tones on Python
-floats; see the waterfilling module.
+_fill sorts the per-Hz floors and takes the longest feasible prefix, on
+any number of tones.
 """
 
 from __future__ import annotations
@@ -141,15 +132,6 @@ def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
     return budgets
 
 
-def _gap_from_db(gap_db: float) -> float:
-    """The linear SNR gap of gap_db decibels: inf where it overflows a
-    float, for the caller to refuse by the name its user gave it."""
-    try:
-        return 10.0 ** (gap_db / 10.0)
-    except OverflowError:
-        return math.inf
-
-
 def _receiver(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
               gap: float) -> tuple:
     """Check the inputs; return one receiver's plain arrays (gains_in,
@@ -216,10 +198,9 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     validated here; the callers check budgets and targets, and _floor
     checks the floors.
 
-    A rate-adaptive fill on one or two usable tones goes to _fill_pair, a
-    closed form on Python floats with the same result in every bit.
-    Fixed-margin fills stay on the arrays: their log1p, log2 and powers
-    may differ in the last bit between math and numpy.
+    Levels past the float range, from a budget or floors near its top,
+    give numpy's overflow RuntimeWarning on one tone as on many; the inf
+    or nan powers are left for the callers' checks to refuse.
     """
     if target == 0:
         return (np.zeros(k),
@@ -232,8 +213,6 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
         return np.zeros(k), 0.0, unmet
     if budget == 0:
         return np.zeros(k), float(np.minimum.reduce(floors / widths)), unmet
-    if target is None and tones.size <= 2:
-        return _fill_pair(tones, floors, widths, k, budget)
 
     nu = floors / widths
     order = nu.argsort(kind="stable")
@@ -279,43 +258,6 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     power = np.zeros(k)
     power[tones] = np.maximum(0.0, mu * widths - floors)
     return power, float(mu), None
-
-
-def _fill_pair(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray,
-               k: int, budget: float) -> tuple[np.ndarray, float, None]:
-    """_fill's rate-adaptive response for a budget > 0 on one or two usable
-    tones: _pair on the arrays' values, scattered over the k tones."""
-    active, values, mu = _pair(tones.tolist(), floors.tolist(),
-                               widths.tolist(), budget)
-    power = np.zeros(k)
-    power[active] = values
-    return power, float(mu), None
-
-
-def _pair(t: list, n: list, w: list, budget: float) -> tuple[list, list, float]:
-    """The two-tone closed form: _fill's rate-adaptive response for a
-    budget > 0 on the one or two usable tones t, with floors n and widths
-    w, step for step on Python floats.  Tone a is the cheaper per-Hz floor
-    (the first on a tie, as a stable sort keeps it), and tone b is active
-    when the two-tone level clears its floor.  Returns the active tones,
-    their powers and mu."""
-    if len(t) == 2 and n[1] / w[1] < n[0] / w[0]:
-        t, n, w = t[::-1], n[::-1], w[::-1]
-    if len(t) == 2 and (budget + (n[0] + n[1])) / (w[0] + w[1]) > n[1] / w[1]:
-        w_sum, n_sum = w[0] + w[1], n[0] + n[1]
-    else:
-        t, n, w = t[:1], n[:1], w[:1]
-        w_sum, n_sum = w[0], n[0]
-    mu = (budget + n_sum) / w_sum
-    p = [mu * wi - ni for wi, ni in zip(w, n)]
-    deficit = budget - sum(p)
-    mu += deficit / w_sum
-    values = []
-    for pi, wi in zip(p, w):
-        pi += deficit * wi / w_sum
-        # np.maximum(pi, 0.0): nan stays nan, and -0.0 becomes 0.0.
-        values.append(pi if pi > 0.0 or pi != pi else 0.0)
-    return t, values, mu
 
 
 def sinr_per_tone(user: int, allocations: Sequence[PowerAllocation],

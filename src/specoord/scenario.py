@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmetric
-from .channel import (ChannelMatrixSet, NoiseProfile, _texts, _write_psd,
-                      _write_rows, format_float, load_channel_csv,
+from .channel import (ChannelMatrixSet, NoiseProfile, _from_db, _texts,
+                      _write_psd, _write_rows, format_float, load_channel_csv,
                       make_uniform_grid, synthetic_dsl_channel)
 from .dfdm import _Sweep
-from .game import _gap_from_db, sinr_per_tone
+from .game import sinr_per_tone
 from .oracle import brute_force_pareto
 from .waterfilling import iterate_iwf
 
@@ -107,7 +107,7 @@ class ScenarioConfig:
 
     @property
     def gap(self) -> float:
-        return _gap_from_db(self.gap_db)
+        return _from_db(self.gap_db)
 
 
 def load_config(source) -> ScenarioConfig:
@@ -206,10 +206,14 @@ def load_config(source) -> ScenarioConfig:
                     raise ConfigError(path, "outside the grid")
         plan = tuple(None if r is None else tuple(tuple(p) for p in r) for r in plan)
 
+    psd = _number(_need(raw, "noise_psd_dbm_hz", ""), "noise_psd_dbm_hz")
+    if _from_db(psd) == math.inf:
+        raise ConfigError("noise_psd_dbm_hz",
+                          "is too large: the linear PSD overflows a float")
     gap_db = _number(raw.get("gap_db", 0.0), "gap_db")
     if gap_db < 0:
         raise ConfigError("gap_db", "must be >= 0")
-    if _gap_from_db(gap_db) == math.inf:
+    if _from_db(gap_db) == math.inf:
         raise ConfigError("gap_db", "is too large: the linear gap overflows a float")
     detail = raw.get("detail_rd_bps")
     if detail is not None:
@@ -227,8 +231,7 @@ def load_config(source) -> ScenarioConfig:
         name=name,
         grid_spec=dict(grid),
         channel_spec=chan,
-        noise_psd_dbm_hz=_number(_need(raw, "noise_psd_dbm_hz", ""),
-                                 "noise_psd_dbm_hz"),
+        noise_psd_dbm_hz=psd,
         budgets_mw=tuple(budgets),
         methods=tuple(methods),
         sweep=sweep,
@@ -297,7 +300,10 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     channel = build_channel(config)
     grid = channel.grid
-    noise = NoiseProfile.from_psd_dbm_hz(config.noise_psd_dbm_hz, grid, 2)
+    try:
+        noise = NoiseProfile.from_psd_dbm_hz(config.noise_psd_dbm_hz, grid, 2)
+    except ValueError as exc:  # a tone's noise power out of range
+        raise ConfigError("noise_psd_dbm_hz", str(exc)) from None
     gap = config.gap
     budgets = list(config.budgets_mw)
     sweep = _Sweep(channel, noise, budgets, config.near_user, gap)

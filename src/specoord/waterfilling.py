@@ -12,11 +12,14 @@ are Nash equilibria of the underlying interference game.  It runs on the
 (N, K) power matrix, except for two users on at most two tones that both
 play rate-adaptive (mode "ra", or "fm" with no targets), as in the
 symmetric two-band game: there the sweeps run on Python floats, with the
-same bits.  With two users, the floor of a tone has one non-trivial
-product, the other user's power times its crosstalk gain; the matrix
-path's einsum only adds the exact zero of the user's own row to it, which
-no summation order and no fused multiply-add can round.  The fill is the
-kernel's two-tone closed form, exact on any numpy (see the game module).
+same bits on any numpy.  With two users, the floor of a tone has one
+non-trivial product, the other user's power times its crosstalk gain; the
+matrix path's einsum only adds the exact zero of the user's own row to it,
+which no summation order and no fused multiply-add can round.  The fill
+is _pair, the kernel's sorted-prefix fill written out for one or two
+tones: each sum that path takes (both running sums, the active widths and
+floors, and the k-tone power vector whose other entries are zero) has at
+most one non-trivial addition, which no summation grouping can reorder.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
 from .game import (_BAD_FLOOR, _BAD_POWER, _NO_TONES, AT_MOST_POWER,
                    FULL_POWER, InfeasibleError, PowerAllocation, _check_budget,
-                   _check_floor, _check_inputs, _fill, _floor, _pair, _rate,
+                   _check_floor, _check_inputs, _fill, _floor, _rate,
                    _receiver, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
@@ -162,6 +165,33 @@ def _step(power: np.ndarray, old: np.ndarray) -> float:
     return step
 
 
+def _pair(t: list, n: list, w: list, budget: float) -> tuple[list, list, float]:
+    """The two-tone closed form: _fill's rate-adaptive response for a
+    budget > 0 on the one or two usable tones t, with floors n and widths
+    w, step for step on Python floats (exact; see the module docstring).
+    The tones swap when the second has the cheaper per-Hz floor (a tie
+    keeps their order, as a stable sort does); the second is then active
+    when the two-tone level clears its floor.  Returns the active tones,
+    their powers and mu."""
+    if len(t) == 2 and n[1] / w[1] < n[0] / w[0]:
+        t, n, w = t[::-1], n[::-1], w[::-1]
+    if len(t) == 2 and (budget + (n[0] + n[1])) / (w[0] + w[1]) > n[1] / w[1]:
+        w_sum, n_sum = w[0] + w[1], n[0] + n[1]
+    else:
+        t, n, w = t[:1], n[:1], w[:1]
+        w_sum, n_sum = w[0], n[0]
+    mu = (budget + n_sum) / w_sum
+    p = [mu * wi - ni for wi, ni in zip(w, n)]
+    deficit = budget - sum(p)
+    mu += deficit / w_sum
+    values = []
+    for pi, wi in zip(p, w):
+        pi += deficit * wi / w_sum
+        # np.maximum(pi, 0.0): nan stays nan, and -0.0 becomes 0.0.
+        values.append(pi if pi > 0.0 or pi != pi else 0.0)
+    return t, values, mu
+
+
 def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
                  max_iter: int, limit: float, jacobi: bool) -> list:
     """iterate_iwf's sweeps for two rate-adaptive users on at most two
@@ -169,11 +199,9 @@ def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
     updated in place; returns the changes of the sweeps.
 
     Each step runs the IEEE operations of _floor, _fill and _step in the
-    same order, and raises their errors.  The floor of a tone has one
-    non-trivial product, the other user's; einsum only adds the exact zero
-    of the own one to it.  The fill is _pair, the closed form _fill takes
-    on two tones.  Both checks test every tone, as the reductions they
-    replace do: Python's max and min drop a nan or not by where it stands.
+    same order, and raises their errors (see the module docstring).  Both
+    checks test every tone, as the reductions they replace do: Python's
+    max and min drop a nan or not by where it stands.
     """
     k = len(p[0])
     users = []
@@ -239,8 +267,8 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     Two users on at most two tones with no targets (mode "ra", or "fm"
     with both targets None) sweep on Python floats instead of the (N, K)
     matrix, which is exact: each floor has one non-trivial product per
-    tone, and the fill is the same closed form.  The result, and any
-    error raised, is the same in every bit; only numpy's overflow
+    tone, and the fill is the sorted-prefix fill written out.  The result,
+    and any error raised, is the same in every bit; only numpy's overflow
     warnings, which the float loop does not give, are left out.
     """
     n, k = channel.num_users, channel.num_tones

@@ -145,6 +145,17 @@ class TestNoiseProfile:
         with pytest.raises(ValueError):
             NoiseProfile(np.array([[1.0, 0.0]]))
 
+    # 10 ** 400 used to escape as an OverflowError (a numpy float as a
+    # RuntimeWarning); 3080 dBm/Hz is a finite 1e308 mW/Hz, but its power
+    # on a 1e5 Hz tone is not, and the multiply used to warn.  A numpy
+    # warning fails the test.
+    @pytest.mark.parametrize("psd", [4000.0, np.float64(4000.0), 3080.0, np.inf],
+                             ids=["4000", "4000-numpy", "3080", "inf"])
+    def test_refuses_a_psd_past_the_float_range(self, psd):
+        grid = make_uniform_grid(0, 2e5, 2)
+        with pytest.raises(ValueError, match="dBm/Hz is too large"):
+            NoiseProfile.from_psd_dbm_hz(psd, grid, 2)
+
 
 class TestCsvRoundTrip:
     def test_channel_round_trip_matches_builder(self, tmp_path):
@@ -181,6 +192,26 @@ class TestCsvRoundTrip:
         path.write_text("freq_hz,g_1_1\n1,1\n2,oops\n")
         with pytest.raises(ChannelCsvError, match="line 3"):
             load_channel_csv(path)
+
+    # nan passed the value rules (v < 0, v <= 0) and failed later in the
+    # constructors, without the file or the line.
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_gain_rejected(self, tmp_path, cell):
+        path = tmp_path / "chan.csv"
+        path.write_text(f"freq_hz,g_1_1\n1,1\n2,{cell}\n")
+        with pytest.raises(ChannelCsvError,
+                           match=f"line 3: not a finite number: '{cell}'") as exc:
+            load_channel_csv(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_noise_rejected(self, tmp_path, cell):
+        path = tmp_path / "noise.csv"
+        path.write_text(f"freq_hz,n_1\n1,0.1\n2,{cell}\n")
+        with pytest.raises(ChannelCsvError,
+                           match=f"line 3: not a finite number: '{cell}'") as exc:
+            load_noise_csv(path)
+        assert str(path) in str(exc.value)
 
     def test_negative_gain_rejected(self, tmp_path):
         path = tmp_path / "neg.csv"

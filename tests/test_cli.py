@@ -138,6 +138,18 @@ class TestIwf:
         assert code == 2
         assert "--gap-db" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("psd", ["4000", "3080", "inf"])
+    def test_noise_psd_past_the_float_range_exits_2(self, tmp_path, capsys, psd):
+        # 4000 dBm/Hz used to escape as an OverflowError traceback; 3080
+        # dBm/Hz overflows only the power of a 1e5 Hz tone.
+        chan = tmp_path / "chan.csv"
+        write_channel_csv(ChannelMatrixSet(np.tile(np.eye(2), (2, 1, 1)),
+                                           make_uniform_grid(0, 2e5, 2)), chan)
+        code = main(["iwf", "--channel", str(chan), "--noise-psd-dbm-hz", psd,
+                     "--budgets", "20,10"])
+        assert code == 2
+        assert "--noise-psd-dbm-hz" in capsys.readouterr().err
+
     def test_targets_without_fm_mode_exit_2(self, tmp_path, capsys):
         chan, noise = coupled_csv(tmp_path)
         code = main(["iwf", "--channel", chan, "--noise", noise,

@@ -153,6 +153,9 @@ class TestLoadConfig:
              "detail_rd_bps"),
             # 10 ** 400 used to raise OverflowError when the run took the gap.
             ("gap_db-overflow", lambda c: c.update(gap_db=4000.0), "gap_db"),
+            # 10 ** 400 used to raise OverflowError when the run took the noise.
+            ("noise-overflow", lambda c: c.update(noise_psd_dbm_hz=4000.0),
+             "noise_psd_dbm_hz"),
         ]),
     ])
     def test_field_errors_carry_paths(self, tmp_path, mutate, path):
@@ -234,6 +237,14 @@ class TestRunScenario:
         assert report["near_max_bps"] > 0
         assert report["far_free_bps"] > 0
         assert report["near_user"] == 1
+
+    def test_refuses_a_tone_noise_power_past_the_float_range(self, tmp_path):
+        # 3080 dBm/Hz is a finite 1e308 mW/Hz, so it loads; its power on the
+        # 1e5 Hz tones overflows, which used to warn and fail unnamed.
+        config = load_config(base_config(tmp_path, noise_psd_dbm_hz=3080.0))
+        with pytest.raises(ConfigError) as exc:
+            run_scenario(config)
+        assert exc.value.path == "noise_psd_dbm_hz"
 
     def test_fm_rows_hit_their_targets(self, tmp_path):
         config = load_config(base_config(tmp_path))

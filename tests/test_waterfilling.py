@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from specoord import waterfilling
@@ -165,7 +165,7 @@ class TestWaterfillRa:
 
 def reference_ra_fill(tones, floors, widths, k, budget):
     """The rate-adaptive fill by sorting the per-Hz floors and taking the
-    longest feasible prefix, on arrays: the path that _fill's closed form
+    longest feasible prefix, on arrays: the path that _pair's closed form
     on one or two usable tones must reproduce bit for bit."""
     nu = floors / widths
     if budget == 0:
@@ -218,24 +218,41 @@ def few_tone_fills(draw):
     return tones, np.array(floors), np.array(widths), k, budget
 
 
-class TestFillOnFewTones:
-    """_fill's closed form on one or two usable tones gives the bits of
-    the sorted-prefix path."""
-
-    @settings(max_examples=400)
-    @given(case=few_tone_fills())
+def on_few_tone_fills(test):
+    """Run test(self, case) on few_tone_fills and two hand-picked cases."""
     # A tie with a budget too small to lift the level off it: the whole
     # budget goes to the first of the two tones, as a stable sort orders.
-    @example(case=(np.array([1, 3]), np.array([0.5, 0.5]), np.array([1.0, 1.0]),
-                   5, 1e-20))
+    test = example(case=(np.array([1, 3]), np.array([0.5, 0.5]),
+                         np.array([1.0, 1.0]), 5, 1e-20))(test)
     # Rounding leaves a residue that the uniform shift of the level removes.
-    @example(case=(np.array([0, 2]), np.array([0.1, 0.3]), np.array([1.0, 3.0]),
-                   3, 1.3))
+    test = example(case=(np.array([0, 2]), np.array([0.1, 0.3]),
+                         np.array([1.0, 3.0]), 3, 1.3))(test)
+    return settings(max_examples=400)(given(case=few_tone_fills())(test))
+
+
+class TestFillOnFewTones:
+    """_fill, and the two-tone closed form _pair that the two-user float
+    loop runs, give the bits of the sorted-prefix path on one or two
+    usable tones."""
+
+    @on_few_tone_fills
     def test_matches_the_sorted_prefix_path(self, case):
         tones, floors, widths, k, budget = case
         power, mu, short = _fill(tones, floors, widths, k, budget)
         want_power, want_mu = reference_ra_fill(tones, floors, widths, k, budget)
         assert short is None
+        assert power.tobytes() == want_power.tobytes()
+        assert mu == want_mu
+
+    @on_few_tone_fills
+    def test_pair_matches_the_sorted_prefix_path(self, case):
+        tones, floors, widths, k, budget = case
+        assume(budget > 0)  # _pair_sweeps takes a zero budget itself
+        active, values, mu = waterfilling._pair(tones.tolist(), floors.tolist(),
+                                                widths.tolist(), budget)
+        power = np.zeros(k)
+        power[active] = values
+        want_power, want_mu = reference_ra_fill(tones, floors, widths, k, budget)
         assert power.tobytes() == want_power.tobytes()
         assert mu == want_mu
 
