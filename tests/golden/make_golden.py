@@ -13,8 +13,9 @@ both schedules, and fixed-margin) on the 2-tone channel and on an 8-tone
 3-user channel whose first two users keep two and one usable tones, three
 more rate-adaptive `specoord iwf` runs on the 2-tone channel (Jacobi at a
 3 dB gap, a 5-sweep limit that stops short of convergence, and a copy with
-one user's tone masked), a 6-point `region-sweep` and a 20x20
-`region-map`.  Each case's files go to
+one user's tone masked), `specoord oracle` on the 2-tone channel at 31
+levels (the benchmark's size) and on a 3-tone channel at 11 levels, a
+6-point `region-sweep` and a 20x20 `region-map`.  Each case's files go to
 data/<case>/, with its exit code, stdout and stderr in io.txt.
 data/manifest.json records each case's command line and the numpy version
 that wrote the set.
@@ -127,6 +128,10 @@ def write_inputs(inputs: str) -> list[float]:
     g[1, 0, 0] = 0.0
     write_channel_csv(ChannelMatrixSet(g, two),
                       os.path.join(inputs, "two_tone_masked.csv"))
+    g = np.array([[[0.8, 0.05], [0.25, 0.7]], [[0.6, 0.1], [0.3, 0.4]],
+                  [[0.3, 0.15], [0.05, 0.9]]])
+    write_channel_csv(ChannelMatrixSet(g, make_uniform_grid(0, 3e5, 3)),
+                      os.path.join(inputs, "three_tone.csv"))
     masked = _masked_channel()
     for name, (channel, noise) in (("masked", masked),
                                    ("sparse", _sparse_channel())):
@@ -174,6 +179,12 @@ def commands(targets: list[float]) -> dict[str, list[str]]:
         cases[f"iwf_two_tone_{name}"] = [
             "iwf", "--channel", f"{INPUTS}/{chan}.csv", *iwf["two_tone"][0],
             *extra, "--psd-out", f"{OUT}/psd.csv"]
+    # The oracle at the benchmark's grid on two tones, and on three tones.
+    for chan, levels in (("two_tone", "31"), ("three_tone", "11")):
+        cases[f"oracle_{chan}"] = [
+            "oracle", "--channel", f"{INPUTS}/{chan}.csv",
+            *iwf["two_tone"][0], "--levels", levels,
+            "--output", f"{OUT}/frontier.csv"]
     cases["region_sweep"] = ["region-sweep", "--alpha", "0.5", "--beta", "0.3",
                              "--gamma", "0.1", "--r2-min", "0.2", "--r2-max",
                              "2.0", "--count", "6",
