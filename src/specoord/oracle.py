@@ -4,6 +4,11 @@ Serves as ground truth at desk scale: every joint allocation of two users on
 a handful of tones is enumerated on a per-tone power grid and the Pareto
 frontier of the rate pairs is returned.  Distributed schemes can then be
 checked for (near-)domination against it.
+
+The rate pairs are built and filtered in blocks: each block goes through
+the Pareto filter before the next one is built, so the working memory is
+one block plus per-tone gathers, not the pair count, and the frontier is
+the same, bit for bit, as one filter over all pairs.
 """
 
 from __future__ import annotations
@@ -62,6 +67,14 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
     order.  For K <= 2 the frontier is bit-identical to a broadcast over
     all pairs summed by `einsum`; for more tones `einsum`'s summation order
     depends on the numpy build, and the two agree to rounding.
+
+    With S steps per user, the (S, S) grid of pairs is never held whole.
+    Each table is gathered once at user 1's steps, (levels, S) per tone,
+    and the pairs come in blocks of _BLOCK_ROWS user-0 steps, each block
+    filtered against the front of those before it by _pareto_front.  This
+    is exact: every pair sums its tones in the same order with the same
+    operations as a whole-grid sum, and a pair is dropped only when a pair
+    of the grid beats it, so the frontier does not depend on the blocks.
     """
     budgets = _check_inputs(channel, noise, gap, budgets, users=2)
     k = channel.num_tones
@@ -83,53 +96,88 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
     g = channel.gains[:, :, :, None, None]
     nz = noise.values[:, :, None, None]
 
-    # points[a, b]: (user 1, user 0) rates, the (r2, r1) convention, with
-    # user 0 at steps[a] and user 1 at steps[b].
-    points = np.empty((len(steps), len(steps), 2))
-    for user, column in ((1, 0), (0, 1)):
+    # columns[c][t][i, b]: the tone-t rate term of the user in column c of
+    # the (r2, r1) convention, user 0 at level i and user 1 at steps[b].
+    columns = []
+    for user in (1, 0):
         other = 1 - user
         sig = g[:, user, user] * power[user]
         den = gap * (g[:, user, other] * power[other] + nz[user])
         table = w * np.log1p(sig / den)                    # (K, levels, levels)
-        # Columns first, so the large gather copies whole rows.
-        total = table[0].take(steps[:, 0], 1).take(steps[:, 0], 0)
-        for t in range(1, k):
-            total += table[t].take(steps[:, t], 1).take(steps[:, t], 0)
-        np.divide(total, np.log(2.0), out=points[..., column])
+        columns.append([table[t].take(steps[:, t], 1) for t in range(k)])
     return RateRegionCurve(method="oracle",
-                           points=_pareto_front(points.reshape(-1, 2)))
+                           points=_pareto_front(_rate_blocks(steps, columns)))
 
 
-# Rows in the sample whose front pre-filters _pareto_front.
-_SAMPLE_ROWS = 1024
+# User-0 steps per block of rate pairs handed to _pareto_front.  At the
+# two-user study's 496 steps a block's pairs take 254 KB, so a block and its
+# gathers and masks stay in cache; of 16 to 64 rows, 32 timed fastest there.
+_BLOCK_ROWS = 32
 
 
-def _pareto_front(points: np.ndarray) -> np.ndarray:
-    """Rows not weakly dominated by any other row (maximisation).
+def _rate_blocks(steps: np.ndarray, columns: list):
+    """(user 1, user 0) rate pairs of every pair of steps, user 0's step
+    major, as (n, 2) blocks of _BLOCK_ROWS user-0 steps each.
+
+    Every pair's rate sums its tones' terms in index order: a gather for
+    tone 0, `+=` for each later tone, then one division by ln 2, as when
+    the whole (S, S) grid is summed at once.  A block is column-major, so
+    each column is written and read contiguously.
+    """
+    ln2 = np.log(2.0)
+    for start in range(0, len(steps), _BLOCK_ROWS):
+        rows = steps[start:start + _BLOCK_ROWS]
+        points = np.empty((2, len(rows), len(steps)))
+        for c, terms in enumerate(columns):
+            total = terms[0].take(rows[:, 0], 0)
+            for t in range(1, len(terms)):
+                total += terms[t].take(rows[:, t], 0)
+            np.divide(total, ln2, out=points[c])
+        yield points.reshape(2, -1).T
+
+
+def _pareto_front(blocks) -> np.ndarray:
+    """Rows not weakly dominated by any other row (maximisation), over all
+    rows of an iterable of (n, 2) blocks.
 
     Rows come out by descending x, one per x at most: the largest y among
     the rows sharing that x, kept when it beats the y of every row with a
     larger x.
 
-    Few rows of a large cloud can reach the front.  So the front of a
-    strided sample of about _SAMPLE_ROWS rows first drops every row that
-    one of its rows beats (x at least as large, y larger): one comparison
-    against the sample's best x + y row, then a search of the sample front
-    for the rest.  A beaten row is off the front, and the row beating it is
-    a row of the cloud, so the result is the same for any sample.
+    The blocks are filtered one at a time against a staircase, the front of
+    the blocks before.  A row goes when the staircase's best x + y row has
+    x at least as large and y larger, or else when a row of the staircase
+    (found by a search of its x) has x and y at least as large; the front
+    of the staircase and the rows left is the next staircase.  The first
+    non-empty block, with no staircase yet, is cut by its own best x + y
+    row.  A dropped row is off the front or equal to a row that stays, and
+    every row that drops one is a row of the cloud, so the result is the
+    same for any split into blocks.  Working memory is one block and the
+    staircase.
     """
-    sample = _front(points[::max(1, len(points) // _SAMPLE_ROWS)])[::-1]
-    fx, fy = sample[np.argmax(sample.sum(axis=1))]
-    rest = points[~((points[:, 0] <= fx) & (points[:, 1] < fy))]
-    # Sample front rows ascend in x and descend in y, so the first one with
-    # x >= a row's x has the largest y of those; past the last x there is none.
-    above = np.searchsorted(sample[:, 0], rest[:, 0])
-    best_y = np.append(sample[:, 1], -np.inf)[above]
-    return _front(rest[~(best_y > rest[:, 1])])
+    front = np.empty((0, 2))
+    fx = fy = -np.inf
+    for block in blocks:
+        x, y = block.T
+        if not len(front) and len(block):
+            fx, fy = block[np.argmax(x + y)]
+        keep = (x > fx) | (y >= fy)
+        x, y = x[keep], y[keep]
+        # The staircase ascends in x and descends in y, so the first row
+        # with x >= a row's x has the largest y of those; past the last x
+        # there is none.
+        stair = front[::-1]
+        best_y = np.append(stair[:, 1], -np.inf)[np.searchsorted(stair[:, 0], x)]
+        keep = best_y < y
+        if keep.any():
+            rest = np.column_stack((x[keep], y[keep]))
+            front = _front(np.concatenate((front, rest)))
+            fx, fy = front[np.argmax(front.sum(axis=1))]
+    return front
 
 
 def _front(points: np.ndarray) -> np.ndarray:
-    """_pareto_front by one sort of the whole cloud."""
+    """_pareto_front of one block by one sort."""
     order = np.argsort(points[:, 0])
     x, y = points[order, 0], points[order, 1]
     starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])

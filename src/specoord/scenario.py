@@ -202,7 +202,8 @@ def load_config(source) -> ScenarioConfig:
                 pair = _numbers(pair, path)
                 if len(pair) != 2 or not pair[0] < pair[1]:
                     raise ConfigError(path, "need [lo, hi] with lo < hi")
-                if pair[0] < f_start or pair[1] > f_end:
+                # A CSV channel brings its own grid: build_channel checks it.
+                if kind == "synthetic" and (pair[0] < f_start or pair[1] > f_end):
                     raise ConfigError(path, "outside the grid")
         plan = tuple(None if r is None else tuple(tuple(p) for p in r) for r in plan)
 
@@ -245,7 +246,11 @@ def load_config(source) -> ScenarioConfig:
 
 
 def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
-    """Representative 2-user channel: synthetic topology or CSV, plus mask."""
+    """Representative 2-user channel: synthetic topology or CSV, plus mask.
+
+    A CSV channel runs on the CSV's own grid, so its band plan is checked
+    against that grid here, not against the config's grid block.
+    """
     spec = config.channel_spec
     if spec["kind"] == "csv":
         channel = load_channel_csv(spec["path"])
@@ -266,12 +271,15 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
 
     if config.band_plan_hz is not None:
         centers = channel.grid.centers
+        f_start, f_end = channel.grid.edges[[0, -1]]
         gains = channel.gains.copy()
         for user, ranges in enumerate(config.band_plan_hz):
             if ranges is None:
                 continue
             usable = np.zeros(centers.size, dtype=bool)
-            for lo, hi in ranges:
+            for r, (lo, hi) in enumerate(ranges):
+                if lo < f_start or hi > f_end:
+                    raise ConfigError(f"band_plan_hz[{user}][{r}]", "outside the grid")
                 usable |= (centers >= lo) & (centers <= hi)
             gains[~usable, user, user] = 0.0
         channel = ChannelMatrixSet(gains, channel.grid)

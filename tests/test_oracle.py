@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
                               make_uniform_grid)
 from specoord.dfdm import dfdm_vs_fmiwf_region
-from specoord.oracle import (RateRegionCurve, SearchSpaceError,
+from specoord import oracle
+from specoord.oracle import (RateRegionCurve, SearchSpaceError, _front,
                              _pareto_front, brute_force_pareto, dominates)
 from specoord.symmetric import payoff_quad, symmetric_game_instance
 from specoord.waterfilling import (achievable_rate, effective_noise,
@@ -142,24 +144,36 @@ def pareto_front_loop(points):
     return np.array(keep)
 
 
+def split(points, sizes):
+    """points cut into consecutive blocks of the given sizes, the last block
+    holding whatever is left."""
+    return np.split(points, np.cumsum(sizes)[np.cumsum(sizes) < len(points)])
+
+
 class TestParetoFront:
-    # Few distinct integer values force ties in x, in y and whole duplicate rows.
+    # Few distinct integer values force ties in x, in y and whole duplicate
+    # rows; the blocks split the cloud anywhere, empty blocks included.
     @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
-                    min_size=1, max_size=40))
-    def test_matches_loop_on_tie_heavy_clouds(self, rows):
+                    min_size=1, max_size=40),
+           st.lists(st.integers(0, 12), max_size=6))
+    def test_matches_loop_on_tie_heavy_clouds(self, rows, sizes):
         points = np.array(rows + rows[: len(rows) // 2], dtype=float)
-        assert np.array_equal(_pareto_front(points), pareto_front_loop(points))
+        want = pareto_front_loop(points)
+        assert np.array_equal(_pareto_front([points]), want)
+        assert np.array_equal(_pareto_front(split(points, sizes)), want)
 
     def test_matches_loop_on_a_large_cloud(self, rng):
         points = np.round(rng.random((5000, 2)) * 50) / 7
-        assert np.array_equal(_pareto_front(points), pareto_front_loop(points))
+        want = pareto_front_loop(points)
+        for rows in (1, 7, 500, 5000):
+            blocks = split(points, [rows] * (len(points) // rows))
+            assert np.array_equal(_pareto_front(blocks), want)
 
     def test_matches_loop_with_frontier_duplicates(self, rng):
-        # A cloud large enough for a sampled pre-filter, with ties in x and
-        # every frontier row repeated, at the head of the cloud and at every
-        # 16th row, so that a sample's front holds some of them.  Row 1 lies
-        # right of all others and is in no strided sample: its y must not
-        # be compared with a sample row left of it.
+        # Ties in x, and every frontier row repeated, at the head of the
+        # cloud and at every 16th row, so that a block's front holds some
+        # of them.  Row 1 lies right of all others: its y must not be
+        # compared with a staircase row left of it.
         cloud = np.round(rng.random((12_000, 2)) * 400) / 7
         front = pareto_front_loop(cloud)
         body = np.concatenate([cloud, np.repeat(front, 5, axis=0)])
@@ -168,7 +182,31 @@ class TestParetoFront:
         far_right = [[cloud[:, 0].max() + 1.0, cloud[:, 1].min()]]
         points = np.concatenate([front[:1], far_right, body])
         assert len(np.unique(points[:, 0])) < len(points) // 4
-        assert np.array_equal(_pareto_front(points), pareto_front_loop(points))
+        for sizes in ([len(points)], [1, 1, 2000], [3000] * 5):
+            assert np.array_equal(_pareto_front(split(points, sizes)),
+                                  pareto_front_loop(points))
+
+    def test_matches_loop_when_the_best_sum_row_beats_almost_nothing(self, rng):
+        # Two arms past the best x + y row at (1, 1): every arm row has the
+        # larger x or the larger y, so that row's cut drops none of them and
+        # the staircase search does all the work.
+        t = np.round(0.001 + 0.98 * rng.random(6000), 3)
+        low = np.round(0.9 * (1.0 - t) * rng.random(6000), 3)
+        arms = np.column_stack((1.0 + t, low))
+        arms[1::2] = arms[1::2, ::-1]
+        points = np.concatenate([arms[:3000], [[1.0, 1.0]], arms[3000:]])
+        x, y = points.T
+        best = points[np.argmax(x + y)]
+        assert np.array_equal(best, [1.0, 1.0])
+        assert np.count_nonzero((x <= best[0]) & (y < best[1])) == 0
+        want = pareto_front_loop(points)
+        for rows in (64, 1000, len(points)):
+            blocks = split(points, [rows] * (len(points) // rows))
+            assert np.array_equal(_pareto_front(blocks), want)
+
+    def test_whole_cloud_sort_matches_loop(self, rng):
+        points = np.round(rng.random((3000, 2)) * 60) / 7
+        assert np.array_equal(_front(points), pareto_front_loop(points))
 
 
 class TestNoiseShape:
@@ -204,8 +242,9 @@ class TestNoiseShape:
 
 
 def broadcast_pareto(channel, noise, budgets, levels, gap=1.0):
-    """Frontier from (na, nb, K) broadcast rate grids summed by einsum: the
-    reference for the per-tone tables of oracle.brute_force_pareto."""
+    """Frontier from (na, nb, K) broadcast rate grids summed by einsum and
+    filtered by one sort of the whole cloud: the reference for the per-tone
+    tables and the blocks of oracle.brute_force_pareto."""
     steps = np.array(list(product(range(levels), repeat=channel.num_tones)))
     steps = steps[steps.sum(axis=1) <= levels - 1]
     grids = [steps * (float(b) / (levels - 1)) for b in budgets]
@@ -219,7 +258,7 @@ def broadcast_pareto(channel, noise, budgets, levels, gap=1.0):
 
     r0 = rates_for(0, grids[0], grids[1], 1)
     r1 = rates_for(1, grids[1], grids[0], 0).T
-    points = _pareto_front(np.column_stack([r1.ravel(), r0.ravel()]))
+    points = _front(np.column_stack([r1.ravel(), r0.ravel()]))
     return RateRegionCurve("oracle", points).points
 
 
@@ -262,3 +301,49 @@ class TestRateTables:
         want = broadcast_pareto(channel, noise, (1.0, 0.6), levels, gap)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+
+BLOCK = oracle._BLOCK_ROWS
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("k,levels", [
+        # S = levels steps at K = 1: below, at and just past one and two
+        # blocks of user-0 steps.
+        (1, BLOCK - 1), (1, BLOCK), (1, BLOCK + 1), (1, 2 * BLOCK),
+        (1, 2 * BLOCK + 1),
+        # S = levels (levels + 1) / 2 at K = 2: 28 and 36 steps.
+        (2, 7), (2, 8),
+    ])
+    @pytest.mark.parametrize("gap", [1.0, 2.5])
+    def test_bit_identical_to_broadcast_around_block_edges(
+            self, rng, k, levels, gap):
+        channel, noise = random_instance(rng, k, False)
+        got = brute_force_pareto(channel, noise, (1.0, 0.8), levels=levels,
+                                 gap=gap)
+        want = broadcast_pareto(channel, noise, (1.0, 0.8), levels, gap)
+        assert got.points.tobytes() == want.tobytes()
+
+    def test_bit_identical_to_broadcast_at_the_benchmark_size(self):
+        # A strongly coupled symmetric game at 31 levels, 496 steps: the
+        # cloud's best-sum row beats only part of it.
+        channel, noise, budgets = symmetric_game_instance(
+            0.9638948320155885, 70.00976239444783)
+        got = brute_force_pareto(channel, noise, budgets, levels=31)
+        want = broadcast_pareto(channel, noise, budgets, 31)
+        assert got.points.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k,levels", [(2, 31), (3, 16)])
+    def test_working_memory_stays_bounded(self, rng, k, levels):
+        # The whole (S, S, 2) cloud took 8.1 MB at K = 2 and 31 levels and
+        # 25 MB at K = 3 and 16 levels; the blocks and the per-tone column
+        # gathers take 1.3 MB and 2.1 MB.
+        channel, noise = random_instance(rng, k, False)
+        brute_force_pareto(channel, noise, (1.0, 0.8), levels=levels)
+        tracemalloc.start()
+        try:
+            brute_force_pareto(channel, noise, (1.0, 0.8), levels=levels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6

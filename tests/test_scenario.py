@@ -221,6 +221,38 @@ class TestBuildChannel:
             build_channel(load_config(cfg))
 
 
+    def csv_config(self, tmp_path, grid, plan):
+        gains = np.array([[[0.9, 0.02], [0.3, 0.6]], [[0.7, 0.04], [0.2, 0.5]]])
+        path = tmp_path / "two.csv"
+        write_channel_csv(ChannelMatrixSet(gains, make_uniform_grid(0, 2e5, 2)),
+                          path)
+        return base_config(tmp_path, grid=grid, band_plan_hz=[plan, None],
+                           channel={"kind": "csv", "path": str(path)})
+
+    def test_csv_band_plan_is_checked_against_the_csv_grid(self, tmp_path):
+        # The CSV's tones span 0-2e5 Hz; the config's grid block, which a
+        # CSV channel ignores, spans 0-1 Hz and used to refuse the plan.
+        cfg = self.csv_config(tmp_path, {"f_start_hz": 0.0, "f_end_hz": 1.0,
+                                         "num_tones": 1}, [[0.0, 1.2e5]])
+        channel = build_channel(load_config(cfg))
+        assert channel.gains[0, 0, 0] == 0.9
+        assert channel.gains[1, 0, 0] == 0.0
+        assert channel.gains[1, 1, 1] == 0.5
+
+    def test_csv_band_plan_outside_the_csv_grid_is_refused(self, tmp_path):
+        # Inside the config's grid block but past the CSV's last tone edge.
+        cfg = self.csv_config(tmp_path, {"f_start_hz": 0.0, "f_end_hz": 1e6,
+                                         "num_tones": 4}, [[0.0, 3e5]])
+        config = load_config(cfg)
+        with pytest.raises(ConfigError) as exc:
+            build_channel(config)
+        assert exc.value.path == "band_plan_hz[0][0]"
+        assert "outside the grid" in str(exc.value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
+
+
 class TestRunScenario:
     def test_emits_expected_files_and_rows(self, tmp_path):
         config = load_config(base_config(tmp_path))
