@@ -177,7 +177,7 @@ def _pareto_front(blocks) -> np.ndarray:
 
 
 def _front(points: np.ndarray) -> np.ndarray:
-    """_pareto_front of one block by one sort."""
+    """_pareto_front of one (n, 2) array, by one sort."""
     order = np.argsort(points[:, 0])
     x, y = points[order, 0], points[order, 1]
     starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
