@@ -23,8 +23,8 @@ receivers, far user first, so its first sweep reuses the opening and the
 near floor against it; with the order set by role, not by index, swapping
 the users' labels and near_user relabels it exactly.  A suffix carries a
 target when its rate reaches target * (1 - 1e-12), the one feasibility
-rule.  find_cutoff, dfdm_allocate and dfdm_round are one-target uses of
-the same search.
+rule.  find_cutoff and dfdm_allocate are one-target uses of the same
+search.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation, _check_budget,
                    _check_inputs, _fill, _floor, _rate, _receiver, power_matrix)
 from .oracle import RateRegionCurve
 from .waterfilling import (GAUSS_SEIDEL, MAX_ITER, TOL, InfeasibleError,
-                           IwfReport, _step, effective_noise, waterfill_ra)
+                           IwfReport, _step)
 
 
 @dataclass(frozen=True)
@@ -139,9 +139,8 @@ def find_cutoff(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     inputs pass their checks; raises InfeasibleError, carrying the
     full-band rate, when even the full band cannot carry the target.
     """
-    p = power_matrix(others, channel.num_users, channel.num_tones)
-    return _Search(channel, noise, user, budget, p,
-                   gap).allocate(target_rate).cutoff_index
+    return dfdm_allocate(channel, noise, user, target_rate, budget, others,
+                         gap).cutoff_index
 
 
 def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
@@ -151,19 +150,6 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     """Cutoff search plus minimum-power allocation above the cutoff."""
     p = power_matrix(others, channel.num_users, channel.num_tones)
     return _Search(channel, noise, user, budget, p, gap).allocate(target_rate)
-
-
-def _far_user(near_user: int) -> int:
-    if near_user not in (0, 1):
-        raise ValueError(f"near_user must be 0 or 1, got {near_user!r}")
-    return 1 - near_user
-
-
-def far_alone(channel: ChannelMatrixSet, noise: NoiseProfile, far_user: int,
-              budget: float, gap: float = 1.0) -> PowerAllocation:
-    """The far user's opening move: water-filling against background noise."""
-    eff = effective_noise(far_user, (), channel, noise, gap)
-    return waterfill_ra(eff, budget, channel.grid)[0]
 
 
 class _Sweep:
@@ -182,7 +168,9 @@ class _Sweep:
     def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
                  budgets: Sequence[float], near_user: int, gap: float):
         self.budgets = _check_inputs(channel, noise, gap, budgets, users=2)
-        self.near, self.far = near_user, _far_user(near_user)
+        if near_user not in (0, 1):
+            raise ValueError(f"near_user must be 0 or 1, got {near_user!r}")
+        self.near, self.far = near_user, 1 - near_user
         self.gap = gap
         self.far_rx = _receiver(channel, noise, self.far, gap)
         # The opening profile: the far user's move, the near user silent.
@@ -278,43 +266,13 @@ class _Sweep:
         return allocs, near_rate, self._rate_of(far, p), report
 
 
-def dfdm_round(channel: ChannelMatrixSet, noise: NoiseProfile,
-               budgets: Sequence[float], target_rate: float,
-               near_user: int = 1, gap: float = 1.0
-               ) -> tuple[DfdmResult, tuple[PowerAllocation, PowerAllocation]]:
-    """One dynamic-FDM round on a 2-user channel.
-
-    The far user water-fills against background noise (far_alone), the near
-    user measures and runs dfdm_allocate, and the far user best-responds
-    once.  Returns the near user's DfdmResult and both allocations in user
-    order.
-    """
-    allocs, _, _, res = _Sweep(channel, noise, budgets, near_user,
-                               gap).round(target_rate)
-    return res, allocs
-
-
-def near_fmiwf(channel: ChannelMatrixSet, noise: NoiseProfile,
-               budgets: Sequence[float], target_rate: float,
-               near_user: int = 1, gap: float = 1.0) -> IwfReport:
-    """Fixed-margin IWF with the near user holding target_rate.
-
-    The far user plays rate-adaptively; both iterate to a fixed point,
-    Gauss-Seidel with the far user first, on a _Sweep's two receivers.
-    The report is iterate_iwf(mode="fm") on the instance labelled far
-    user 0, near user 1, so swapping the users' labels and near_user
-    relabels it bit for bit.
-    """
-    return _Sweep(channel, noise, budgets, near_user, gap).fmiwf(target_rate)[3]
-
-
 def dfdm_vs_fmiwf_region(channel: ChannelMatrixSet, noise: NoiseProfile,
                          budgets: Sequence[float], rd_values,
                          near_user: int = 1, gap: float = 1.0
                          ) -> dict[str, RateRegionCurve]:
     """Far-user rate against the near user's target, for both protocols.
 
-    Per target: one DFDM round, and one near_fmiwf run to a fixed point, on
+    Per target: one DFDM round, and one FM-IWF run to a fixed point, on
     one shared sweep.  Points are (target, far rate).
     """
     sweep = _Sweep(channel, noise, budgets, near_user, gap)

@@ -249,7 +249,8 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
     """Representative 2-user channel: synthetic topology or CSV, plus mask.
 
     A CSV channel runs on the CSV's own grid, so its band plan is checked
-    against that grid here, not against the config's grid block.
+    against that grid here, not against the config's grid block.  A plan
+    must cover at least one tone centre of each user it restricts.
     """
     spec = config.channel_spec
     if spec["kind"] == "csv":
@@ -281,6 +282,9 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
                 if lo < f_start or hi > f_end:
                     raise ConfigError(f"band_plan_hz[{user}][{r}]", "outside the grid")
                 usable |= (centers >= lo) & (centers <= hi)
+            if not usable.any():
+                raise ConfigError(f"band_plan_hz[{user}]",
+                                  "covers no tone centre of the grid")
             gains[~usable, user, user] = 0.0
         channel = ChannelMatrixSet(gains, channel.grid)
     return channel

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,9 +67,13 @@ def _check_snr(snr: float) -> None:
         raise ValueError("snr must be finite and > 0, with a finite 1/snr")
 
 
-def _check_h_snr(h: float, snr: float) -> None:
+def _check_h(h: float) -> None:
     if not 0.0 <= h < 1.0:  # also rejects nan
         raise ValueError("h must satisfy 0 <= h < 1")
+
+
+def _check_h_snr(h: float, snr: float) -> None:
+    _check_h(h)
     _check_snr(snr)
 
 
@@ -166,8 +171,10 @@ def symmetric_iwf_iterates(h: float, start: tuple[float, float],
     and symmetrically for beta; row 0 is the start.  Useful for checking the
     geometric approach to the fixed point against tone-level water-filling.
     """
-    if not 0.0 <= h < 1.0:
-        raise ValueError("h must satisfy 0 <= h < 1")
+    _check_h(h)
+    if (isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral)
+            or sweeps < 0):
+        raise ValueError("sweeps must be an integer >= 0")
     a, b = float(start[0]), float(start[1])
     if not (0 <= a <= 1 and 0 <= b <= 1):
         raise ValueError("start fractions must lie in [0, 1]")

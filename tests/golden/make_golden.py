@@ -36,7 +36,6 @@ from specoord import cli
 from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
                               make_uniform_grid, write_channel_csv,
                               write_noise_csv)
-from specoord.dfdm import far_alone
 from specoord.waterfilling import achievable_rate, effective_noise, waterfill_ra
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -140,7 +139,8 @@ def write_inputs(inputs: str) -> list[float]:
                         os.path.join(inputs, f"{name}_noise.csv"))
     channel, noise = masked
     budgets, near, gap = [4.0, 6.0], 1, 10 ** 0.2
-    opening = far_alone(channel, noise, 0, budgets[0], gap)
+    opening = waterfill_ra(effective_noise(0, (), channel, noise, gap),
+                           budgets[0], channel.grid)[0]
     eff = effective_noise(near, [opening], channel, noise, gap)
     alloc, _ = waterfill_ra(eff, budgets[near], channel.grid)
     full = achievable_rate(alloc.power, eff, channel.grid)

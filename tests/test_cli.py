@@ -8,7 +8,6 @@ from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               make_uniform_grid, write_channel_csv,
                               write_noise_csv)
 from specoord.cli import _parser, build_parser, main
-from specoord.dfdm import far_alone
 from specoord.nearfar import dfdm_rate_bounds, NearFarParams, rr_iwf_bounds
 from specoord.waterfilling import (EffectiveNoise, achievable_rate,
                                    effective_noise, waterfill_ra)
@@ -197,8 +196,9 @@ class TestDfdm:
         # search's 1e-12 tolerance, used to exit 3.
         chan, noise_path = coupled_csv(tmp_path)
         channel, (noise, _) = load_channel_csv(chan), load_noise_csv(noise_path)
-        eff = effective_noise(1, [far_alone(channel, noise, 0, 1.0)], channel,
-                              noise)
+        opening = waterfill_ra(effective_noise(0, (), channel, noise), 1.0,
+                               channel.grid)[0]
+        eff = effective_noise(1, [opening], channel, noise)
         usable = eff.usable.copy()
         usable[:4] = False
         above = EffectiveNoise(1, eff.values, usable)

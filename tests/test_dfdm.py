@@ -8,9 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
                               format_float, make_uniform_grid)
-from specoord.dfdm import (_Sweep, dfdm_allocate, dfdm_round,
-                           dfdm_vs_fmiwf_region, far_alone, find_cutoff,
-                           near_fmiwf)
+from specoord.dfdm import (_Sweep, dfdm_allocate, dfdm_vs_fmiwf_region,
+                           find_cutoff)
 from specoord.game import AT_MOST_POWER, FULL_POWER, PowerAllocation, capacity
 from specoord.scenario import build_channel, load_config, run_scenario
 from specoord.waterfilling import (EffectiveNoise, InfeasibleError,
@@ -305,14 +304,15 @@ class TestDfdmRound:
         channel = ChannelMatrixSet(np.ones((2, 3, 3)), grid)
         noise = NoiseProfile.white(0.1, 3, 2)
         with pytest.raises(ValueError, match="got 3 users"):
-            dfdm_round(channel, noise, [1.0] * 3, 0.5)
+            _Sweep(channel, noise, [1.0] * 3, 1, 1.0).round(0.5)
 
 
 class TestTwoUserEntry:
-    """Both DFDM front ends take two budgets and a near user of 0 or 1."""
+    """A sweep and the region curves take two budgets and a near user of 0
+    or 1."""
 
     SOLVERS = [
-        lambda ch, nz, b, near: dfdm_round(ch, nz, b, 0.4, near),
+        lambda ch, nz, b, near: _Sweep(ch, nz, b, near, 1.0).round(0.4),
         lambda ch, nz, b, near: dfdm_vs_fmiwf_region(ch, nz, b, [0.4], near),
     ]
 
@@ -335,11 +335,12 @@ class TestTwoUserEntry:
         with pytest.raises(ValueError, match="near_user"):
             solve(channel, noise, [1.0, 1.0], near)
 
-    def test_near_fmiwf_rejects_unknown_near_user(self):
-        # near_user=-1 used to run as near user 1.
-        channel, noise = coupled_channel()
-        with pytest.raises(ValueError, match="near_user"):
-            near_fmiwf(channel, noise, [1.0, 1.0], 0.4, near_user=-1)
+
+def opening(channel, noise, far, budget, gap):
+    """The far user's opening move by the public water-filling layer:
+    rate-adaptive water-filling against background noise."""
+    eff = effective_noise(far, (), channel, noise, gap)
+    return waterfill_ra(eff, budget, channel.grid)[0]
 
 
 def full_band_rate(channel, noise, near, budget, far_initial, gap):
@@ -388,7 +389,7 @@ class TestSharedSweep:
         channel, noise, near, others, gap, budget = random_instance(seed, dark_top)
         far = 1 - near
         budgets = [budget, 0.5 * budget + 1.0]
-        far_initial = far_alone(channel, noise, far, budgets[far], gap)
+        far_initial = opening(channel, noise, far, budgets[far], gap)
         sweep = _Sweep(channel, noise, budgets, near, gap)
         full = full_band_rate(channel, noise, near, budgets[near], far_initial,
                               gap)
@@ -451,9 +452,6 @@ class TestSharedSweep:
             assert far_rate == capacity(1 - near, allocs, channel, noise, gap)
         assert report.shortfall_users == (near,)
         assert allocs[near].mode == FULL_POWER
-        assert near_fmiwf(channel, noise, budgets, 0.6 * full, near,
-                          gap).changes.tobytes() == sweep.fmiwf(
-                              0.6 * full)[3].changes.tobytes()
 
     @pytest.mark.parametrize("near,gap_db,plan", [
         (1, 0.0, None),
@@ -475,7 +473,7 @@ class TestSharedSweep:
         noise = NoiseProfile.from_psd_dbm_hz(config.noise_psd_dbm_hz,
                                              channel.grid, 2)
         budgets, gap, far = list(config.budgets_mw), config.gap, 1 - near
-        far_initial = far_alone(channel, noise, far, budgets[far], gap)
+        far_initial = opening(channel, noise, far, budgets[far], gap)
         full = full_band_rate(channel, noise, near, budgets[near], far_initial,
                               gap)
         targets = [f * full for f in FRACTIONS]
@@ -512,14 +510,11 @@ class TestRelabelling:
                 gains[:, u, u] = np.maximum(gains[:, u, u], 0.05)
             channel = ChannelMatrixSet(gains, channel.grid)
         budgets = [budget, 0.5 * budget + 1.0]
-        swapped = relabelled(channel, noise, budgets)
-        far_initial = far_alone(channel, noise, 1 - near, budgets[1 - near], gap)
-        full = full_band_rate(channel, noise, near, budgets[near], far_initial,
-                              gap)
+        sweep = _Sweep(channel, noise, budgets, near, gap)
+        swapped = _Sweep(*relabelled(channel, noise, budgets), 1 - near, gap)
         for frac in (0.0, 0.3, 0.8, 1.0):
-            res, allocs = dfdm_round(channel, noise, budgets, frac * full, near,
-                                     gap)
-            res2, allocs2 = dfdm_round(*swapped, frac * full, 1 - near, gap)
+            allocs, _, _, res = sweep.round(frac * sweep.search.full)
+            allocs2, _, _, res2 = swapped.round(frac * sweep.search.full)
             assert res2.cutoff_index == res.cutoff_index
             assert res2.achieved_rate == res.achieved_rate
             for u in (0, 1):
@@ -531,9 +526,7 @@ class TestRelabelling:
     def test_region_dfdm_curve_relabels(self, seed):
         channel, noise, near, _, gap, budget = random_instance(seed)
         budgets = [budget, 0.5 * budget + 1.0]
-        far_initial = far_alone(channel, noise, 1 - near, budgets[1 - near], gap)
-        full = full_band_rate(channel, noise, near, budgets[near], far_initial,
-                              gap)
+        full = _Sweep(channel, noise, budgets, near, gap).search.full
         rds = [0.5 * full, 0.0, 0.9 * full, 0.5 * full]
         curves = dfdm_vs_fmiwf_region(channel, noise, budgets, rds, near, gap)
         curves2 = dfdm_vs_fmiwf_region(*relabelled(channel, noise, budgets),

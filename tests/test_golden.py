@@ -64,6 +64,13 @@ def test_runs_every_case_of_the_manifest(fresh):
     assert set(MANIFEST["cases"]) == {Path(f).parts[0] for f in FILES}
 
 
+def test_generator_writes_the_manifest_commands(tmp_path):
+    # The DFDM targets are recomputed from the inputs, so this pins the
+    # generator's opening move and full-band rate to the recorded --rd.
+    targets = make_golden.write_inputs(str(tmp_path))
+    assert make_golden.commands(targets) == MANIFEST["cases"]
+
+
 @pytest.mark.parametrize("name", FILES, ids=lambda name: f"{MODE}:{name}")
 def test_output_matches_golden(fresh, name):
     got, want = (fresh / name).read_text(), (DATA / name).read_text()

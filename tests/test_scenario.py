@@ -252,6 +252,36 @@ class TestBuildChannel:
         path.write_text(json.dumps(cfg))
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("kind,user", [("synthetic", 0), ("synthetic", 1),
+                                           ("csv", 0)])
+    def test_band_plan_covering_no_tone_centre_is_refused(self, tmp_path,
+                                                          capsys, kind, user):
+        # It used to reach the solvers and exit 3 with "no usable tones".
+        # The synthetic grid's first centre is 50 kHz, and the CSV's tone
+        # centres are 50 and 150 kHz.
+        if kind == "csv":
+            cfg = self.csv_config(tmp_path, {"f_start_hz": 0.0, "f_end_hz": 1.0,
+                                             "num_tones": 1}, [[0.6e5, 1.4e5]])
+        else:
+            plan = [None, None]
+            plan[user] = [[0.0, 1.0], [0.06e6, 0.14e6]]
+            cfg = base_config(tmp_path, band_plan_hz=plan)
+        with pytest.raises(ConfigError) as exc:
+            build_channel(load_config(cfg))
+        assert exc.value.path == f"band_plan_hz[{user}]"
+        assert "covers no tone centre" in str(exc.value)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"band_plan_hz[{user}]" in capsys.readouterr().err
+
+    def test_band_plan_needs_only_one_range_to_cover_a_centre(self, tmp_path):
+        cfg = base_config(tmp_path, band_plan_hz=[[[0.0, 1.0], [0.0, 0.1e6]],
+                                                  None])
+        channel = build_channel(load_config(cfg))
+        assert channel.gains[0, 0, 0] > 0
+        assert np.all(channel.gains[1:, 0, 0] == 0.0)
+
 
 class TestRunScenario:
     def test_emits_expected_files_and_rows(self, tmp_path):

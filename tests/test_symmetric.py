@@ -192,6 +192,24 @@ class TestFixedPoint:
     def test_domain_checks(self):
         with pytest.raises(ValueError):
             symmetric_iwf_iterates(0.5, (1.2, 0.0), 1)
+        for h in (-0.1, 1.0, math.nan):  # the closed forms' h check
+            with pytest.raises(ValueError, match=r"h must satisfy 0 <= h < 1"):
+                symmetric_iwf_iterates(h, (0.5, 0.5), 1)
+
+    @pytest.mark.parametrize("sweeps", [-1, -2, 2.5, 2.0, True, "3"])
+    def test_rejects_bad_sweeps(self, sweeps):
+        # -1 used to raise a raw IndexError, -2 numpy's "negative
+        # dimensions" ValueError and 2.5 a TypeError.
+        with pytest.raises(ValueError, match="sweeps"):
+            symmetric_iwf_iterates(0.5, (0.0, 1.0), sweeps)
+
+    def test_zero_sweeps_returns_the_start_row(self):
+        out = symmetric_iwf_iterates(0.5, (0.2, 0.7), 0)
+        assert out.shape == (1, 2)
+        assert out.tolist() == [[0.2, 0.7]]
+
+    def test_numpy_integer_sweeps(self):
+        assert symmetric_iwf_iterates(0.5, (0.0, 0.0), np.int64(3)).shape == (4, 2)
 
 
 class TestDiscreteGame:
