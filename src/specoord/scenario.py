@@ -14,6 +14,7 @@ between the two groups that is under study.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import numbers
@@ -308,8 +309,6 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     configuration problems; infeasibility inside a method propagates as
     waterfilling.InfeasibleError.
     """
-    out_dir = output_dir or config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     channel = build_channel(config)
     grid = channel.grid
     try:
@@ -352,6 +351,9 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
         if method not in details:
             details[method] = play(detail_rd)[0]
 
+    # Made only now, so a run that fails leaves no directory behind.
+    out_dir = output_dir or config.output_dir
+    os.makedirs(out_dir, exist_ok=True)
     files = {}
     region_path = os.path.join(out_dir, "rate_region.csv")
     with open(region_path, "w", newline="") as fh:
@@ -387,24 +389,30 @@ def emit_region_map(snr_range: tuple, h_range: tuple, resolution: int,
     if resolution < 1:
         raise ConfigError("resolution", "must be >= 1")
     lo, hi = snr_range
-    if not 0 < lo <= hi:
-        raise ConfigError("snr_range", "need 0 < lo <= hi")
+    if not (0 < lo <= hi < math.inf and 1.0 / lo < math.inf):
+        raise ConfigError("snr_range", "need finite 0 < lo <= hi, with a finite 1/lo")
     h_lo, h_hi = h_range
     if not 0 <= h_lo <= h_hi < 1:
         raise ConfigError("h_range", "need 0 <= lo <= hi < 1")
     snrs = (np.geomspace(lo, hi, resolution) if resolution > 1
             else np.array([lo]))
     hs = (np.linspace(h_lo, h_hi, resolution) if resolution > 1
-          else np.array([h_lo]))
-    # The limits depend on snr alone: one pair per row of the map.
-    hs = hs.tolist()
+          else np.array([h_lo])).tolist()
+    # The limits depend on snr alone: one pair per row, all taken before
+    # the file opens.
+    rows = [(snr, symmetric.h_lim1(snr), symmetric.h_lim2(snr))
+            for snr in snrs.tolist()]
     h_strs = [format_float(h) for h in hs]
     with open(path, "w", newline="") as fh:
         fh.write("h,snr,region,h_lim1,h_lim2\n")
-        for snr in snrs.tolist():
-            l1, l2 = symmetric.h_lim1(snr), symmetric.h_lim2(snr)
+        for snr, l1, l2 in rows:
+            # hs ascends: the row is a run of A, B, then C (region_between).
+            a = bisect.bisect_left(hs, l1)
+            c = max(a, bisect.bisect_right(hs, l2))
             snr_str = f",{format_float(snr)},"
             tail = f",{format_float(l1)},{format_float(l2)}\n"
-            fh.writelines(h_str + snr_str + symmetric.region_between(h, l1, l2).code
-                          + tail for h, h_str in zip(hs, h_strs))
-    return len(snrs) * len(hs)
+            for code, s, e in (("A", 0, a), ("B", a, c), ("C", c, len(hs))):
+                if s < e:
+                    mid = snr_str + code + tail
+                    fh.write(mid.join(h_strs[s:e]) + mid)
+    return len(rows) * len(hs)

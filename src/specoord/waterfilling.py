@@ -11,15 +11,16 @@ The iterative loop plays these best responses in sequence; its fixed points
 are Nash equilibria of the underlying interference game.  It runs on the
 (N, K) power matrix, except for two users on at most two tones that both
 play rate-adaptive (mode "ra", or "fm" with no targets), as in the
-symmetric two-band game: there the sweeps run on Python floats, with the
-same bits on any numpy.  With two users, the floor of a tone has one
-non-trivial product, the other user's power times its crosstalk gain; the
-matrix path's einsum only adds the exact zero of the user's own row to it,
-which no summation order and no fused multiply-add can round.  The fill
-is _pair, the kernel's sorted-prefix fill written out for one or two
-tones: each sum that path takes (both running sums, the active widths and
-floors, and the k-tone power vector whose other entries are zero) has at
-most one non-trivial addition, which no summation grouping can reorder.
+symmetric two-band game: there the sweeps run on Python floats, one scalar
+at a time (_pair_sweeps), with the same bits on any numpy.  With two users,
+the floor of a tone has one non-trivial product, the other user's power
+times its crosstalk gain; the matrix path's einsum only adds the exact zero
+of the user's own row to it, which no summation order and no fused
+multiply-add can round.  The fill is the kernel's sorted-prefix fill written
+out for one or two tones (a tie keeps their order, as a stable sort does):
+each sum that path takes (both running sums, the active widths and floors,
+and the k-tone power vector whose other entries are zero) has at most one
+non-trivial addition, which no summation grouping can reorder.
 """
 
 from __future__ import annotations
@@ -165,33 +166,6 @@ def _step(power: np.ndarray, old: np.ndarray) -> float:
     return step
 
 
-def _pair(t: list, n: list, w: list, budget: float) -> tuple[list, list, float]:
-    """The two-tone closed form: _fill's rate-adaptive response for a
-    budget > 0 on the one or two usable tones t, with floors n and widths
-    w, step for step on Python floats (exact; see the module docstring).
-    The tones swap when the second has the cheaper per-Hz floor (a tie
-    keeps their order, as a stable sort does); the second is then active
-    when the two-tone level clears its floor.  Returns the active tones,
-    their powers and mu."""
-    if len(t) == 2 and n[1] / w[1] < n[0] / w[0]:
-        t, n, w = t[::-1], n[::-1], w[::-1]
-    if len(t) == 2 and (budget + (n[0] + n[1])) / (w[0] + w[1]) > n[1] / w[1]:
-        w_sum, n_sum = w[0] + w[1], n[0] + n[1]
-    else:
-        t, n, w = t[:1], n[:1], w[:1]
-        w_sum, n_sum = w[0], n[0]
-    mu = (budget + n_sum) / w_sum
-    p = [mu * wi - ni for wi, ni in zip(w, n)]
-    deficit = budget - sum(p)
-    mu += deficit / w_sum
-    values = []
-    for pi, wi in zip(p, w):
-        pi += deficit * wi / w_sum
-        # np.maximum(pi, 0.0): nan stays nan, and -0.0 becomes 0.0.
-        values.append(pi if pi > 0.0 or pi != pi else 0.0)
-    return t, values, mu
-
-
 def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
                  max_iter: int, limit: float, jacobi: bool) -> list:
     """iterate_iwf's sweeps for two rate-adaptive users on at most two
@@ -199,45 +173,66 @@ def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
     updated in place; returns the changes of the sweeps.
 
     Each step runs the IEEE operations of _floor, _fill and _step in the
-    same order, and raises their errors (see the module docstring).  Both
-    checks test every tone, as the reductions they replace do: Python's
-    max and min drop a nan or not by where it stands.
+    same order, on scalars, and raises their errors in user order (see the
+    module docstring); both checks test every tone, as those reductions do.
     """
     k = len(p[0])
+    for row in p:  # one tone: pad a second that neither user can use
+        row += [0.0] * (2 - k)
     users = []
     for i, (gains_in, tones, widths, direct, noise_row) in enumerate(receivers):
-        users.append((i, tones.tolist(), gains_in[tones, 1 - i].tolist(),
-                      direct.tolist(), noise_row.tolist(), widths.tolist(),
+        # (tone, crosstalk, direct, noise, width) per usable tone, padded to two
+        cols = list(zip(tones.tolist(), gains_in[tones, 1 - i].tolist(),
+                        direct.tolist(), noise_row.tolist(), widths.tolist()))
+        users.append((i, len(cols), *(cols + [(0, 0.0, 1.0, 1.0, 1.0)] * 2)[:2],
                       budgets[i]))
+    inf = math.inf
     changes = []
     for _ in range(max_iter):
-        basis = list(p) if jacobi else p
+        basis = (p[0], p[1]) if jacobi else p
         delta = 0.0
-        for i, tones, cross, direct, noise_row, widths, budget in users:
+        for i, m, (t0, g0, d0, z0, w0), (t1, g1, d1, z1, w1), budget in users:
             other = basis[1 - i]
-            floors = []
-            for t, g, d, z in zip(tones, cross, direct, noise_row):
-                f = gap * (g * other[t] + z) / d
-                if not 0.0 < f < math.inf:
+            if m:
+                f0 = gap * (g0 * other[t0] + z0) / d0
+                if not 0.0 < f0 < inf:
                     raise ValueError(_BAD_FLOOR)
-                floors.append(f)
-            power = [0.0] * k
+            if m == 2:
+                f1 = gap * (g1 * other[t1] + z1) / d1
+                if not 0.0 < f1 < inf:
+                    raise ValueError(_BAD_FLOOR)
+                if f1 / w1 < f0 / w0:  # a tie keeps the order, as a stable sort
+                    t0, f0, w0, t1, f1, w1 = t1, f1, w1, t0, f0, w0
+            a = b = 0.0  # the powers on the cheaper tone t0 and on the other
             if budget > 0:
-                if not tones:
+                if not m:
                     raise InfeasibleError(_NO_TONES, max_achievable=0.0)
-                active, values, _ = _pair(tones, floors, widths, budget)
-                for t, v in zip(active, values):
-                    power[t] = v
-            for new, old in zip(power, p[i]):
-                step = abs(new - old)
-                if not step < math.inf:
-                    raise ValueError(_BAD_POWER)
-                if step > delta:
-                    delta = step
-            p[i] = power
+                # The second tone is active when the two-tone level clears
+                # its floor; the level then moves by the deficit's share.
+                if m == 2 and (budget + (f0 + f1)) / (w0 + w1) > f1 / w1:
+                    w_sum = w0 + w1
+                    mu = (budget + (f0 + f1)) / w_sum
+                    a, b = mu * w0 - f0, mu * w1 - f1
+                    deficit = budget - (a + b)
+                    b += deficit * w1 / w_sum
+                    b = b if b > 0.0 or b != b else 0.0  # np.maximum(b, 0.0)
+                else:
+                    w_sum = w0
+                    a = (budget + f0) / w_sum * w0 - f0
+                    deficit = budget - a
+                a += deficit * w0 / w_sum
+                a = a if a > 0.0 or a != a else 0.0
+            old = p[i]
+            new = p[i] = [a, b] if t0 == 0 else [b, a]
+            s0, s1 = abs(new[0] - old[0]), abs(new[1] - old[1])
+            if not (s0 < inf and s1 < inf):
+                raise ValueError(_BAD_POWER)
+            delta = max(delta, s0, s1)
         changes.append(delta)
         if delta <= limit:
             break
+    for row in p:
+        del row[k:]
     return changes
 
 
@@ -266,9 +261,8 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
 
     Two users on at most two tones with no targets (mode "ra", or "fm"
     with both targets None) sweep on Python floats instead of the (N, K)
-    matrix, which is exact: each floor has one non-trivial product per
-    tone, and the fill is the sorted-prefix fill written out.  The result,
-    and any error raised, is the same in every bit; only numpy's overflow
+    matrix, which is exact (see the module docstring).  The result, and
+    any error raised, is the same in every bit; only numpy's overflow
     warnings, which the float loop does not give, are left out.
     """
     n, k = channel.num_users, channel.num_tones

@@ -392,6 +392,22 @@ class TestRun:
         assert main(["run", "--config", cfg, "--set", override]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,code", [
+        ("band_plan_hz=[[[0.0, 1.0]], null]", 2),  # covers no tone centre
+        ("sweep.rd_bps=[1e12]", 3),  # an unreachable near target
+    ])
+    def test_failed_run_leaves_the_output_dir_as_it_was(self, tmp_path, capsys,
+                                                        override, code):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--set", override]) == code
+        assert not out.exists()
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        assert main(["run", "--config", cfg, "--set", override]) == code
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept"
+
     def test_config_error_exits_2(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, methods=["sorcery"])
         assert main(["run", "--config", cfg]) == 2

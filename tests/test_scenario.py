@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -498,6 +499,10 @@ class TestRegionMap:
     @pytest.mark.parametrize("snr_range,h_range,resolution", [
         ((0.1, 1e4), (0.0, 0.99), 23),
         ((10.0, 10.0), (h_lim1(10.0), h_lim2(10.0)), 2),  # h on both limits
+        ((1.0, 100.0), (0.0, 0.05), 7),  # wholly below h_lim1: all A
+        ((1.0, 100.0), (0.95, 0.99), 7),  # wholly above h_lim2: all C
+        ((3.0, 30.0), (0.4, 0.6), 1),
+        ((10.0, 100.0), (h_lim2(10.0), h_lim2(10.0)), 5),  # a point range on a limit
     ])
     def test_matches_classify_game_bytes(self, tmp_path, snr_range, h_range,
                                          resolution):
@@ -521,3 +526,10 @@ class TestRegionMap:
             emit_region_map((0.0, 10.0), (0.2, 0.2), 2, path)
         with pytest.raises(ConfigError):
             emit_region_map((1.0, 10.0), (0.2, 1.0), 2, path)
+        # Every row's limits are taken before the file opens: an snr that
+        # is infinite, or whose 1/snr overflows, is refused by name and
+        # leaves no partial map.
+        for snr_range in ((1.0, math.inf), (5e-324, 1.0)):
+            with pytest.raises(ConfigError, match="^snr_range: "):
+                emit_region_map(snr_range, (0.1, 0.5), 4, path)
+        assert not os.path.exists(path)

@@ -165,8 +165,8 @@ class TestWaterfillRa:
 
 def reference_ra_fill(tones, floors, widths, k, budget):
     """The rate-adaptive fill by sorting the per-Hz floors and taking the
-    longest feasible prefix, on arrays: the path that _pair's closed form
-    on one or two usable tones must reproduce bit for bit."""
+    longest feasible prefix, on arrays: the path that the float loop's
+    scalar fill on one or two usable tones must reproduce bit for bit."""
     nu = floors / widths
     if budget == 0:
         return np.zeros(k), float(nu.min())
@@ -231,8 +231,8 @@ def on_few_tone_fills(test):
 
 
 class TestFillOnFewTones:
-    """_fill, and the two-tone closed form _pair that the two-user float
-    loop runs, give the bits of the sorted-prefix path on one or two
+    """_fill, and the scalar two-tone fill of the two-user float loop
+    (_pair_sweeps), give the bits of the sorted-prefix path on one or two
     usable tones."""
 
     @on_few_tone_fills
@@ -247,14 +247,20 @@ class TestFillOnFewTones:
     @on_few_tone_fills
     def test_pair_matches_the_sorted_prefix_path(self, case):
         tones, floors, widths, k, budget = case
-        assume(budget > 0)  # _pair_sweeps takes a zero budget itself
-        active, values, mu = waterfilling._pair(tones.tolist(), floors.tolist(),
-                                                widths.tolist(), budget)
+        assume(budget > 0)  # a zero budget takes no fill
+        # One sweep of the float loop from zero powers, where user 0's
+        # floors are its noise (unit direct gains, no crosstalk) on tones
+        # 0..m-1, in the case's order, and user 1 has no usable tone.
+        m = tones.size
+        rx = (np.zeros((m, 2)), np.arange(m), widths, np.ones(m), floors)
+        idle = (np.zeros((m, 2)), np.arange(0), *np.zeros((3, 0)))
+        p = [[0.0] * m, [0.0] * m]
+        waterfilling._pair_sweeps([rx, idle], p, [budget, 0.0], 1.0, 1, 0.0,
+                                  False)
         power = np.zeros(k)
-        power[active] = values
-        want_power, want_mu = reference_ra_fill(tones, floors, widths, k, budget)
+        power[tones] = p[0]
+        want_power, _ = reference_ra_fill(tones, floors, widths, k, budget)
         assert power.tobytes() == want_power.tobytes()
-        assert mu == want_mu
 
 
 class TestWaterfillFm:
