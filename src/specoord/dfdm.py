@@ -35,8 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation, _check_budget,
-                   _check_inputs, _fill, _floor, _rate, _receiver, power_matrix)
+from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation, Receiver,
+                   _check_budget, _fill, _floor, _rate, _receivers,
+                   power_matrix)
 from .oracle import RateRegionCurve
 from .waterfilling import (GAUSS_SEIDEL, MAX_ITER, TOL, InfeasibleError,
                            IwfReport, _step)
@@ -54,35 +55,32 @@ class DfdmResult:
 
 
 class _Search:
-    """One user's cutoff search against the others' powers p, an (N, K)
-    matrix, for any number of targets.
+    """One receiver's cutoff search against the others' powers p, an (N, K)
+    matrix, for any number of targets; edges are the grid's tone edges and
+    budget is checked by the caller.
 
-    Holds the receiver's arrays, its effective noise on its usable tones,
-    the full-band rate-adaptive rate (0.0 with no usable tone) and a memo of
+    Holds the Receiver, its effective noise on its usable tones, the
+    full-band rate-adaptive rate (0.0 with no usable tone) and a memo of
     the rate on each suffix of the usable tones, keyed by where the suffix
     starts.  The search bisects over that key, and each probe fills and
     rates views of the one gather.
     """
 
-    def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
-                 user: int, budget: float, p: np.ndarray, gap: float):
-        self.rx = _receiver(channel, noise, user, gap)
-        self.floors = _floor(user, p, self.rx, gap)
-        _check_budget(budget)
-        self.user, self.budget = user, budget
-        self.k, self.edges = channel.num_tones, channel.grid.edges
+    def __init__(self, rx: Receiver, budget: float, p: np.ndarray, gap: float,
+                 edges: np.ndarray):
+        self.rx, self.floors = rx, _floor(p, rx, gap)
+        self.budget, self.k, self.edges = budget, p.shape[1], edges
         self._memo: dict[int, float] = {}
         self.full = self.rate_from(0)
 
     def _above(self, s: int) -> tuple:
-        _, tones, widths, _, _ = self.rx
-        return tones[s:], self.floors[s:], widths[s:]
+        return self.rx.tones[s:], self.floors[s:], self.rx.widths[s:]
 
     def rate_from(self, s: int) -> float:
         """Rate of the budget water-filled on the s-th usable tone on."""
         if s not in self._memo:
             rate = 0.0
-            if s < self.rx[1].size:
+            if s < self.rx.tones.size:
                 above = self._above(s)
                 power, _, _ = _fill(*above, self.k, self.budget)
                 rate = _rate(power, *above)
@@ -99,7 +97,7 @@ class _Search:
         """
         if not target >= 0:  # also rejects nan
             raise ValueError("target_rate must be >= 0")
-        tones = self.rx[1]
+        tones = self.rx.tones
         lo = hi = tones.size  # the empty suffix carries a zero target
         if target > 0:
             floor = target * (1 - 1e-12)
@@ -120,7 +118,7 @@ class _Search:
                             min(target, self.rate_from(lo)))
         return DfdmResult(
             cutoff_index=cutoff, cutoff_hz=float(self.edges[cutoff]),
-            allocation=PowerAllocation(self.user, power, self.budget,
+            allocation=PowerAllocation(self.rx.user, power, self.budget,
                                        AT_MOST_POWER),
             achieved_rate=_rate(power, *above), target_rate=target)
 
@@ -149,7 +147,9 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
                   gap: float = 1.0) -> DfdmResult:
     """Cutoff search plus minimum-power allocation above the cutoff."""
     p = power_matrix(others, channel.num_users, channel.num_tones)
-    return _Search(channel, noise, user, budget, p, gap).allocate(target_rate)
+    _, (rx,) = _receivers(channel, noise, gap, [user])
+    _check_budget(budget)
+    return _Search(rx, budget, p, gap, channel.grid.edges).allocate(target_rate)
 
 
 class _Sweep:
@@ -167,35 +167,35 @@ class _Sweep:
 
     def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
                  budgets: Sequence[float], near_user: int, gap: float):
-        self.budgets = _check_inputs(channel, noise, gap, budgets, users=2)
+        self.budgets, receivers = _receivers(channel, noise, gap, (0, 1),
+                                             budgets, users=2)
         if near_user not in (0, 1):
             raise ValueError(f"near_user must be 0 or 1, got {near_user!r}")
         self.near, self.far = near_user, 1 - near_user
         self.gap = gap
-        self.far_rx = _receiver(channel, noise, self.far, gap)
+        self.far_rx = receivers[self.far]
         # The opening profile: the far user's move, the near user silent.
         self.opening = np.zeros((2, channel.num_tones))
         self.far_free = self._far_step(self.opening)
-        self.search = _Search(channel, noise, self.near, self.budgets[self.near],
-                              self.opening, gap)
+        self.search = _Search(receivers[self.near], self.budgets[self.near],
+                              self.opening, gap, channel.grid.edges)
 
     def _far_fill(self, p: np.ndarray) -> tuple:
         """The far user's rate-adaptive fill against the near row of p, a
         (2, K) profile, on the far receiver: (power, floors)."""
-        _, tones, widths, _, _ = self.far_rx
-        floors = _floor(self.far, p, self.far_rx, self.gap)
-        power, _, _ = _fill(tones, floors, widths, p.shape[1],
-                            self.budgets[self.far])
+        floors = _floor(p, self.far_rx, self.gap)
+        power, _, _ = _fill(self.far_rx.tones, floors, self.far_rx.widths,
+                            p.shape[1], self.budgets[self.far])
         return power, floors
 
     def _far_step(self, p: np.ndarray) -> float:
         """Water-fill the far row of p; return the far user's rate."""
         p[self.far], floors = self._far_fill(p)
-        return _rate(p[self.far], self.far_rx[1], floors, self.far_rx[2])
+        return _rate(p[self.far], self.far_rx.tones, floors, self.far_rx.widths)
 
     def _rate_of(self, user: int, p: np.ndarray) -> float:
         rx = self.search.rx if user == self.near else self.far_rx
-        return _rate(p[user], rx[1], _floor(user, p, rx, self.gap), rx[2])
+        return _rate(p[user], rx.tones, _floor(p, rx, self.gap), rx.widths)
 
     def _in_order(self, near_alloc, far_alloc) -> tuple:
         return ((far_alloc, near_alloc) if self.far == 0
@@ -234,7 +234,6 @@ class _Sweep:
         target = float(target)
         near, far, search = self.near, self.far, self.search
         rx, budget, k = search.rx, self.budgets[near], search.k
-        tones, widths = rx[1], rx[2]
         p = self.opening.copy()
         floors = search.floors
         far_step = _step(p[far], p[near])  # the opening's step from silence
@@ -245,15 +244,16 @@ class _Sweep:
                 power, _ = self._far_fill(p)
                 far_step = _step(power, p[far])
                 p[far] = power
-                floors = _floor(near, p, rx, self.gap)
-            power, _, short = _fill(tones, floors, widths, k, budget, target)
+                floors = _floor(p, rx, self.gap)
+            power, _, short = _fill(rx.tones, floors, rx.widths, k, budget,
+                                    target)
             changes.append(max(0.0, far_step, _step(power, p[near])))
             p[near] = power
             if changes[-1] <= limit:
                 break
         # The last near floor is against the last far move: it rates the
         # near user, and only the far user needs one more floor.
-        near_rate = _rate(p[near], tones, floors, widths)
+        near_rate = _rate(p[near], rx.tones, floors, rx.widths)
         allocs = self._in_order(
             PowerAllocation(near, p[near], budget,
                             AT_MOST_POWER if short is None else FULL_POWER),

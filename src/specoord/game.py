@@ -6,7 +6,8 @@ Shannon rate with all interference treated as noise, optionally derated by
 an SNR gap for practical coding schemes.
 
 The numeric kernel works on plain arrays, one receiver at a time:
-_receiver checks the inputs and slices the receiver's arrays, _floor is its
+_receivers checks an instance once and returns a Receiver record per user
+(gain row, usable tones, widths, direct gains, noise), _floor is its
 effective noise (interference plus noise over its own gain), _rate its rate
 and _fill its water-filling response.  Payoffs, the Nash certificate, the
 water-filling module and the DFDM cutoff search all run on it.  Its
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,39 +130,63 @@ def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
             raise ValueError(f"budgets: {len(budgets)} given for {channel.num_users} users")
         for i, b in enumerate(budgets):
             _check_budget(b, f"budgets[{i}]")
+        # A floor is at least gap * noise / direct and a power at most its
+        # budget, so this bound keeps every SINR, rate term and rate finite.
+        direct = np.diagonal(channel.gains, axis1=1, axis2=2).T
+        with np.errstate(over="ignore"):
+            snr = np.array(budgets)[:, None] * direct / (gap * noise.values)
+        finite = np.logical_and.reduce(snr < np.inf, axis=1)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"budgets[{i}] = {budgets[i]!r} is too large: "
+                             "budget * direct / (gap * noise) overflows on a tone")
     return budgets
 
 
-def _receiver(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
-              gap: float) -> tuple:
-    """Check the inputs; return one receiver's plain arrays (gains_in,
-    tones, widths, direct, noise_row): its (K, N) slice of the gain stack,
-    its usable tones (direct gain > 0), and the widths, direct gains and
-    noise on them, which are views when every tone is usable."""
-    _check_inputs(channel, noise, gap)
-    if not 0 <= user < channel.num_users:
-        raise ValueError(f"user {user} is not in [0, {channel.num_users})")
-    gains_in = channel.gains[:, user, :]
-    direct, noise_row = gains_in[:, user], noise.values[user]
-    widths = channel.grid.widths
-    tones = (direct > 0).nonzero()[0]
-    if tones.size < direct.size:
-        widths, direct, noise_row = widths[tones], direct[tones], noise_row[tones]
-    return gains_in, tones, widths, direct, noise_row
+class Receiver(NamedTuple):
+    """One user's receiver on plain arrays: its (K, N) slice of the gain
+    stack, its usable tones (direct gain > 0), and the widths, direct gains
+    and noise on them, which are views when every tone is usable."""
+
+    gains_in: np.ndarray
+    tones: np.ndarray
+    widths: np.ndarray
+    direct: np.ndarray
+    noise: np.ndarray
+    user: int
 
 
-def _floor(user: int, p: np.ndarray, rx: tuple, gap: float) -> np.ndarray:
-    """Effective noise of one receiver (rx from _receiver) on its usable
-    tones against p, the (N, K) power matrix, leaving its own row out;
-    checked to be finite and > 0."""
-    gains_in, tones, _, direct, noise_row = rx
-    own = p[user].copy()
-    p[user] = 0.0
-    interference = np.einsum("kj,jk->k", gains_in, p)
-    p[user] = own
-    if tones.size < interference.size:
-        interference = interference[tones]
-    floors = gap * (interference + noise_row) / direct
+def _receivers(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
+               wanted: Sequence[int], budgets: Sequence[float] | None = None,
+               users: int | None = None) -> tuple:
+    """Run _check_inputs once; return (budgets, the Receiver of each user
+    in wanted)."""
+    budgets = _check_inputs(channel, noise, gap, budgets, users)
+    receivers = []
+    for user in wanted:
+        if not 0 <= user < channel.num_users:
+            raise ValueError(f"user {user} is not in [0, {channel.num_users})")
+        gains_in = channel.gains[:, user, :]
+        direct, noise_row = gains_in[:, user], noise.values[user]
+        widths = channel.grid.widths
+        tones = (direct > 0).nonzero()[0]
+        if tones.size < direct.size:
+            widths, direct, noise_row = widths[tones], direct[tones], noise_row[tones]
+        receivers.append(Receiver(gains_in, tones, widths, direct, noise_row, user))
+    return budgets, receivers
+
+
+def _floor(p: np.ndarray, rx: Receiver, gap: float) -> np.ndarray:
+    """Effective noise of one receiver on its usable tones against p, the
+    (N, K) power matrix, leaving its own row out; checked to be finite and
+    > 0."""
+    own = p[rx.user].copy()
+    p[rx.user] = 0.0
+    interference = np.einsum("kj,jk->k", rx.gains_in, p)
+    p[rx.user] = own
+    if rx.tones.size < interference.size:
+        interference = interference[rx.tones]
+    floors = gap * (interference + rx.noise) / rx.direct
     _check_floor(floors)
     return floors
 
@@ -264,9 +289,9 @@ def sinr_per_tone(user: int, allocations: Sequence[PowerAllocation],
                   channel: ChannelMatrixSet, noise: NoiseProfile) -> np.ndarray:
     """Received SINR of one user on every tone (no gap applied)."""
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    rx = _receiver(channel, noise, user, 1.0)
+    _, (rx,) = _receivers(channel, noise, 1.0, [user])
     sinr = np.zeros(channel.num_tones)
-    sinr[rx[1]] = p[user, rx[1]] / _floor(user, p, rx, 1.0)
+    sinr[rx.tones] = p[user, rx.tones] / _floor(p, rx, 1.0)
     return sinr
 
 
@@ -280,8 +305,8 @@ def capacity(user: int, allocations: Sequence[PowerAllocation],
     linear SNR gap of the coding scheme (1 for Shannon capacity).
     """
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    rx = _receiver(channel, noise, user, gap)
-    return _rate(p[user], rx[1], _floor(user, p, rx, gap), rx[2])
+    _, (rx,) = _receivers(channel, noise, gap, [user])
+    return _rate(p[user], rx.tones, _floor(p, rx, gap), rx.widths)
 
 
 def validate_strategy(alloc: PowerAllocation) -> list[str]:
@@ -307,14 +332,13 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
     """
     k = channel.num_tones
     p = power_matrix(allocations, channel.num_users, k)
+    _, receivers = _receivers(channel, noise, gap, [a.user for a in allocations])
     rates, gains = np.empty((2, len(allocations)))
-    for idx, alloc in enumerate(allocations):
-        rx = _receiver(channel, noise, alloc.user, gap)
-        _, tones, widths, _, _ = rx
-        floors = _floor(alloc.user, p, rx, gap)
-        rates[idx] = _rate(p[alloc.user], tones, floors, widths)
-        best, _, _ = _fill(tones, floors, widths, k, alloc.budget)
-        gains[idx] = _rate(best, tones, floors, widths) - rates[idx]
+    for idx, (alloc, rx) in enumerate(zip(allocations, receivers)):
+        floors = _floor(p, rx, gap)
+        rates[idx] = _rate(p[rx.user], rx.tones, floors, rx.widths)
+        best, _, _ = _fill(rx.tones, floors, rx.widths, k, alloc.budget)
+        gains[idx] = _rate(best, rx.tones, floors, rx.widths) - rates[idx]
     worst = float(gains.max()) if gains.size else 0.0
     ok = all(g <= tol * max(1.0, r) for g, r in zip(gains, rates))
     return NashResult(is_nash=bool(ok), worst_gain=worst, gains=gains)

@@ -145,6 +145,8 @@ def load_config(source) -> ScenarioConfig:
         if len(sizes) != 2 or any(
                 _integer(s, f"channel.group_sizes[{i}]") < 1 for i, s in enumerate(sizes)):
             raise ConfigError("channel.group_sizes", "need two sizes >= 1")
+        for i, s in enumerate(sizes):  # the gains are scaled by float(s)
+            _number(s, f"channel.group_sizes[{i}]")
         coupling = chan.get("coupling_lengths_km")
         if coupling is not None:
             rows = [_numbers(row, f"channel.coupling_lengths_km[{i}]") for i, row

@@ -33,8 +33,8 @@ import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
 from .game import (_BAD_FLOOR, _BAD_POWER, _NO_TONES, AT_MOST_POWER,
                    FULL_POWER, InfeasibleError, PowerAllocation, _check_budget,
-                   _check_floor, _check_inputs, _fill, _floor, _rate,
-                   _receiver, power_matrix)
+                   _check_floor, _fill, _floor, _rate, _receivers,
+                   power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -89,10 +89,10 @@ def effective_noise(user: int, allocations: Sequence[PowerAllocation],
     The user's own allocation, if present in `allocations`, is ignored.
     """
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    rx = _receiver(channel, noise, user, gap)
+    _, (rx,) = _receivers(channel, noise, gap, [user])
     values = np.full(channel.num_tones, np.inf)
     usable = np.zeros(channel.num_tones, dtype=bool)
-    values[rx[1]], usable[rx[1]] = _floor(user, p, rx, gap), True
+    values[rx.tones], usable[rx.tones] = _floor(p, rx, gap), True
     return EffectiveNoise(user, values, usable)
 
 
@@ -180,7 +180,7 @@ def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
     for row in p:  # one tone: pad a second that neither user can use
         row += [0.0] * (2 - k)
     users = []
-    for i, (gains_in, tones, widths, direct, noise_row) in enumerate(receivers):
+    for gains_in, tones, widths, direct, noise_row, i in receivers:
         # (tone, crosstalk, direct, noise, width) per usable tone, padded to two
         cols = list(zip(tones.tolist(), gains_in[tones, 1 - i].tolist(),
                         direct.tolist(), noise_row.tolist(), widths.tolist()))
@@ -266,8 +266,7 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     warnings, which the float loop does not give, are left out.
     """
     n, k = channel.num_users, channel.num_tones
-    budgets = _check_inputs(channel, noise, gap, budgets)
-    receivers = [_receiver(channel, noise, i, gap) for i in range(n)]
+    budgets, receivers = _receivers(channel, noise, gap, range(n), budgets)
     if mode not in ("ra", "fm"):
         raise ValueError("mode must be 'ra' or 'fm'")
     if schedule not in (GAUSS_SEIDEL, JACOBI):
@@ -319,9 +318,9 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
             basis = p.copy() if schedule == JACOBI else p
             delta = 0.0
             for i, rx in enumerate(receivers):
-                floors = _floor(i, basis, rx, gap)
-                power, _, short = _fill(rx[1], floors, rx[2], k, budgets[i],
-                                        targets[i])
+                floors = _floor(basis, rx, gap)
+                power, _, short = _fill(rx.tones, floors, rx.widths, k,
+                                        budgets[i], targets[i])
                 if short is None:
                     modes[i] = (FULL_POWER if targets[i] is None
                                 else AT_MOST_POWER)

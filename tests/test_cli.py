@@ -395,6 +395,12 @@ class TestRun:
     @pytest.mark.parametrize("override,code", [
         ("band_plan_hz=[[[0.0, 1.0]], null]", 2),  # covers no tone centre
         ("sweep.rd_bps=[1e12]", 3),  # an unreachable near target
+        # A budget past the finite-rate rule; it used to exit 0 with inf
+        # far rates in rate_region.csv.
+        pytest.param("budgets_mw=[1e308, 1e308]", 2, id="budget-overflows"),
+        # This one used to escape as a raw OverflowError.
+        pytest.param(f"channel.group_sizes=[1, {10 ** 320}]", 2,
+                     id="group-size-past-float"),
     ])
     def test_failed_run_leaves_the_output_dir_as_it_was(self, tmp_path, capsys,
                                                         override, code):

@@ -6,12 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from specoord import dfdm, game, oracle, waterfilling
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               make_uniform_grid, symmetric_two_band_channel)
+from specoord.dfdm import _Sweep, dfdm_allocate
 from specoord.game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
                            capacity, is_nash_equilibrium, power_matrix,
                            sinr_per_tone, validate_strategy)
-from specoord.waterfilling import achievable_rate, effective_noise
+from specoord.oracle import brute_force_pareto
+from specoord.waterfilling import achievable_rate, effective_noise, iterate_iwf
 
 
 def one_tone_instance(direct=1.0, coupling=0.0, noise=1.0):
@@ -310,3 +313,100 @@ class TestOneFloor:
         for a, gain in zip(allocs, result.gains):
             rate = capacity(a.user, allocs, channel, noise, gap)
             assert gain >= -1e-12 * max(1.0, rate)
+
+
+# Every public entry of one instance, with the gap it runs at (sinr_per_tone
+# has none).  The instance is 2 users on 4 tones at unit budgets.
+TWO_USERS = [PowerAllocation(u, np.full(4, 0.25), 1.0) for u in (0, 1)]
+ENTRIES = {
+    "capacity": lambda ch, nz, gap: capacity(0, TWO_USERS, ch, nz, gap),
+    "sinr_per_tone": lambda ch, nz, gap: sinr_per_tone(0, TWO_USERS, ch, nz),
+    "is_nash_equilibrium":
+        lambda ch, nz, gap: is_nash_equilibrium(TWO_USERS, ch, nz, gap=gap),
+    "effective_noise":
+        lambda ch, nz, gap: effective_noise(0, TWO_USERS, ch, nz, gap),
+    "iterate_iwf": lambda ch, nz, gap: iterate_iwf(ch, nz, [1.0, 1.0], gap=gap),
+    "dfdm_allocate":
+        lambda ch, nz, gap: dfdm_allocate(ch, nz, 1, 0.5, 1.0, gap=gap),
+    "_Sweep": lambda ch, nz, gap: _Sweep(ch, nz, [1.0, 1.0], 1, gap),
+    "brute_force_pareto":
+        lambda ch, nz, gap: brute_force_pareto(ch, nz, [1.0, 1.0], 3, gap),
+}
+
+
+def four_tone_channel():
+    gains = np.tile(np.array([[1.0, 0.2], [0.3, 1.0]]), (4, 1, 1))
+    return ChannelMatrixSet(gains, make_uniform_grid(0, 4, 4))
+
+
+class TestInstanceCheck:
+    """Every public entry checks its instance once, by name."""
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 4)])
+    def test_refuses_a_mismatched_noise_shape(self, name, shape):
+        noise = NoiseProfile(np.full(shape, 0.1))
+        with pytest.raises(ValueError, match=r"noise has shape \(%d, %d\).*"
+                           r"needs \(users, tones\) = \(2, 4\)" % shape):
+            ENTRIES[name](four_tone_channel(), noise, 1.0)
+
+    @pytest.mark.parametrize("name", [n for n in ENTRIES if n != "sinr_per_tone"])
+    @pytest.mark.parametrize("gap", [0.5, float("nan"), float("inf")])
+    def test_refuses_a_bad_gap(self, name, gap):
+        noise = NoiseProfile(np.full((2, 4), 0.1))
+        with pytest.raises(ValueError, match="gap must be finite and >= 1"):
+            ENTRIES[name](four_tone_channel(), noise, gap)
+
+    @pytest.mark.parametrize("users", [2, 3])
+    def test_runs_once_per_solver_call(self, monkeypatch, users):
+        calls = []
+        check = game._check_inputs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        for module in (game, waterfilling, dfdm, oracle):
+            if hasattr(module, "_check_inputs"):
+                monkeypatch.setattr(module, "_check_inputs", counted)
+        gains = np.tile(np.eye(users) + 0.1, (4, 1, 1))
+        channel = ChannelMatrixSet(gains, make_uniform_grid(0, 4, 4))
+        noise = NoiseProfile(np.full((users, 4), 0.1))
+
+        def checks(call):
+            del calls[:]
+            call()
+            return len(calls)
+
+        allocs = iterate_iwf(channel, noise, [1.0] * users).allocations
+        assert checks(lambda: iterate_iwf(channel, noise, [1.0] * users)) == 1
+        assert checks(lambda: is_nash_equilibrium(allocs, channel, noise)) == 1
+        if users == 2:
+            assert checks(lambda: _Sweep(channel, noise, [1.0] * 2, 1, 1.0)) == 1
+
+    @pytest.mark.parametrize("name", ["iterate_iwf", "_Sweep",
+                                      "brute_force_pareto"])
+    @pytest.mark.parametrize("budgets,bad", [
+        ([1e308, 1.0], 0),
+        # The bound overflows in the division on a tone of small noise.
+        ([1.0, 1e300], 1),
+    ])
+    def test_refuses_a_budget_past_the_finite_rate_rule(self, name, budgets,
+                                                        bad):
+        channel = four_tone_channel()
+        noise = NoiseProfile(np.array([[0.1] * 4, [0.1, 0.1, 0.1, 1e-10]]))
+        solve = {"iterate_iwf": lambda: iterate_iwf(channel, noise, budgets),
+                 "_Sweep": lambda: _Sweep(channel, noise, budgets, 1, 1.0),
+                 "brute_force_pareto":
+                     lambda: brute_force_pareto(channel, noise, budgets, 3)}
+        with pytest.raises(ValueError, match=r"budgets\[%d\] .* too large" % bad):
+            solve[name]()
+
+    def test_lets_the_largest_finite_bound_through(self):
+        # direct / noise = 1 on every tone: the bound is the budget itself.
+        channel = ChannelMatrixSet(np.tile(np.eye(2), (2, 1, 1)),
+                                   make_uniform_grid(0, 2, 2))
+        noise = NoiseProfile(np.ones((2, 2)))
+        big = float(np.finfo(float).max)
+        report = iterate_iwf(channel, noise, [big, 1.0], max_iter=1)
+        assert report.allocations[0].budget == big

@@ -95,6 +95,11 @@ class TestLoadConfig:
              "channel.group_sizes[1]"),
             ("group_sizes-number", lambda c: c["channel"].update(group_sizes=4),
              "channel.group_sizes"),
+            # Past the float range the gains' scaling used to raise a raw
+            # OverflowError.
+            ("group_sizes-past-float",
+             lambda c: c["channel"].update(group_sizes=[1, 10 ** 320]),
+             "channel.group_sizes[1]"),
             ("coupling-string",
              lambda c: c["channel"].update(coupling_lengths_km=[[0.5, "a"], [0.5, 0.5]]),
              "channel.coupling_lengths_km[0][1]"),

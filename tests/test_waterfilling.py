@@ -10,7 +10,7 @@ from specoord import waterfilling
 from specoord.channel import (ChannelMatrixSet, NoiseProfile, FrequencyGrid,
                               make_uniform_grid, symmetric_two_band_channel)
 from specoord.game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
-                           _fill, capacity, is_nash_equilibrium)
+                           Receiver, _fill, capacity, is_nash_equilibrium)
 from specoord.waterfilling import (GAUSS_SEIDEL, JACOBI, EffectiveNoise,
                                    InfeasibleError, achievable_rate,
                                    effective_noise, iterate_iwf,
@@ -252,8 +252,9 @@ class TestFillOnFewTones:
         # floors are its noise (unit direct gains, no crosstalk) on tones
         # 0..m-1, in the case's order, and user 1 has no usable tone.
         m = tones.size
-        rx = (np.zeros((m, 2)), np.arange(m), widths, np.ones(m), floors)
-        idle = (np.zeros((m, 2)), np.arange(0), *np.zeros((3, 0)))
+        rx = Receiver(np.zeros((m, 2)), np.arange(m), widths, np.ones(m),
+                      floors, 0)
+        idle = Receiver(np.zeros((m, 2)), np.arange(0), *np.zeros((3, 0)), 1)
         p = [[0.0] * m, [0.0] * m]
         waterfilling._pair_sweeps([rx, idle], p, [budget, 0.0], 1.0, 1, 0.0,
                                   False)
