@@ -225,13 +225,8 @@ def cmd_nearfar_bounds(args) -> int:
 def cmd_region_sweep(args) -> int:
     params = _nearfar_params(args)
     r2 = np.linspace(args.r2_min, args.r2_max, args.count)
-    bounds = []
-    for target in r2:
-        fm = nearfar.rr_iwf_bounds(float(target), params)
-        db = nearfar.dfdm_rate_bounds(float(target), params)
-        bounds.append((fm.lower, fm.upper, db.lower, db.upper))
     _write_rows(args.output, ["r2", "fmiwf_lo", "fmiwf_hi", "dfdm_lo", "dfdm_hi"],
-                _texts(r2), np.array(bounds).reshape(len(r2), 4))
+                _texts(r2), nearfar.rate_bounds_table(r2, params))
     print(f"wrote {len(r2)} rows to {args.output}")
     return EXIT_OK
 

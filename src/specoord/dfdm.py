@@ -36,8 +36,8 @@ import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
 from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation, Receiver,
-                   _check_budget, _fill, _floor, _rate, _receivers,
-                   power_matrix)
+                   _TOO_LARGE, _check_budget, _fill, _floor,
+                   _overflowing_budget, _rate, _receivers, power_matrix)
 from .oracle import RateRegionCurve
 from .waterfilling import (GAUSS_SEIDEL, MAX_ITER, TOL, InfeasibleError,
                            IwfReport, _step)
@@ -149,6 +149,9 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     p = power_matrix(others, channel.num_users, channel.num_tones)
     _, (rx,) = _receivers(channel, noise, gap, [user])
     _check_budget(budget)
+    if _overflowing_budget([budget], rx.direct[None], rx.noise[None],
+                           gap) is not None:
+        raise ValueError(f"budget = {budget!r} {_TOO_LARGE}")
     return _Search(rx, budget, p, gap, channel.grid.edges).allocate(target_rate)
 
 

@@ -113,6 +113,9 @@ def power_matrix(allocations: Sequence[PowerAllocation], num_users: int,
     return out
 
 
+_TOO_LARGE = "is too large: budget * direct / (gap * noise) overflows on a tone"
+
+
 def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
                   budgets: Sequence[float] | None = None, users: int | None = None):
     """The one entry check of a solver instance; returns the budgets as floats."""
@@ -130,17 +133,30 @@ def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
             raise ValueError(f"budgets: {len(budgets)} given for {channel.num_users} users")
         for i, b in enumerate(budgets):
             _check_budget(b, f"budgets[{i}]")
-        # A floor is at least gap * noise / direct and a power at most its
-        # budget, so this bound keeps every SINR, rate term and rate finite.
-        direct = np.diagonal(channel.gains, axis1=1, axis2=2).T
-        with np.errstate(over="ignore"):
-            snr = np.array(budgets)[:, None] * direct / (gap * noise.values)
-        finite = np.logical_and.reduce(snr < np.inf, axis=1)
-        if not finite.all():
-            i = int(finite.argmin())
-            raise ValueError(f"budgets[{i}] = {budgets[i]!r} is too large: "
-                             "budget * direct / (gap * noise) overflows on a tone")
+        i = _overflowing_budget(budgets, _direct(channel), noise.values, gap)
+        if i is not None:
+            raise ValueError(f"budgets[{i}] = {budgets[i]!r} {_TOO_LARGE}")
     return budgets
+
+
+def _direct(channel: ChannelMatrixSet) -> np.ndarray:
+    """The (N, K) direct gains of each user on each tone."""
+    return np.diagonal(channel.gains, axis1=1, axis2=2).T
+
+
+def _overflowing_budget(budgets: Sequence[float], direct: np.ndarray,
+                        noise: np.ndarray, gap: float) -> int | None:
+    """The finite-rate rule: the index of the first budget whose
+    budget * direct / (gap * noise) overflows on a tone of its row of the
+    (rows, K) direct and noise, or None.
+
+    A floor is at least gap * noise / direct and a power at most its
+    budget, so the rule keeps every SINR, rate term and rate finite.
+    """
+    with np.errstate(over="ignore"):
+        snr = np.array(budgets)[:, None] * direct / (gap * noise)
+    finite = np.logical_and.reduce(snr < np.inf, axis=1)
+    return None if finite.all() else int(finite.argmin())
 
 
 class Receiver(NamedTuple):

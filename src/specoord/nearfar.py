@@ -16,6 +16,16 @@ band widths (power split formulas, interference-minimal politeness) and a
 banded setup with PSD-level noise and arbitrary widths W1, W2 (rate-region
 bounds).  Users are indexed as in the rest of the package: user 0 weak/far,
 user 1 strong/near.
+
+The rate-region brackets are evaluated over arrays of strong-user targets:
+each bracket formula has one implementation, on plain arrays, and the
+one-target functions (rr_iwf_bounds, dfdm_lambda_bounds, dfdm_rate_bounds,
+dfdm_r1) call it on a single target.  rate_bounds_table evaluates both
+brackets over a whole sweep in one pass.  The arrays see only IEEE
+arithmetic, min/max clamps and np.log2, each applied elementwise in the
+order the one-target formula states it, so a table row holds the same bits
+as the one-target results; 2**x stays Python's float power, one target at
+a time.
 """
 
 from __future__ import annotations
@@ -92,8 +102,15 @@ class RateBoundPair:
     flags: dict
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-12 * max(1.0, abs(self.upper)):
-            raise ValueError("lower bound exceeds upper bound")
+        _check_ordered(self.lower, self.upper)
+
+
+def _check_ordered(lower, upper) -> None:
+    """Refuse a bracket, or an array of brackets, whose lower bound exceeds
+    its upper bound by more than rounding."""
+    size = np.abs(upper)
+    if np.any(lower > upper + 1e-12 * np.where(size > 1.0, size, 1.0)):
+        raise ValueError("lower bound exceeds upper bound")
 
 
 # --- symmetric two-band forms (unit-style bands, equal widths) -------------
@@ -206,20 +223,26 @@ def geometric_mean_snr(params: NearFarParams) -> float:
 
 
 def _exp2(x: float) -> float:
-    """2**x, saturated to inf where the float power overflows."""
+    """2**x by Python's float power, saturated to inf where it overflows.
+    The array forms call it one target at a time: numpy's power and exp2
+    may round differently."""
     try:
         return 2.0 ** x
     except OverflowError:
         return math.inf
 
 
-def _scaled(coupling: float, power: float) -> float:
+def _scaled(coupling: float, power):
     """coupling * power, zero for a zero coupling even at a saturated power."""
-    return coupling * power if coupling else 0.0
+    return coupling * power if coupling else np.zeros_like(power)
 
 
-def _check_r2(r2: float) -> None:
-    if not 0 <= r2 < math.inf:  # also rejects nan
+def _check_r2(r2: float, positive: bool = False) -> None:
+    """The target rule of the FM-IWF forms (r2 >= 0), or with positive of
+    the DFDM forms (r2 > 0); both reject nan and inf."""
+    if positive and not 0 < r2 < math.inf:
+        raise ValueError("r2 must be finite and > 0")
+    if not 0 <= r2 < math.inf:
         raise ValueError("r2 must be finite and >= 0")
 
 
@@ -255,18 +278,30 @@ def rr_iwf_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
     and both bounds are 0 (the interference-free rate when beta = 0).
     """
     _check_r2(r2)
-    gsnr = geometric_mean_snr(params)
-    wt = params.w1 + params.w2
-    x = r2 / wt
     tau = strong_tau_for_rate(params, r2)
-    flags = {"bandwidth_limited": bool(r2 >= wt),
+    flags = {"bandwidth_limited": bool(r2 >= params.w1 + params.w2),
              "feasible": bool(tau <= 1.0 + 1e-12),
              "tau": tau}
+    (lower,), (upper,) = _fmiwf_bracket(np.array([r2]), params)
+    return RateBoundPair(lower=float(lower), upper=float(upper),
+                         method="fm-iwf", flags=flags)
 
+
+def _fmiwf_bracket(r2: np.ndarray, params: NearFarParams) -> tuple:
+    """rr_iwf_bounds' (lower, upper) at each target of the array r2.
+
+    A zero gsnr, where P/(N2 W) underflows, saturates tau to inf.
+    """
+    gsnr = geometric_mean_snr(params)
+    x = r2 / (params.w1 + params.w2)
     bp = params.beta * params.power
-    lower = _weak_band1_rate(_scaled(bp, _exp2(x + 1) / gsnr), params)
-    upper = _weak_band1_rate(_scaled(bp, _exp2(x - 1) / gsnr), params)
-    return RateBoundPair(lower=lower, upper=upper, method="fm-iwf", flags=flags)
+    bracket = []
+    for shift in (1, -1):
+        tau = np.fromiter(map(_exp2, (x + shift).tolist()), float, x.size)
+        with np.errstate(divide="ignore"):
+            tau /= gsnr
+        bracket.append(_weak_band1_rate(_scaled(bp, tau), params))
+    return tuple(bracket)
 
 
 def rr_iwf_exact_tau_r1(r2: float, params: NearFarParams) -> float:
@@ -281,15 +316,15 @@ def rr_iwf_exact_tau_r1(r2: float, params: NearFarParams) -> float:
     gsnr = geometric_mean_snr(params)
     factor = rho ** rho * (1 - rho) ** (1 - rho)
     tau_exact = _exp2(r2 / (params.w1 + params.w2)) / (gsnr * factor)
-    return _weak_band1_rate(_scaled(params.beta * rho, tau_exact) * params.power,
-                            params)
+    return float(_weak_band1_rate(
+        _scaled(params.beta * rho, tau_exact) * params.power, params))
 
 
-def _weak_band1_rate(inter: float, params: NearFarParams) -> float:
+def _weak_band1_rate(inter, params: NearFarParams):
     """Weak user's band-1 rate W1 log2(1 + alpha P / (inter + W1 N1)) under
-    interference power inter."""
-    return float(params.w1 * np.log2(
-        1 + params.alpha * params.power / (inter + params.w1 * params.n1)))
+    each interference power of inter."""
+    ap, noise = params.alpha * params.power, params.w1 * params.n1
+    return params.w1 * np.log2(1 + ap / (inter + noise))
 
 
 def _strong_rate_of_lambda(lam: float, params: NearFarParams) -> float:
@@ -307,7 +342,7 @@ def fdm_threshold_rate(params: NearFarParams) -> float:
 
 def fdm_weak_user_rate(params: NearFarParams) -> float:
     """Weak user's interference-free rate W1 log2(1 + alpha P / (W1 N1))."""
-    return _weak_band1_rate(0.0, params)
+    return float(_weak_band1_rate(0.0, params))
 
 
 # --- banded forms: dynamic FDM bounds ---------------------------------------
@@ -328,15 +363,26 @@ def dfdm_lambda_bounds(r2: float, params: NearFarParams
     both clamped to [0, 1].  The raw lambda_max exceeding 1 means r2 is not
     achievable at all; the third return value is that feasibility flag.
     """
-    if not 0 < r2 < math.inf:  # also rejects nan
-        raise ValueError("r2 must be finite and > 0")
+    _check_r2(r2, positive=True)
+    lam_min, lam_max, feasible = _lambda_bracket(np.array([r2]), params)
+    return float(lam_min[0]), float(lam_max[0]), bool(feasible[0])
+
+
+def _lambda_bracket(r2: np.ndarray, params: NearFarParams) -> tuple:
+    """dfdm_lambda_bounds' (lambda_min, lambda_max, feasible) at each target
+    of the array r2.
+
+    A log2 term that rounds to 0 (an in-band SNR below the float spacing
+    of 1) saturates lambda to inf: no band carries the target.
+    """
     snr2 = params.power / params.n2
-    lam_min = (r2 / math.log2(1 + snr2 / params.w2) - params.w2) / params.w1
-    lam_max_raw = (r2 / math.log2(1 + snr2 / (params.w1 + params.w2))
-                   - params.w2) / params.w1
-    feasible = lam_max_raw <= 1.0 + 1e-12
-    clamp = lambda v: min(1.0, max(0.0, v))
-    return clamp(lam_min), clamp(lam_max_raw), feasible
+    band2 = math.log2(1 + snr2 / params.w2)
+    full = math.log2(1 + snr2 / (params.w1 + params.w2))
+    with np.errstate(divide="ignore"):
+        lam_min = (r2 / band2 - params.w2) / params.w1
+        lam_max_raw = (r2 / full - params.w2) / params.w1
+    return (np.clip(lam_min, 0.0, 1.0), np.clip(lam_max_raw, 0.0, 1.0),
+            lam_max_raw <= 1.0 + 1e-12)
 
 
 def solve_lambda(r2: float, params: NearFarParams) -> float:
@@ -350,8 +396,7 @@ def solve_lambda(r2: float, params: NearFarParams) -> float:
     to 0; targets above the full-spectrum rate raise InfeasibleError-style
     ValueError carrying the maximum in the message.
     """
-    if not 0 < r2 < math.inf:  # also rejects nan
-        raise ValueError("r2 must be finite and > 0")
+    _check_r2(r2, positive=True)
     r_at_0 = _strong_rate_of_lambda(0.0, params)
     r_at_1 = _strong_rate_of_lambda(1.0, params)
     if r2 <= r_at_0:
@@ -390,13 +435,18 @@ def dfdm_r1(lam: float, params: NearFarParams) -> float:
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lam must lie in [0, 1]")
-    w1, w2 = params.w1, params.w2
-    ap = params.alpha * params.power
+    return float(_dfdm_r1(np.array([lam]), params)[0])
+
+
+def _dfdm_r1(lam: np.ndarray, params: NearFarParams) -> np.ndarray:
+    """dfdm_r1 at each fraction of the array lam."""
+    w1, w2, n1 = params.w1, params.w2, params.n1
+    ap, bp = params.alpha * params.power, params.beta * params.power
     band = lam * w1 + w2
-    clean = (1 - lam) * w1 * np.log2(1 + ap * (1 + lam * w1 / band) / params.n1)
+    clean = (1 - lam) * w1 * np.log2(1 + ap * (1 + lam * w1 / band) / n1)
     hit = lam * w1 * np.log2(1 + ap * (1 - (1 - lam) * w1 / band)
-                             / (params.n1 + params.beta * params.power / band))
-    return float(clean + hit)
+                             / (n1 + bp / band))
+    return clean + hit
 
 
 def dfdm_rate_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
@@ -406,11 +456,43 @@ def dfdm_rate_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
     lower = dfdm_r1(lambda_max).
     """
     lam_min, lam_max, feasible = dfdm_lambda_bounds(r2, params)
-    lower, upper = dfdm_r1(lam_max, params), dfdm_r1(lam_min, params)
-    return RateBoundPair(lower=min(lower, upper), upper=max(lower, upper),
+    (lower,), (upper,) = _dfdm_bracket(np.array([lam_min]),
+                                       np.array([lam_max]), params)
+    return RateBoundPair(lower=float(lower), upper=float(upper),
                          method="dfdm", flags={"feasible": feasible,
                                                "lambda_min": lam_min,
                                                "lambda_max": lam_max})
+
+
+def _dfdm_bracket(lam_min: np.ndarray, lam_max: np.ndarray,
+                  params: NearFarParams) -> tuple:
+    """(lower, upper) weak-user rates at each lambda bracket, ordered as
+    Python's min and max order them, which keep the first of a nan pair."""
+    a, b = _dfdm_r1(lam_max, params), _dfdm_r1(lam_min, params)
+    return np.where(b < a, b, a), np.where(b > a, b, a)
+
+
+def rate_bounds_table(r2_values, params: NearFarParams) -> np.ndarray:
+    """Both weak-user brackets at every strong-user target, in one pass.
+
+    Returns an (n, 4) array whose rows are (fmiwf_lo, fmiwf_hi, dfdm_lo,
+    dfdm_hi): rr_iwf_bounds' and dfdm_rate_bounds' brackets, to the bit.
+    The targets are checked before any bracket is evaluated, and the first
+    target that breaks a rule decides the error: "r2 must be finite and
+    >= 0" for a negative, nan or infinite one, "... > 0" for a zero.
+    """
+    r2 = np.asarray(r2_values, dtype=float).reshape(-1)
+    refused = ~((r2 > 0) & (r2 < math.inf))
+    if refused.any():
+        first = float(r2[refused.argmax()])
+        _check_r2(first)
+        _check_r2(first, positive=True)
+    table = np.empty((r2.size, 4))
+    table[:, 0], table[:, 1] = _fmiwf_bracket(r2, params)
+    lam_min, lam_max, _ = _lambda_bracket(r2, params)
+    table[:, 2], table[:, 3] = _dfdm_bracket(lam_min, lam_max, params)
+    _check_ordered(table[:, 0::2], table[:, 1::2])
+    return table
 
 
 # --- comparison sweep --------------------------------------------------------
@@ -427,7 +509,7 @@ def compare_regions(params: NearFarParams, r2_values) -> dict[str, RateRegionCur
     """
     params._require_symmetric("compare_regions")
     r2_values = np.asarray(list(r2_values), dtype=float)
-    iwf_pts, polite_pts, dfdm_pts = [], [], []
+    iwf_pts, polite_pts = [], []
     for r2 in r2_values:
         tau = tau_for_strong_rate(params, r2)
         at_tau = replace(params, tau=tau)
@@ -435,12 +517,12 @@ def compare_regions(params: NearFarParams, r2_values) -> dict[str, RateRegionCur
         iwf_pts.append((r2, weak_user_rate_for_p1(params, p1)))
         p1_min = interference_min_p1(at_tau)
         polite_pts.append((r2, weak_user_rate_for_p1(params, p1_min)))
-        bounds = dfdm_rate_bounds(r2, params)
-        dfdm_pts.append((r2, bounds.lower, bounds.upper))
+    dfdm = rate_bounds_table(r2_values, params)[:, 2:]
     return {
         "fm-iwf": RateRegionCurve("fm-iwf", np.array(iwf_pts)),
         "interference-min": RateRegionCurve("interference-min",
                                             np.array(polite_pts)),
-        "dfdm-bounds": RateRegionCurve("dfdm-bounds", np.array(dfdm_pts),
+        "dfdm-bounds": RateRegionCurve("dfdm-bounds",
+                                       np.column_stack([r2_values, dfdm]),
                                        columns=("r2", "r1_lo", "r1_hi")),
     }

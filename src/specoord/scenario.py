@@ -28,7 +28,7 @@ from .channel import (ChannelMatrixSet, NoiseProfile, _from_db, _texts,
                       _write_psd, _write_rows, format_float, load_channel_csv,
                       make_uniform_grid, synthetic_dsl_channel)
 from .dfdm import _Sweep
-from .game import sinr_per_tone
+from .game import _TOO_LARGE, _direct, _overflowing_budget, sinr_per_tone
 from .oracle import brute_force_pareto
 from .waterfilling import iterate_iwf
 
@@ -319,6 +319,9 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
         raise ConfigError("noise_psd_dbm_hz", str(exc)) from None
     gap = config.gap
     budgets = list(config.budgets_mw)
+    i = _overflowing_budget(budgets, _direct(channel), noise.values, gap)
+    if i is not None:
+        raise ConfigError(f"budgets_mw[{i}]", f"{budgets[i]!r} {_TOO_LARGE}")
     sweep = _Sweep(channel, noise, budgets, config.near_user, gap)
     targets = _sweep_targets(config, sweep.search.full)
     detail_rd = (config.detail_rd_bps if config.detail_rd_bps is not None

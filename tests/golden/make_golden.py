@@ -15,7 +15,8 @@ more rate-adaptive `specoord iwf` runs on the 2-tone channel (Jacobi at a
 3 dB gap, a 5-sweep limit that stops short of convergence, and a copy with
 one user's tone masked), `specoord oracle` on the 2-tone channel at 31
 levels (the benchmark's size) and on a 3-tone channel at 11 levels, a
-6-point `region-sweep` and a 20x20 `region-map`.  Each case's files go to
+6-point `region-sweep`, a 200-point one on unequal bands whose last targets
+pass the float range of 2**(r2/(W1+W2)), and a 20x20 `region-map`.  Each case's files go to
 data/<case>/, with its exit code, stdout and stderr in io.txt.
 data/manifest.json records each case's command line and the numpy version
 that wrote the set.
@@ -189,6 +190,14 @@ def commands(targets: list[float]) -> dict[str, list[str]]:
                              "--gamma", "0.1", "--r2-min", "0.2", "--r2-max",
                              "2.0", "--count", "6",
                              "--output", f"{OUT}/sweep.csv"]
+    # Unequal bands and a strong receiver so quiet that the FM-IWF bracket
+    # falls to 0 only as 2**(r2/(W1+W2) +- 1) leaves the float range, from
+    # r2 = 3580.5 on; DFDM's lambda bracket reaches 1 on the way.
+    cases["region_sweep_wide"] = [
+        "region-sweep", "--alpha", "0.2", "--beta", "0.4", "--gamma", "0.05",
+        "--n1", "1e-3", "--n2", "1e-305", "--w1", "1.5", "--w2", "2",
+        "--r2-min", "2400", "--r2-max", "3650", "--count", "200",
+        "--output", f"{OUT}/sweep.csv"]
     cases["region_map"] = ["region-map", "--resolution", "20",
                            "--output", f"{OUT}/region_map.csv"]
     return cases

@@ -298,6 +298,25 @@ class TestRegionSweep:
         assert last[:3] == [1e6, 0.0, 0.0]
         assert 0 < last[3] <= last[4]
 
+    @pytest.mark.parametrize("lo,hi,message", [
+        ("0", "1", "r2 must be finite and > 0"),
+        ("-1", "1", "r2 must be finite and >= 0"),
+        ("nan", "1", "r2 must be finite and >= 0"),
+        # The first target that breaks a rule decides the message.
+        ("1", "0", "r2 must be finite and > 0"),
+        ("0", "-1", "r2 must be finite and > 0"),
+        ("-1", "0", "r2 must be finite and >= 0"),
+    ])
+    def test_refused_targets_write_no_file(self, tmp_path, capsys, lo, hi,
+                                           message):
+        out = tmp_path / "sweep.csv"
+        code = main(["region-sweep", "--alpha", "0.01", "--beta", "0.5",
+                     "--r2-min", lo, "--r2-max", hi, "--count", "3",
+                     "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestOracle:
     def test_writes_frontier(self, tmp_path, capsys):
@@ -392,21 +411,32 @@ class TestRun:
         assert main(["run", "--config", cfg, "--set", override]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("override,code", [
-        ("band_plan_hz=[[[0.0, 1.0]], null]", 2),  # covers no tone centre
-        ("sweep.rd_bps=[1e12]", 3),  # an unreachable near target
+    @pytest.mark.parametrize("override,code,err", [
+        pytest.param("band_plan_hz=[[[0.0, 1.0]], null]", 2,  # covers no
+                     "config error: band_plan_hz[0]: covers no tone centre",
+                     id="band_plan_hz=[[[0.0, 1.0]], null]-2"),  # tone centre
+        pytest.param("sweep.rd_bps=[1e12]", 3, "infeasible: ",  # unreachable
+                     id="sweep.rd_bps=[1e12]-3"),
         # A budget past the finite-rate rule; it used to exit 0 with inf
-        # far rates in rate_region.csv.
-        pytest.param("budgets_mw=[1e308, 1e308]", 2, id="budget-overflows"),
+        # far rates in rate_region.csv, then to be refused as the solver's
+        # "budgets[0]" instead of the field the user wrote.
+        pytest.param("budgets_mw=[1e308, 1e308]", 2,
+                     "config error: budgets_mw[0]: 1e+308 is too large: ",
+                     id="budget-overflows"),
+        pytest.param("budgets_mw=[30.0, 1e308]", 2,
+                     "config error: budgets_mw[1]: 1e+308 is too large: ",
+                     id="second-budget-overflows"),
         # This one used to escape as a raw OverflowError.
         pytest.param(f"channel.group_sizes=[1, {10 ** 320}]", 2,
+                     "config error: channel.group_sizes[1]: ",
                      id="group-size-past-float"),
     ])
     def test_failed_run_leaves_the_output_dir_as_it_was(self, tmp_path, capsys,
-                                                        override, code):
+                                                        override, code, err):
         cfg = self.write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["run", "--config", cfg, "--set", override]) == code
+        assert capsys.readouterr().err.startswith(err)
         assert not out.exists()
         out.mkdir()
         (out / "keep.txt").write_text("kept")

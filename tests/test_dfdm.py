@@ -262,6 +262,25 @@ class TestDfdmAllocate:
         with pytest.raises(ValueError, match="target_rate"):
             dfdm_allocate(channel, noise, 1, -1.0, 1.0)
 
+    @pytest.mark.parametrize("solve", [dfdm_allocate, find_cutoff])
+    def test_refuses_a_budget_past_the_finite_rate_rule(self, solve):
+        # budget * direct / (gap * noise) overflows on every tone.  It used
+        # to overflow in the fill (numpy's RuntimeWarning), then to fail
+        # with "powers must be finite and non-negative".
+        channel, noise = coupled_channel(4, noise=1e-10)
+        with pytest.raises(ValueError, match=r"^budget = 1e\+308 is too large: "
+                           r"budget \* direct / \(gap \* noise\) overflows"):
+            solve(channel, noise, 1, 1.0, 1e308)
+
+    def test_finite_rate_rule_counts_the_gap(self):
+        # direct / noise = 1e10 on every tone: a gap of 10 brings the bound
+        # back into the float range.
+        channel, noise = coupled_channel(4, noise=1e-10)
+        with pytest.raises(ValueError, match="^budget = "):
+            dfdm_allocate(channel, noise, 1, 0.0, 1e300)
+        res = dfdm_allocate(channel, noise, 1, 0.0, 1e300, gap=1e10)
+        assert res.cutoff_index == 4
+
 
 class TestRegionSweep:
     def test_dfdm_weakly_dominates_fm_iwf(self):

@@ -1,16 +1,24 @@
+import contextlib
+import io
 import math
+import os
+import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from specoord.channel import _texts, _write_rows
+from specoord.cli import main
 from specoord.nearfar import (NearFarParams, RateBoundPair, bully_power_split,
                               compare_regions, dfdm_lambda_bounds, dfdm_r1,
                               dfdm_rate_bounds, fdm_threshold_rate,
                               fdm_weak_user_rate, geometric_mean_snr,
-                              interference_min_p1, rr_iwf_bounds,
+                              interference_min_p1, rate_bounds_table,
+                              rr_iwf_bounds,
                               rr_iwf_exact_tau_r1, solve_lambda,
                               strong_tau_for_rate,
                               strong_user_rate, symmetric_nearfar_rates,
@@ -444,3 +452,171 @@ class TestCompareRegions:
         curves = compare_regions(p, sweep)
         assert np.allclose(curves["fm-iwf"].points,
                            curves["interference-min"].points, rtol=1e-12)
+
+
+# --- the region sweep against an independent per-target reference ---------
+#
+# A copy of the per-target code that `specoord region-sweep` ran before its
+# brackets were evaluated over arrays of targets: one target at a time, on
+# Python floats, with numpy only for log2.  It is kept here, apart from the
+# package, so the parity test compares the sweep with another program.
+
+
+def _ref_exp2(x):
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
+
+
+def _ref_weak_rate(inter, p):
+    return float(p.w1 * np.log2(1 + p.alpha * p.power / (inter + p.w1 * p.n1)))
+
+
+def _ref_dfdm_r1(lam, p):
+    w1, w2 = p.w1, p.w2
+    ap = p.alpha * p.power
+    band = lam * w1 + w2
+    clean = (1 - lam) * w1 * np.log2(1 + ap * (1 + lam * w1 / band) / p.n1)
+    hit = lam * w1 * np.log2(1 + ap * (1 - (1 - lam) * w1 / band)
+                             / (p.n1 + p.beta * p.power / band))
+    return float(clean + hit)
+
+
+def _ref_row(r2, p):
+    """(fmiwf_lo, fmiwf_hi, dfdm_lo, dfdm_hi) at one target."""
+    if not 0 <= r2 < math.inf:
+        raise ValueError("r2 must be finite and >= 0")
+    rho = p.w1 / (p.w1 + p.w2)
+    gsnr = float((p.power / (p.n2 * p.w1)) ** rho *
+                 (p.power / (p.n2 * p.w2)) ** (1 - rho))
+    x = r2 / (p.w1 + p.w2)
+    bp = p.beta * p.power
+    fm_lo = _ref_weak_rate(bp * (_ref_exp2(x + 1) / gsnr) if bp else 0.0, p)
+    fm_hi = _ref_weak_rate(bp * (_ref_exp2(x - 1) / gsnr) if bp else 0.0, p)
+    if fm_lo > fm_hi + 1e-12 * max(1.0, abs(fm_hi)):
+        raise ValueError("lower bound exceeds upper bound")
+    if not 0 < r2 < math.inf:
+        raise ValueError("r2 must be finite and > 0")
+    snr2 = p.power / p.n2
+    lam_min = (r2 / math.log2(1 + snr2 / p.w2) - p.w2) / p.w1
+    lam_max = (r2 / math.log2(1 + snr2 / (p.w1 + p.w2)) - p.w2) / p.w1
+    lam_min, lam_max = (min(1.0, max(0.0, v)) for v in (lam_min, lam_max))
+    lo, hi = _ref_dfdm_r1(lam_max, p), _ref_dfdm_r1(lam_min, p)
+    return fm_lo, fm_hi, min(lo, hi), max(lo, hi)
+
+
+def _ref_table(r2_values, p):
+    return np.array([_ref_row(float(r2), p) for r2 in r2_values]
+                    ).reshape(len(r2_values), 4)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
+
+
+# Endpoints of the target range, as multiples of W1 + W2: the refused
+# values, the bandwidth-limited edge near 1, and the float range of
+# 2**(r2/(W1+W2) +- 1), which ends near 1024.
+_ENDPOINT = st.one_of(st.sampled_from([0.0, -1.0, math.nan, 1.0, 1023.0,
+                                       1025.0]),
+                      st.floats(min_value=1e-3, max_value=1100.0))
+_SWEEP_PARAMS = st.builds(
+    NearFarParams, alpha=_log_uniform(-4, 4),
+    beta=st.one_of(st.just(0.0), _log_uniform(-4, 2)),
+    gamma=st.floats(min_value=0.0, max_value=1.0), power=_log_uniform(-3, 3),
+    n1=_log_uniform(-300, 2), n2=_log_uniform(-300, 2),
+    w1=_log_uniform(-1.5, 1.5), w2=_log_uniform(-1.5, 1.5))
+
+
+def _sweep_cli(p, lo, hi, count, path):
+    """Run `specoord region-sweep`; return (exit code, stderr)."""
+    argv = ["region-sweep"]
+    for name in ("alpha", "beta", "gamma", "power", "n1", "n2", "w1", "w2"):
+        argv += [f"--{name}", repr(getattr(p, name))]
+    argv += ["--r2-min", repr(lo), "--r2-max", repr(hi), "--count", str(count),
+             "--output", path]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestRegionSweepParity:
+    WIDE = NearFarParams(alpha=0.2, beta=0.4, n1=1e-3, n2=1e-305, w1=1.5, w2=2.0)
+
+    @settings(max_examples=150)
+    @example(p=replace(WIDE, beta=0.0), lo=1030.0, hi=900.0, count=40)
+    @example(p=WIDE, lo=1030.0, hi=900.0, count=40)
+    @example(p=BASE, lo=2.0, hi=5.0, count=0)
+    @example(p=BASE, lo=2.0, hi=5.0, count=1)
+    @example(p=BASE, lo=0.0, hi=5.0, count=1)
+    @given(p=_SWEEP_PARAMS, lo=_ENDPOINT, hi=_ENDPOINT,
+           count=st.integers(min_value=0, max_value=40))
+    def test_csv_bytes_match_the_per_target_reference(self, p, lo, hi, count):
+        wt = p.w1 + p.w2
+        lo, hi = lo * wt, hi * wt
+        r2 = np.linspace(lo, hi, count)
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            # W1 > W2 puts a negative number into one log2 of dfdm_r1 at
+            # lambda = 0; both sides then write nan.
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = f"{tmp}/got.csv"
+            code, err = _sweep_cli(p, lo, hi, count, got)
+            try:
+                want = _ref_table(r2, p)
+            except ValueError as exc:
+                assert (code, err) == (2, f"error: {exc}\n")
+                assert not os.path.exists(got)
+                return
+            assert (code, err) == (0, "")
+            _write_rows(f"{tmp}/want.csv",
+                        ["r2", "fmiwf_lo", "fmiwf_hi", "dfdm_lo", "dfdm_hi"],
+                        _texts(r2), want)
+            with open(got, "rb") as a, open(f"{tmp}/want.csv", "rb") as b:
+                assert a.read() == b.read()
+
+    @given(p=_SWEEP_PARAMS, lo=st.floats(min_value=1e-3, max_value=1100.0),
+           hi=st.floats(min_value=1e-3, max_value=1100.0),
+           count=st.integers(min_value=0, max_value=40))
+    def test_table_rows_are_the_one_target_brackets(self, p, lo, hi, count):
+        wt = p.w1 + p.w2
+        r2 = np.linspace(lo * wt, hi * wt, count)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            table = rate_bounds_table(r2, p)
+            assert table.shape == (count, 4)
+            assert table.tobytes() == _ref_table(r2, p).tobytes()
+            for target, row in zip(r2.tolist(), table.tolist()):
+                fm, db = rr_iwf_bounds(target, p), dfdm_rate_bounds(target, p)
+                got = (fm.lower, fm.upper, db.lower, db.upper)
+                assert np.array(got).tobytes() == np.array(row).tobytes()
+
+    @pytest.mark.parametrize("targets,message", [
+        ([1.0, 0.0, -1.0], "r2 must be finite and > 0"),
+        ([1.0, -1.0, 0.0], "r2 must be finite and >= 0"),
+        ([math.nan, 0.0], "r2 must be finite and >= 0"),
+        ([2.0, math.inf], "r2 must be finite and >= 0")])
+    def test_table_refuses_at_the_first_bad_target(self, targets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rate_bounds_table(targets, BASE)
+
+
+class TestDegenerateSnr:
+    """Brackets that the one-target code ended in ZeroDivisionError."""
+
+    def test_in_band_snr_below_rounding_needs_all_of_band_1(self):
+        # 1 + P/(N2 W2) rounds to 1, so log2 of it is 0: no band carries r2.
+        p = NearFarParams(alpha=1e20, beta=0.1, power=1e-20, w2=1e5)
+        assert dfdm_lambda_bounds(0.5, p) == (1.0, 1.0, False)
+        pair = dfdm_rate_bounds(0.5, p)
+        assert pair.lower == pair.upper == dfdm_r1(1.0, p) > 0
+
+    def test_zero_geometric_mean_snr_saturates_tau(self):
+        # P/(N2 W) underflows to 0, so the politeness bracket is infinite.
+        p = NearFarParams(alpha=1e300, beta=0.1, power=1e-300, n2=1e100)
+        assert geometric_mean_snr(p) == 0.0
+        assert fdm_weak_user_rate(p) == 1.0
+        pair = rr_iwf_bounds(1.0, p)
+        assert pair.lower == pair.upper == 0.0
+        assert np.array_equal(rate_bounds_table([1.0], p)[:, :2], [[0.0, 0.0]])
