@@ -157,7 +157,7 @@ def cmd_dfdm(args) -> int:
     channel, noise = _load_instance(args)
     g = _gap(args)
     sweep = _Sweep(channel, noise, args.budgets, args.near_user, g)
-    allocs, _, far_rate, res = sweep.round(args.rd)
+    p, _, far_rate, res = sweep.round(args.rd)
     if args.json:
         widths = channel.grid.widths
         _print_json({
@@ -174,7 +174,7 @@ def cmd_dfdm(args) -> int:
               f"power {float(np.sum(res.allocation.power)):.9g} mW")
         print(f"far user {sweep.far + 1}: rate {far_rate:.9g} bit/s")
     if args.psd_out:
-        write_psd_csv([a.power for a in allocs], channel.grid, args.psd_out)
+        write_psd_csv(p, channel.grid, args.psd_out)
         if not args.json:
             print(f"wrote {args.psd_out}")
     return EXIT_OK
@@ -224,6 +224,10 @@ def cmd_nearfar_bounds(args) -> int:
 
 def cmd_region_sweep(args) -> int:
     params = _nearfar_params(args)
+    # A non-finite end, or a span past the float range, makes linspace warn
+    # and start the targets at nan, which the table refuses by this message.
+    if args.count >= 1 and not math.isfinite(args.r2_min - args.r2_max):
+        raise ValueError("r2 must be finite and >= 0")
     r2 = np.linspace(args.r2_min, args.r2_max, args.count)
     _write_rows(args.output, ["r2", "fmiwf_lo", "fmiwf_hi", "dfdm_lo", "dfdm_hi"],
                 _texts(r2), nearfar.rate_bounds_table(r2, params))

@@ -30,17 +30,16 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import (AT_MOST_POWER, FULL_POWER, PowerAllocation, Receiver,
-                   _TOO_LARGE, _check_budget, _fill, _floor,
-                   _overflowing_budget, _rate, _receivers, power_matrix)
+from .game import (AT_MOST_POWER, PowerAllocation, Receiver, _TOO_LARGE,
+                   _check_budget, _fill, _floor, _overflowing_budget, _rate,
+                   _receivers, power_matrix)
 from .oracle import RateRegionCurve
-from .waterfilling import (GAUSS_SEIDEL, MAX_ITER, TOL, InfeasibleError,
-                           IwfReport, _step)
+from .waterfilling import MAX_ITER, TOL, InfeasibleError, _step
 
 
 @dataclass(frozen=True)
@@ -155,6 +154,16 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     return _Search(rx, budget, p, gap, channel.grid.edges).allocate(target_rate)
 
 
+class _FmRun(NamedTuple):
+    """An FM-IWF run's convergence record: each sweep's largest per-tone
+    change, whether the last one reached the tolerance, and whether the
+    near user's target was out of reach (it then played full budget)."""
+
+    changes: tuple
+    converged: bool
+    shortfall: bool
+
+
 class _Sweep:
     """A near user's target sweep on one 2-user instance, for both protocols.
 
@@ -162,10 +171,10 @@ class _Sweep:
     opens against silence (far_free is the opening's rate) and ends each
     DFDM round.  The near user's search against the opening is shared by
     every DFDM round, so later rounds reuse the probes of earlier ones, and
-    by FM-IWF's first sweep.  Any profile is rated on the two receivers
-    the sweep holds.  round (DFDM) and fmiwf (FM-IWF) return (allocs,
-    near_rate, far_rate, detail): both allocations in user order, both
-    rates, and the near user's DfdmResult or the IwfReport.
+    by FM-IWF's first sweep.  Any (2, K) power matrix p, in user order, is
+    rated, and its SINR taken, on the two receivers the sweep holds.
+    round (DFDM) and fmiwf (FM-IWF) return (p, near_rate, far_rate,
+    detail): the near user's DfdmResult or the _FmRun.
     """
 
     def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -176,7 +185,7 @@ class _Sweep:
             raise ValueError(f"near_user must be 0 or 1, got {near_user!r}")
         self.near, self.far = near_user, 1 - near_user
         self.gap = gap
-        self.far_rx = receivers[self.far]
+        self.receivers, self.far_rx = receivers, receivers[self.far]
         # The opening profile: the far user's move, the near user silent.
         self.opening = np.zeros((2, channel.num_tones))
         self.far_free = self._far_step(self.opening)
@@ -197,27 +206,27 @@ class _Sweep:
         return _rate(p[self.far], self.far_rx.tones, floors, self.far_rx.widths)
 
     def _rate_of(self, user: int, p: np.ndarray) -> float:
-        rx = self.search.rx if user == self.near else self.far_rx
+        rx = self.receivers[user]
         return _rate(p[user], rx.tones, _floor(p, rx, self.gap), rx.widths)
 
-    def _in_order(self, near_alloc, far_alloc) -> tuple:
-        return ((far_alloc, near_alloc) if self.far == 0
-                else (near_alloc, far_alloc))
+    def rated(self, p: np.ndarray) -> tuple:
+        """(near rate, far rate) of a (2, K) power matrix."""
+        return self._rate_of(self.near, p), self._rate_of(self.far, p)
 
-    def rated(self, allocs: Sequence[PowerAllocation]) -> tuple:
-        """(allocs, near rate, far rate) of a 2-user profile."""
-        p = power_matrix(allocs, 2, self.search.k)
-        return allocs, self._rate_of(self.near, p), self._rate_of(self.far, p)
+    def sinr(self, p: np.ndarray) -> np.ndarray:
+        """Both users' received SINR on every tone of p, (2, K), no gap
+        applied: zero on a user's unusable tones."""
+        out = np.zeros(p.shape)
+        for rx in self.receivers:
+            out[rx.user, rx.tones] = p[rx.user, rx.tones] / _floor(p, rx, 1.0)
+        return out
 
     def round(self, target: float) -> tuple:
-        near, far, search = self.near, self.far, self.search
-        res = search.allocate(target)
-        p = np.zeros((2, search.k))
-        p[near] = res.allocation.power
+        res = self.search.allocate(target)
+        p = np.zeros((2, self.search.k))
+        p[self.near] = res.allocation.power
         far_rate = self._far_step(p)
-        far_best = PowerAllocation(far, p[far], self.budgets[far])
-        return (self._in_order(res.allocation, far_best),
-                self._rate_of(near, p), far_rate, res)
+        return p, self._rate_of(self.near, p), far_rate, res
 
     def fmiwf(self, target: float) -> tuple:
         """Gauss-Seidel fixed-margin IWF, the far user first: it plays
@@ -228,7 +237,7 @@ class _Sweep:
         user's step, then the near user's.  An unreachable target falls
         back to the near user's full-budget fill for that sweep.  The loop
         stops when a sweep's largest per-tone change drops to TOL times the
-        larger budget, or after MAX_ITER sweeps.  The report equals
+        larger budget, or after MAX_ITER sweeps.  Powers and record equal
         iterate_iwf(mode="fm") on the instance labelled far user 0, near
         user 1, relabelled to the sweep's users.
         """
@@ -257,16 +266,8 @@ class _Sweep:
         # The last near floor is against the last far move: it rates the
         # near user, and only the far user needs one more floor.
         near_rate = _rate(p[near], rx.tones, floors, rx.widths)
-        allocs = self._in_order(
-            PowerAllocation(near, p[near], budget,
-                            AT_MOST_POWER if short is None else FULL_POWER),
-            PowerAllocation(far, p[far], self.budgets[far], FULL_POWER))
-        report = IwfReport(allocations=allocs, iterations=len(changes),
-                           converged=changes[-1] <= limit,
-                           changes=np.array(changes), mode="fm",
-                           schedule=GAUSS_SEIDEL,
-                           shortfall_users=() if short is None else (near,))
-        return allocs, near_rate, self._rate_of(far, p), report
+        run = _FmRun(tuple(changes), changes[-1] <= limit, short is not None)
+        return p, near_rate, self._rate_of(far, p), run
 
 
 def dfdm_vs_fmiwf_region(channel: ChannelMatrixSet, noise: NoiseProfile,

@@ -309,13 +309,14 @@ def rr_iwf_exact_tau_r1(r2: float, params: NearFarParams) -> float:
 
     Keeps the rho^rho (1-rho)^(1-rho) factor (instead of relaxing it to 1/2)
     and the flat-PSD band-1 share rho * tau * P of the interference, so at
-    high SNR it tracks the simulated fixed-margin IWF rate closely.
+    high SNR it tracks the simulated fixed-margin IWF rate closely.  A
+    zero gsnr * factor, where P/(N2 W) underflows, saturates tau to inf.
     """
     _check_r2(r2)
     rho = params.rho
-    gsnr = geometric_mean_snr(params)
-    factor = rho ** rho * (1 - rho) ** (1 - rho)
-    tau_exact = _exp2(r2 / (params.w1 + params.w2)) / (gsnr * factor)
+    scale = geometric_mean_snr(params) * (rho ** rho * (1 - rho) ** (1 - rho))
+    tau_exact = (_exp2(r2 / (params.w1 + params.w2)) / scale if scale
+                 else math.inf)
     return float(_weak_band1_rate(
         _scaled(params.beta * rho, tau_exact) * params.power, params))
 

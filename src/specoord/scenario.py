@@ -28,7 +28,7 @@ from .channel import (ChannelMatrixSet, NoiseProfile, _from_db, _texts,
                       _write_psd, _write_rows, format_float, load_channel_csv,
                       make_uniform_grid, synthetic_dsl_channel)
 from .dfdm import _Sweep
-from .game import _TOO_LARGE, _direct, _overflowing_budget, sinr_per_tone
+from .game import _TOO_LARGE, _direct, _overflowing_budget
 from .oracle import brute_force_pareto
 from .waterfilling import iterate_iwf
 
@@ -157,6 +157,13 @@ def load_config(source) -> ScenarioConfig:
         for key in ("attenuation", "fext_coeff"):
             if key in chan and _number(chan[key], f"channel.{key}") < 0:
                 raise ConfigError(f"channel.{key}", "must be >= 0")
+        # The crosstalk is fext_coeff * f**2 at the tone centres, f <= f_end.
+        if not f_end * f_end < math.inf:
+            raise ConfigError("grid.f_end_hz", "is too large: f_end_hz ** 2 "
+                              "overflows a float")
+        if not chan.get("fext_coeff", 0.0) * (f_end * f_end) < math.inf:
+            raise ConfigError("channel.fext_coeff", "is too large: fext_coeff "
+                              "* f_end_hz ** 2 overflows a float")
     elif kind == "csv":
         _path(_need(chan, "path", "channel"), "channel.path")
     else:
@@ -260,37 +267,42 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
         channel = load_channel_csv(spec["path"])
         if channel.num_users != 2:
             raise ConfigError("channel.path", "scenario channels must have 2 users")
+        if config.band_plan_hz is None:
+            return channel
+        gains = channel.gains.copy()
     else:
         grid = make_uniform_grid(config.grid_spec["f_start_hz"],
                                  config.grid_spec["f_end_hz"],
                                  int(config.grid_spec["num_tones"]))
-        channel = synthetic_dsl_channel(
-            spec["lengths_km"], grid,
-            coupling_lengths_km=spec.get("coupling_lengths_km"),
-            **{k: spec[k] for k in ("attenuation", "fext_coeff") if k in spec})
+        # An attenuation * length past the float range gives exp(-inf) = 0.
+        with np.errstate(over="ignore"):
+            channel = synthetic_dsl_channel(
+                spec["lengths_km"], grid,
+                coupling_lengths_km=spec.get("coupling_lengths_km"),
+                **{k: spec[k] for k in ("attenuation", "fext_coeff") if k in spec})
+        for user in (0, 1):
+            if not channel.gains[:, user, user].any():
+                raise ConfigError("channel.attenuation", "underflows every direct "
+                                  f"gain of user {user} to 0 on this grid and "
+                                  "line length")
         # Crosstalk into each receiver is the other group's power sum.
         s0, s1 = spec["group_sizes"]
-        channel = ChannelMatrixSet(channel.gains * np.array([[1, s1], [s0, 1]]),
-                                   grid)
+        gains = channel.gains * np.array([[1, s1], [s0, 1]])
 
-    if config.band_plan_hz is not None:
-        centers = channel.grid.centers
-        f_start, f_end = channel.grid.edges[[0, -1]]
-        gains = channel.gains.copy()
-        for user, ranges in enumerate(config.band_plan_hz):
-            if ranges is None:
-                continue
-            usable = np.zeros(centers.size, dtype=bool)
-            for r, (lo, hi) in enumerate(ranges):
-                if lo < f_start or hi > f_end:
-                    raise ConfigError(f"band_plan_hz[{user}][{r}]", "outside the grid")
-                usable |= (centers >= lo) & (centers <= hi)
-            if not usable.any():
-                raise ConfigError(f"band_plan_hz[{user}]",
-                                  "covers no tone centre of the grid")
-            gains[~usable, user, user] = 0.0
-        channel = ChannelMatrixSet(gains, channel.grid)
-    return channel
+    grid, centers = channel.grid, channel.grid.centers
+    for user, ranges in enumerate(config.band_plan_hz or ()):
+        if ranges is None:
+            continue
+        usable = np.zeros(centers.size, dtype=bool)
+        for r, (lo, hi) in enumerate(ranges):
+            if lo < grid.edges[0] or hi > grid.edges[-1]:
+                raise ConfigError(f"band_plan_hz[{user}][{r}]", "outside the grid")
+            usable |= (centers >= lo) & (centers <= hi)
+        if not usable.any():
+            raise ConfigError(f"band_plan_hz[{user}]",
+                              "covers no tone centre of the grid")
+        gains[~usable, user, user] = 0.0
+    return ChannelMatrixSet(gains, grid)
 
 
 def _sweep_targets(config: ScenarioConfig, max_rate: float) -> list[float]:
@@ -331,7 +343,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
         return method, target, format_float(near_rate), format_float(far_rate)
 
     rows = []
-    details: dict[str, tuple] = {}
+    details: dict[str, np.ndarray] = {}  # each method's (2, K) detail powers
     for method in config.methods:
         if method == "oracle":
             curve = brute_force_pareto(channel, noise, budgets, gap=gap,
@@ -342,17 +354,17 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
                 rows.append(row(method, "", near_rate, far_rate))
             continue
         if method == "ra-iwf":
-            allocs, near_rate, far_rate = sweep.rated(iterate_iwf(
-                channel, noise, budgets, mode="ra", gap=gap).allocations)
-            rows.append(row(method, "", near_rate, far_rate))
-            details[method] = allocs
+            p = np.array([a.power for a in iterate_iwf(
+                channel, noise, budgets, mode="ra", gap=gap).allocations])
+            rows.append(row(method, "", *sweep.rated(p)))
+            details[method] = p
             continue
         play = sweep.fmiwf if method == "fm-iwf" else sweep.round
         for rd in targets:
-            allocs, near_rate, far_rate, _ = play(rd)
+            p, near_rate, far_rate, _ = play(rd)
             rows.append(row(method, format_float(rd), near_rate, far_rate))
             if rd == detail_rd:
-                details[method] = allocs
+                details[method] = p
         if method not in details:
             details[method] = play(detail_rd)[0]
 
@@ -368,14 +380,13 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     files["rate_region"] = region_path
 
     freqs = _texts(grid.edges[1:])  # the first column of every PSD and SINR file
-    for method, allocs in details.items():
+    for method, p in details.items():
         tag = method.replace("-", "_")
         psd_path = os.path.join(out_dir, f"psd_{tag}.csv")
-        _write_psd(psd_path, freqs, [a.power for a in allocs], grid.widths)
+        _write_psd(psd_path, freqs, p, grid.widths)
         sinr_path = os.path.join(out_dir, f"sinr_{tag}.csv")
-        sinrs = [sinr_per_tone(u, allocs, channel, noise) for u in (0, 1)]
         _write_rows(sinr_path, ["freq_hz", "sinr_1", "sinr_2"], freqs,
-                    np.column_stack(sinrs))
+                    sweep.sinr(p).T)
         files[f"psd_{method}"] = psd_path
         files[f"sinr_{method}"] = sinr_path
 

@@ -306,12 +306,21 @@ class TestRegionSweep:
         ("1", "0", "r2 must be finite and > 0"),
         ("0", "-1", "r2 must be finite and > 0"),
         ("-1", "0", "r2 must be finite and >= 0"),
+        # A non-finite end used to warn in linspace before the refusal.  It
+        # starts the targets at nan, a ">= 0" refusal, even after a zero.
+        ("1", "inf", "r2 must be finite and >= 0"),
+        ("-inf", "1", "r2 must be finite and >= 0"),
+        ("inf", "1", "r2 must be finite and >= 0"),
+        ("1", "-inf", "r2 must be finite and >= 0"),
+        ("0", "inf", "r2 must be finite and >= 0"),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_refused_targets_write_no_file(self, tmp_path, capsys, lo, hi,
                                            message):
         out = tmp_path / "sweep.csv"
+        # --r2-min=-inf: argparse reads a bare -inf as an option.
         code = main(["region-sweep", "--alpha", "0.01", "--beta", "0.5",
-                     "--r2-min", lo, "--r2-max", hi, "--count", "3",
+                     f"--r2-min={lo}", f"--r2-max={hi}", "--count", "3",
                      "--output", str(out)])
         assert code == 2
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -430,6 +439,16 @@ class TestRun:
         pytest.param(f"channel.group_sizes=[1, {10 ** 320}]", 2,
                      "config error: channel.group_sizes[1]: ",
                      id="group-size-past-float"),
+        # Synthetic gains past the float range, or all zero.  The first two
+        # used to exit 2 naming no field, f_end_hz after an overflow
+        # warning; the third exited 3 with "no usable tones".
+        pytest.param("channel.fext_coeff=1e308", 2,
+                     "config error: channel.fext_coeff: ", id="fext-overflows"),
+        pytest.param("grid.f_end_hz=1e308", 2,
+                     "config error: grid.f_end_hz: ", id="f-end-overflows"),
+        pytest.param("channel.attenuation=1e308", 2,
+                     "config error: channel.attenuation: ",
+                     id="attenuation-underflows"),
     ])
     def test_failed_run_leaves_the_output_dir_as_it_was(self, tmp_path, capsys,
                                                         override, code, err):

@@ -10,7 +10,7 @@ from specoord.channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
                               format_float, make_uniform_grid)
 from specoord.dfdm import (_Sweep, dfdm_allocate, dfdm_vs_fmiwf_region,
                            find_cutoff)
-from specoord.game import AT_MOST_POWER, FULL_POWER, PowerAllocation, capacity
+from specoord.game import AT_MOST_POWER, PowerAllocation, capacity
 from specoord.scenario import build_channel, load_config, run_scenario
 from specoord.waterfilling import (EffectiveNoise, InfeasibleError,
                                    achievable_rate, effective_noise,
@@ -418,18 +418,18 @@ class TestSharedSweep:
                                           gap)
         for frac in FRACTIONS:
             target = frac * full
-            allocs, near_rate, far_rate, res = sweep.round(target)
+            p, near_rate, far_rate, res = sweep.round(target)
             cut, achieved, want, want_near, want_far = reference_round(
                 channel, noise, budgets, target, near, gap, far_initial)
             assert (res.cutoff_index, res.cutoff_hz) == (cut, channel.grid.edges[cut])
             assert (res.achieved_rate, res.target_rate) == (achieved, target)
-            assert res.allocation is allocs[near]
-            assert (allocs[near].mode, allocs[far].mode) == (AT_MOST_POWER,
-                                                             FULL_POWER)
-            for got, exp in zip(allocs, want):
-                assert (got.user, got.mode, got.budget) == (exp.user, exp.mode,
-                                                            exp.budget)
-                assert got.power.tobytes() == exp.power.tobytes()
+            near_alloc = res.allocation
+            assert (near_alloc.user, near_alloc.mode, near_alloc.budget) == (
+                near, AT_MOST_POWER, want[near].budget)
+            assert near_alloc.power.tobytes() == p[near].tobytes()
+            assert p.shape == (2, channel.num_tones)
+            for u, exp in enumerate(want):
+                assert p[u].tobytes() == exp.power.tobytes()
             assert (near_rate, far_rate) == (want_near, want_far)
         # An infeasible round reports the recipe's full-band rate and
         # leaves the sweep usable.
@@ -453,24 +453,22 @@ class TestSharedSweep:
         sweep = _Sweep(channel, noise, budgets, near, gap)
         full = sweep.search.full
         for target in [f * full for f in (0.0, 0.3, 0.4, 0.6, 0.9)] + [2 * full + 1]:
-            allocs, near_rate, far_rate, report = sweep.fmiwf(target)
+            p, near_rate, far_rate, run = sweep.fmiwf(target)
             want = iterate_iwf(*ordered, mode="fm", targets=[None, target],
                                gap=gap)
-            assert report.allocations is allocs
-            for u, got in enumerate(allocs):
+            assert p.shape == (2, channel.num_tones)
+            for u in (0, 1):
                 exp = want.allocations[role[u]]
-                assert (got.user, got.mode, got.budget) == (u, exp.mode, exp.budget)
-                assert got.power.tobytes() == exp.power.tobytes()
-            assert (report.iterations, report.converged) == (want.iterations,
-                                                             want.converged)
-            assert report.changes.tobytes() == want.changes.tobytes()
-            assert tuple(role[u] for u in report.shortfall_users) == \
-                want.shortfall_users
-            assert (report.mode, report.schedule) == (want.mode, want.schedule)
+                assert p[u].tobytes() == exp.power.tobytes()
+            assert (len(run.changes), run.converged) == (want.iterations,
+                                                         want.converged)
+            assert np.array(run.changes).tobytes() == want.changes.tobytes()
+            assert want.shortfall_users == ((role[near],) if run.shortfall
+                                            else ())
+            allocs = [PowerAllocation(u, p[u], budgets[u]) for u in (0, 1)]
             assert near_rate == capacity(near, allocs, channel, noise, gap)
             assert far_rate == capacity(1 - near, allocs, channel, noise, gap)
-        assert report.shortfall_users == (near,)
-        assert allocs[near].mode == FULL_POWER
+        assert run.shortfall
 
     @pytest.mark.parametrize("near,gap_db,plan", [
         (1, 0.0, None),
@@ -532,14 +530,12 @@ class TestRelabelling:
         sweep = _Sweep(channel, noise, budgets, near, gap)
         swapped = _Sweep(*relabelled(channel, noise, budgets), 1 - near, gap)
         for frac in (0.0, 0.3, 0.8, 1.0):
-            allocs, _, _, res = sweep.round(frac * sweep.search.full)
-            allocs2, _, _, res2 = swapped.round(frac * sweep.search.full)
+            p, _, _, res = sweep.round(frac * sweep.search.full)
+            p2, _, _, res2 = swapped.round(frac * sweep.search.full)
             assert res2.cutoff_index == res.cutoff_index
             assert res2.achieved_rate == res.achieved_rate
-            for u in (0, 1):
-                assert allocs2[u].user == u
-                assert allocs2[u].mode == allocs[1 - u].mode
-                assert allocs2[u].power.tobytes() == allocs[1 - u].power.tobytes()
+            assert res2.allocation.user == 1 - res.allocation.user
+            assert p2[::-1].tobytes() == p.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_region_dfdm_curve_relabels(self, seed):
@@ -563,12 +559,12 @@ class TestRelabelling:
         sweep = _Sweep(channel, noise, budgets, near, gap)
         swapped = _Sweep(*relabelled(channel, noise, budgets), 1 - near, gap)
         for frac in (0.0, 0.3, 0.6, 0.9):
-            allocs, near_rate, far_rate, report = sweep.fmiwf(
-                frac * sweep.search.full)
-            allocs2, near_rate2, far_rate2, report2 = swapped.fmiwf(
+            p, near_rate, far_rate, run = sweep.fmiwf(frac * sweep.search.full)
+            p2, near_rate2, far_rate2, run2 = swapped.fmiwf(
                 frac * sweep.search.full)
             assert (near_rate2, far_rate2) == (near_rate, far_rate)
-            assert report2.changes.tobytes() == report.changes.tobytes()
-            for u in (0, 1):
-                assert allocs2[u].mode == allocs[1 - u].mode
-                assert allocs2[u].power.tobytes() == allocs[1 - u].power.tobytes()
+            assert (np.array(run2.changes).tobytes()
+                    == np.array(run.changes).tobytes())
+            assert (run2.converged, run2.shortfall) == (run.converged,
+                                                        run.shortfall)
+            assert p2[::-1].tobytes() == p.tobytes()

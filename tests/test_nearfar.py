@@ -620,3 +620,7 @@ class TestDegenerateSnr:
         pair = rr_iwf_bounds(1.0, p)
         assert pair.lower == pair.upper == 0.0
         assert np.array_equal(rate_bounds_table([1.0], p)[:, :2], [[0.0, 0.0]])
+        # The unrelaxed estimate divided by gsnr * factor on Python floats.
+        assert rr_iwf_exact_tau_r1(1.0, p) == 0.0
+        assert rr_iwf_exact_tau_r1(1.0, replace(p, beta=0.0)) == \
+            fdm_weak_user_rate(p)

@@ -8,8 +8,9 @@ import pytest
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               load_channel_csv, make_uniform_grid,
                               write_channel_csv, write_noise_csv)
+from specoord import dfdm, game, oracle, waterfilling
 from specoord.cli import main
-from specoord.dfdm import dfdm_vs_fmiwf_region
+from specoord.dfdm import _Sweep, dfdm_vs_fmiwf_region
 from specoord.game import PowerAllocation, sinr_per_tone
 from specoord.scenario import (ConfigError, build_channel, emit_region_map,
                                load_config, run_scenario)
@@ -386,6 +387,56 @@ class TestRunScenario:
         report = run_scenario(load_config(cfg))
         oracle_rows = [r for r in report["rows"] if r[0] == "oracle"]
         assert oracle_rows and all(r[1] == "" for r in oracle_rows)
+
+
+class TestRunCosts:
+    """A run checks its instance once per solver and builds its channel
+    twice; the sweep builds no dataclass per target beyond the DFDM
+    round's DfdmResult."""
+
+    @pytest.mark.parametrize("methods,checks", [
+        # 8 checks and 3 channels while the scenario rebuilt the receivers
+        # for every SINR file and the channel for its group sizes.
+        (["ra-iwf", "fm-iwf", "dfdm"], 2),
+        (["ra-iwf", "fm-iwf", "dfdm", "oracle"], 3),
+    ])
+    def test_counts(self, tmp_path, monkeypatch, methods, checks):
+        calls, channels, allocations = [], [], []
+        check = game._check_inputs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        for module in (game, waterfilling, dfdm, oracle):
+            if hasattr(module, "_check_inputs"):
+                monkeypatch.setattr(module, "_check_inputs", counted)
+        for cls, log in ((ChannelMatrixSet, channels),
+                         (PowerAllocation, allocations)):
+            def post_init(self, init=cls.__post_init__, log=log):
+                log.append(self)
+                init(self)
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+        built = {"fmiwf": [], "round": []}  # (new allocations, detail) per call
+        for name, log in built.items():
+            def play(self, target, inner=getattr(_Sweep, name), log=log):
+                before = len(allocations)
+                out = inner(self, target)
+                log.append((allocations[before:], out[3]))
+                return out
+            monkeypatch.setattr(_Sweep, name, play)
+
+        cfg = base_config(tmp_path, methods=methods, oracle_levels=5,
+                          grid={"f_start_hz": 0.0, "f_end_hz": 2e5,
+                                "num_tones": 2},
+                          band_plan_hz=[[[0.0, 1e5]], None])
+        run_scenario(load_config(cfg))
+        assert len(calls) == checks
+        assert len(channels) == 2
+        assert len(built["fmiwf"]) == len(built["round"]) == 3
+        assert all(new == [] for new, _ in built["fmiwf"])
+        for new, res in built["round"]:
+            assert len(new) == 1 and new[0] is res.allocation
 
 
 class TestScenarioRelabels:
