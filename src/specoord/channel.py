@@ -174,10 +174,13 @@ def nearfar_two_band_channel(alpha: float, beta: float, gamma: float,
     return ChannelMatrixSet(np.stack([band1, band2]), grid)
 
 
+_FEXT_COEFF = 1e-16  # synthetic_dsl_channel's crosstalk coefficient
+
+
 def synthetic_dsl_channel(lengths_km, grid: FrequencyGrid,
                           coupling_lengths_km=None,
                           attenuation: float = 5e-4,
-                          fext_coeff: float = 1e-16) -> ChannelMatrixSet:
+                          fext_coeff: float = _FEXT_COEFF) -> ChannelMatrixSet:
     """Deterministic synthetic DSL-like channel for N lines.
 
     Direct gain follows the classic twisted-pair shape

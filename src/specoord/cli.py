@@ -157,21 +157,19 @@ def cmd_dfdm(args) -> int:
     channel, noise = _load_instance(args)
     g = _gap(args)
     sweep = _Sweep(channel, noise, args.budgets, args.near_user, g)
-    p, _, far_rate, res = sweep.round(args.rd)
+    p, _, far_rate, (cutoff, achieved) = sweep.round(args.rd)
+    cutoff_hz, power = float(channel.grid.edges[cutoff]), p[sweep.near]
     if args.json:
-        widths = channel.grid.widths
         _print_json({
-            "f_c_hz": res.cutoff_hz, "cutoff_index": res.cutoff_index,
-            "rate_bps": res.achieved_rate, "target_bps": res.target_rate,
-            "far_rate_bps": far_rate,
-            "power_mw": float(np.sum(res.allocation.power)),
-            "psd": list(res.allocation.power / widths),
+            "f_c_hz": cutoff_hz, "cutoff_index": cutoff,
+            "rate_bps": achieved, "target_bps": args.rd,
+            "far_rate_bps": far_rate, "power_mw": float(np.sum(power)),
+            "psd": list(power / channel.grid.widths),
         })
     else:
-        print(f"cutoff: tone {res.cutoff_index} ({res.cutoff_hz:.6g} Hz)")
-        print(f"near user {sweep.near + 1}: rate {res.achieved_rate:.9g} bit/s "
-              f"(target {res.target_rate:.9g}), "
-              f"power {float(np.sum(res.allocation.power)):.9g} mW")
+        print(f"cutoff: tone {cutoff} ({cutoff_hz:.6g} Hz)")
+        print(f"near user {sweep.near + 1}: rate {achieved:.9g} bit/s "
+              f"(target {args.rd:.9g}), power {float(np.sum(power)):.9g} mW")
         print(f"far user {sweep.far + 1}: rate {far_rate:.9g} bit/s")
     if args.psd_out:
         write_psd_csv(p, channel.grid, args.psd_out)
@@ -193,7 +191,9 @@ def _add_nearfar_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, required=True,
                    help="coupling from the strong into the weak receiver")
     p.add_argument("--gamma", type=float, default=0.0,
-                   help="coupling from the weak into the strong receiver")
+                   help="coupling from the weak into the strong receiver; "
+                        "checked, but the banded bounds assume 0, so it does "
+                        "not change the output")
     p.add_argument("--power", type=float, default=1.0, help="per-user budget")
     p.add_argument("--n1", type=float, default=1.0, help="weak receiver noise PSD")
     p.add_argument("--n2", type=float, default=1.0, help="strong receiver noise PSD")
@@ -224,9 +224,11 @@ def cmd_nearfar_bounds(args) -> int:
 
 def cmd_region_sweep(args) -> int:
     params = _nearfar_params(args)
+    if args.count < 1:
+        raise scenario.ConfigError("--count", "must be >= 1")
     # A non-finite end, or a span past the float range, makes linspace warn
     # and start the targets at nan, which the table refuses by this message.
-    if args.count >= 1 and not math.isfinite(args.r2_min - args.r2_max):
+    if not math.isfinite(args.r2_min - args.r2_max):
         raise ValueError("r2 must be finite and >= 0")
     r2 = np.linspace(args.r2_min, args.r2_max, args.count)
     _write_rows(args.output, ["r2", "fmiwf_lo", "fmiwf_hi", "dfdm_lo", "dfdm_hi"],
@@ -263,11 +265,7 @@ def _apply_override(raw: dict, assignment: str) -> None:
 
 
 def cmd_run(args) -> int:
-    with open(args.config) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise scenario.ConfigError(args.config, f"invalid JSON: {exc}") from None
+    raw = scenario._read_json(args.config)
     for assignment in args.set or []:
         _apply_override(raw, assignment)
     config = scenario.load_config(raw)

@@ -55,8 +55,7 @@ class DfdmResult:
 
 class _Search:
     """One receiver's cutoff search against the others' powers p, an (N, K)
-    matrix, for any number of targets; edges are the grid's tone edges and
-    budget is checked by the caller.
+    matrix, for any number of targets; budget is checked by the caller.
 
     Holds the Receiver, its effective noise on its usable tones, the
     full-band rate-adaptive rate (0.0 with no usable tone) and a memo of
@@ -65,10 +64,9 @@ class _Search:
     rates views of the one gather.
     """
 
-    def __init__(self, rx: Receiver, budget: float, p: np.ndarray, gap: float,
-                 edges: np.ndarray):
+    def __init__(self, rx: Receiver, budget: float, p: np.ndarray, gap: float):
         self.rx, self.floors = rx, _floor(p, rx, gap)
-        self.budget, self.k, self.edges = budget, p.shape[1], edges
+        self.budget, self.k = budget, p.shape[1]
         self._memo: dict[int, float] = {}
         self.full = self.rate_from(0)
 
@@ -86,8 +84,9 @@ class _Search:
             self._memo[s] = rate
         return self._memo[s]
 
-    def allocate(self, target: float) -> DfdmResult:
-        """The cutoff, then the least power above it that meets the target.
+    def allocate(self, target: float) -> tuple:
+        """The cutoff, then the least power above it that meets the target:
+        (cutoff index, power, achieved rate).
 
         A suffix carries the target when its rate reaches target *
         (1 - 1e-12), the one feasibility rule.  The cutoff is the first
@@ -115,11 +114,7 @@ class _Search:
         above = self._above(lo)
         power, _, _ = _fill(*above, self.k, self.budget,
                             min(target, self.rate_from(lo)))
-        return DfdmResult(
-            cutoff_index=cutoff, cutoff_hz=float(self.edges[cutoff]),
-            allocation=PowerAllocation(self.rx.user, power, self.budget,
-                                       AT_MOST_POWER),
-            achieved_rate=_rate(power, *above), target_rate=target)
+        return cutoff, power, _rate(power, *above)
 
 
 def find_cutoff(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
@@ -151,7 +146,10 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     if _overflowing_budget([budget], rx.direct[None], rx.noise[None],
                            gap) is not None:
         raise ValueError(f"budget = {budget!r} {_TOO_LARGE}")
-    return _Search(rx, budget, p, gap, channel.grid.edges).allocate(target_rate)
+    cutoff, power, achieved = _Search(rx, budget, p, gap).allocate(target_rate)
+    return DfdmResult(cutoff, float(channel.grid.edges[cutoff]),
+                      PowerAllocation(user, power, budget, AT_MOST_POWER),
+                      achieved, target_rate)
 
 
 class _FmRun(NamedTuple):
@@ -174,7 +172,7 @@ class _Sweep:
     by FM-IWF's first sweep.  Any (2, K) power matrix p, in user order, is
     rated, and its SINR taken, on the two receivers the sweep holds.
     round (DFDM) and fmiwf (FM-IWF) return (p, near_rate, far_rate,
-    detail): the near user's DfdmResult or the _FmRun.
+    detail): the near user's (cutoff index, achieved rate), or the _FmRun.
     """
 
     def __init__(self, channel: ChannelMatrixSet, noise: NoiseProfile,
@@ -190,7 +188,7 @@ class _Sweep:
         self.opening = np.zeros((2, channel.num_tones))
         self.far_free = self._far_step(self.opening)
         self.search = _Search(receivers[self.near], self.budgets[self.near],
-                              self.opening, gap, channel.grid.edges)
+                              self.opening, gap)
 
     def _far_fill(self, p: np.ndarray) -> tuple:
         """The far user's rate-adaptive fill against the near row of p, a
@@ -222,11 +220,11 @@ class _Sweep:
         return out
 
     def round(self, target: float) -> tuple:
-        res = self.search.allocate(target)
+        cutoff, p_near, achieved = self.search.allocate(target)
         p = np.zeros((2, self.search.k))
-        p[self.near] = res.allocation.power
+        p[self.near] = p_near
         far_rate = self._far_step(p)
-        return p, self._rate_of(self.near, p), far_rate, res
+        return p, self._rate_of(self.near, p), far_rate, (cutoff, achieved)
 
     def fmiwf(self, target: float) -> tuple:
         """Gauss-Seidel fixed-margin IWF, the far user first: it plays

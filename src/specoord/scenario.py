@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symmetric
-from .channel import (ChannelMatrixSet, NoiseProfile, _from_db, _texts,
-                      _write_psd, _write_rows, format_float, load_channel_csv,
-                      make_uniform_grid, synthetic_dsl_channel)
+from .channel import (_FEXT_COEFF, ChannelMatrixSet, NoiseProfile, _from_db,
+                      _texts, _write_psd, _write_rows, format_float,
+                      load_channel_csv, make_uniform_grid,
+                      synthetic_dsl_channel)
 from .dfdm import _Sweep
 from .game import _TOO_LARGE, _direct, _overflowing_budget
 from .oracle import brute_force_pareto
@@ -111,17 +112,20 @@ class ScenarioConfig:
         return _from_db(self.gap_db)
 
 
+def _read_json(path):
+    """A config file's JSON value; bad JSON is a ConfigError naming the file."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(os.fspath(path), f"invalid JSON: {exc}") from None
+
+
 def load_config(source) -> ScenarioConfig:
     """Parse and validate a scenario config from a dict or a JSON file path
     into a config that holds every default resolved."""
-    if isinstance(source, (str, os.PathLike)):
-        with open(source) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<file>", f"invalid JSON: {exc}") from None
-    else:
-        raw = source
+    raw = (_read_json(source) if isinstance(source, (str, os.PathLike))
+           else source)
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
 
@@ -145,8 +149,6 @@ def load_config(source) -> ScenarioConfig:
         if len(sizes) != 2 or any(
                 _integer(s, f"channel.group_sizes[{i}]") < 1 for i, s in enumerate(sizes)):
             raise ConfigError("channel.group_sizes", "need two sizes >= 1")
-        for i, s in enumerate(sizes):  # the gains are scaled by float(s)
-            _number(s, f"channel.group_sizes[{i}]")
         coupling = chan.get("coupling_lengths_km")
         if coupling is not None:
             rows = [_numbers(row, f"channel.coupling_lengths_km[{i}]") for i, row
@@ -157,13 +159,20 @@ def load_config(source) -> ScenarioConfig:
         for key in ("attenuation", "fext_coeff"):
             if key in chan and _number(chan[key], f"channel.{key}") < 0:
                 raise ConfigError(f"channel.{key}", "must be >= 0")
-        # The crosstalk is fext_coeff * f**2 at the tone centres, f <= f_end.
+        # The crosstalk is at most fext_coeff * f**2 at the tone centres,
+        # f <= f_end, times the size of the group it comes from.
         if not f_end * f_end < math.inf:
             raise ConfigError("grid.f_end_hz", "is too large: f_end_hz ** 2 "
                               "overflows a float")
-        if not chan.get("fext_coeff", 0.0) * (f_end * f_end) < math.inf:
+        fext = chan.get("fext_coeff", _FEXT_COEFF) * (f_end * f_end)
+        if not fext < math.inf:
             raise ConfigError("channel.fext_coeff", "is too large: fext_coeff "
                               "* f_end_hz ** 2 overflows a float")
+        for i, s in enumerate(sizes):  # the gains are scaled by float(s)
+            if not fext * _number(s, f"channel.group_sizes[{i}]") < math.inf:
+                raise ConfigError(f"channel.group_sizes[{i}]", "is too large: "
+                                  "fext_coeff * f_end_hz ** 2 * size overflows "
+                                  "a float")
     elif kind == "csv":
         _path(_need(chan, "path", "channel"), "channel.path")
     else:

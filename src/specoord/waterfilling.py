@@ -290,28 +290,23 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
         targets = [None] * n
 
     if initial is None:
-        allocs = [PowerAllocation(i, np.zeros(k), budgets[i], AT_MOST_POWER)
-                  for i in range(n)]
+        p = np.zeros((n, k))
     else:
-        allocs = list(initial)
-        if sorted(a.user for a in allocs) != list(range(n)):
+        allocs = sorted(initial, key=lambda a: a.user)
+        if [a.user for a in allocs] != list(range(n)):
             raise ValueError("initial allocations must cover every user once")
-        allocs.sort(key=lambda a: a.user)
+        p = power_matrix(allocs, n, k)
 
     # The loop works on one (N, K) power matrix and each receiver's plain
     # arrays, or, for two rate-adaptive users on at most two tones, on
-    # Python floats; the dataclasses are built once, at return, with each
-    # user's last mode.
-    p = power_matrix(allocs, n, k)
+    # Python floats; the dataclasses are built once, at return, in the mode
+    # of each user's last fill.
     limit = tol * max(max(budgets), 1e-300)
-    modes: list[str | None] = [None] * n
-    shortfall: set[int] = set()
+    short = [False] * n  # whether the user's last fill fell short of its target
     if n == 2 and k <= 2 and all(t is None for t in targets):
         p = p.tolist()
         changes = _pair_sweeps(receivers, p, budgets, gap, max_iter, limit,
                                schedule == JACOBI)
-        if changes:
-            modes = [FULL_POWER] * n
     else:
         changes = []
         for _ in range(max_iter):
@@ -319,25 +314,23 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
             delta = 0.0
             for i, rx in enumerate(receivers):
                 floors = _floor(basis, rx, gap)
-                power, _, short = _fill(rx.tones, floors, rx.widths, k,
-                                        budgets[i], targets[i])
-                if short is None:
-                    modes[i] = (FULL_POWER if targets[i] is None
-                                else AT_MOST_POWER)
-                    shortfall.discard(i)
-                else:  # an unreachable target falls back to full-budget play
-                    modes[i] = FULL_POWER
-                    shortfall.add(i)
+                # An unreachable target falls back to full-budget play.
+                power, _, missed = _fill(rx.tones, floors, rx.widths, k,
+                                         budgets[i], targets[i])
+                short[i] = missed is not None
                 delta = max(delta, _step(power, p[i]))
                 p[i] = power
             changes.append(delta)
             if delta <= limit:
                 break
 
-    allocs = [a if m is None else PowerAllocation(i, p[i], budgets[i], m)
-              for i, (a, m) in enumerate(zip(allocs, modes))]
+    if changes or initial is None:  # no sweep: zero AT_MOST_POWER allocations
+        full = [bool(changes) and (t is None or s) for t, s in zip(targets, short)]
+        allocs = [PowerAllocation(i, p[i], budgets[i],
+                                  FULL_POWER if full[i] else AT_MOST_POWER)
+                  for i in range(n)]
     return IwfReport(allocations=tuple(allocs), iterations=len(changes),
                      converged=bool(changes) and changes[-1] <= limit,
                      changes=np.array(changes),
                      mode=mode, schedule=schedule,
-                     shortfall_users=tuple(sorted(shortfall)))
+                     shortfall_users=tuple(i for i in range(n) if short[i]))

@@ -326,6 +326,18 @@ class TestRegionSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("count,hi", [("-1", "2"), ("0", "2"), ("0", "inf")])
+    def test_refused_count_writes_no_file(self, tmp_path, capsys, count, hi):
+        # -1 used to exit 2 with numpy's "Number of samples" message, and 0
+        # to exit 0 with a header-only CSV, even with an infinite end.
+        out = tmp_path / "sweep.csv"
+        code = main(["region-sweep", "--alpha", "0.01", "--beta", "0.5",
+                     "--r2-min", "1", f"--r2-max={hi}", f"--count={count}",
+                     "--output", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "config error: --count: must be >= 1\n"
+        assert not out.exists()
+
 
 class TestOracle:
     def test_writes_frontier(self, tmp_path, capsys):
@@ -449,17 +461,26 @@ class TestRun:
         pytest.param("channel.attenuation=1e308", 2,
                      "config error: channel.attenuation: ",
                      id="attenuation-underflows"),
+        # Crosstalk times a group size past the float range; it used to
+        # exit 2 naming no field, after numpy's overflow warning.
+        pytest.param(("channel.fext_coeff=1e100",
+                      f"channel.group_sizes=[1, {10 ** 300}]"), 2,
+                     "config error: channel.group_sizes[1]: is too large: ",
+                     id="group-size-overflows"),
     ])
     def test_failed_run_leaves_the_output_dir_as_it_was(self, tmp_path, capsys,
                                                         override, code, err):
         cfg = self.write_config(tmp_path)
+        argv = ["run", "--config", cfg]
+        for assignment in [override] if isinstance(override, str) else override:
+            argv += ["--set", assignment]
         out = tmp_path / "out"
-        assert main(["run", "--config", cfg, "--set", override]) == code
+        assert main(argv) == code
         assert capsys.readouterr().err.startswith(err)
         assert not out.exists()
         out.mkdir()
         (out / "keep.txt").write_text("kept")
-        assert main(["run", "--config", cfg, "--set", override]) == code
+        assert main(argv) == code
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
         assert (out / "keep.txt").read_text() == "kept"
 

@@ -217,6 +217,8 @@ class TestDfdmAllocate:
         assert res.cutoff_index == 7
         assert np.all(res.allocation.power[:res.cutoff_index] == 0.0)
         assert res.cutoff_hz == channel.grid.edges[res.cutoff_index]
+        assert (res.allocation.user, res.allocation.mode,
+                res.allocation.budget) == (1, AT_MOST_POWER, 1.0)
 
     def test_interference_below_cutoff_is_exactly_zero(self):
         channel, noise = coupled_channel()
@@ -418,9 +420,13 @@ class TestSharedSweep:
                                           gap)
         for frac in FRACTIONS:
             target = frac * full
-            p, near_rate, far_rate, res = sweep.round(target)
+            p, near_rate, far_rate, (cutoff, rate) = sweep.round(target)
             cut, achieved, want, want_near, want_far = reference_round(
                 channel, noise, budgets, target, near, gap, far_initial)
+            assert (cutoff, rate) == (cut, achieved)
+            # The public DfdmResult of the same step holds the same bits.
+            res = dfdm_allocate(channel, noise, near, target, budgets[near],
+                                [far_initial], gap)
             assert (res.cutoff_index, res.cutoff_hz) == (cut, channel.grid.edges[cut])
             assert (res.achieved_rate, res.target_rate) == (achieved, target)
             near_alloc = res.allocation
@@ -530,11 +536,10 @@ class TestRelabelling:
         sweep = _Sweep(channel, noise, budgets, near, gap)
         swapped = _Sweep(*relabelled(channel, noise, budgets), 1 - near, gap)
         for frac in (0.0, 0.3, 0.8, 1.0):
-            p, _, _, res = sweep.round(frac * sweep.search.full)
-            p2, _, _, res2 = swapped.round(frac * sweep.search.full)
-            assert res2.cutoff_index == res.cutoff_index
-            assert res2.achieved_rate == res.achieved_rate
-            assert res2.allocation.user == 1 - res.allocation.user
+            p, _, _, (cutoff, rate) = sweep.round(frac * sweep.search.full)
+            p2, _, _, (cutoff2, rate2) = swapped.round(frac * sweep.search.full)
+            assert cutoff2 == cutoff
+            assert rate2 == rate
             assert p2[::-1].tobytes() == p.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))

@@ -52,7 +52,8 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError) as exc:
             load_config(path)
-        assert exc.value.path == "<file>"
+        # It used to be "<file>", where `specoord run` named the path.
+        assert exc.value.path == str(path)
 
     @pytest.mark.parametrize("mutate,path", [
         (lambda c: c.pop("grid"), "grid"),
@@ -101,6 +102,17 @@ class TestLoadConfig:
             ("group_sizes-past-float",
              lambda c: c["channel"].update(group_sizes=[1, 10 ** 320]),
              "channel.group_sizes[1]"),
+            # Crosstalk times the size past the float range used to warn
+            # and then fail in the channel, naming no field; the builder's
+            # default fext_coeff counts when the field is absent.
+            ("group_sizes-crosstalk-overflows",
+             lambda c: c["channel"].update(fext_coeff=1e100,
+                                           group_sizes=[1, 10 ** 300]),
+             "channel.group_sizes[1]"),
+            ("group_sizes-overflow-default-fext",
+             lambda c: (c["grid"].update(f_end_hz=1e150),
+                        c["channel"].update(group_sizes=[10 ** 300, 1])),
+             "channel.group_sizes[0]"),
             ("coupling-string",
              lambda c: c["channel"].update(coupling_lengths_km=[[0.5, "a"], [0.5, 0.5]]),
              "channel.coupling_lengths_km[0][1]"),
@@ -391,38 +403,40 @@ class TestRunScenario:
 
 class TestRunCosts:
     """A run checks its instance once per solver and builds its channel
-    twice; the sweep builds no dataclass per target beyond the DFDM
-    round's DfdmResult."""
+    twice; the sweep builds no dataclass per target, and no power matrix
+    from dataclasses: the only PowerAllocations are the two ra-iwf
+    returns."""
 
     @pytest.mark.parametrize("methods,checks", [
         # 8 checks and 3 channels while the scenario rebuilt the receivers
-        # for every SINR file and the channel for its group sizes.
+        # for every SINR file and the channel for its group sizes; 7
+        # allocations and a power_matrix call while iterate_iwf started
+        # from zero allocations and each DFDM round built a DfdmResult.
         (["ra-iwf", "fm-iwf", "dfdm"], 2),
         (["ra-iwf", "fm-iwf", "dfdm", "oracle"], 3),
     ])
     def test_counts(self, tmp_path, monkeypatch, methods, checks):
-        calls, channels, allocations = [], [], []
-        check = game._check_inputs
+        calls, matrices, channels, allocations = [], [], [], []
+        for name, log in (("_check_inputs", calls), ("power_matrix", matrices)):
+            def counted(*args, inner=getattr(game, name), log=log, **kwargs):
+                log.append(args)
+                return inner(*args, **kwargs)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return check(*args, **kwargs)
-
-        for module in (game, waterfilling, dfdm, oracle):
-            if hasattr(module, "_check_inputs"):
-                monkeypatch.setattr(module, "_check_inputs", counted)
+            for module in (game, waterfilling, dfdm, oracle):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         for cls, log in ((ChannelMatrixSet, channels),
                          (PowerAllocation, allocations)):
             def post_init(self, init=cls.__post_init__, log=log):
                 log.append(self)
                 init(self)
             monkeypatch.setattr(cls, "__post_init__", post_init)
-        built = {"fmiwf": [], "round": []}  # (new allocations, detail) per call
+        built = {"fmiwf": [], "round": []}  # new allocations per call
         for name, log in built.items():
             def play(self, target, inner=getattr(_Sweep, name), log=log):
                 before = len(allocations)
                 out = inner(self, target)
-                log.append((allocations[before:], out[3]))
+                log.append(allocations[before:])
                 return out
             monkeypatch.setattr(_Sweep, name, play)
 
@@ -433,10 +447,9 @@ class TestRunCosts:
         run_scenario(load_config(cfg))
         assert len(calls) == checks
         assert len(channels) == 2
+        assert len(allocations) == 2 and matrices == []
         assert len(built["fmiwf"]) == len(built["round"]) == 3
-        assert all(new == [] for new, _ in built["fmiwf"])
-        for new, res in built["round"]:
-            assert len(new) == 1 and new[0] is res.allocation
+        assert built["fmiwf"] + built["round"] == [[]] * 6
 
 
 class TestScenarioRelabels:

@@ -682,6 +682,38 @@ class TestIterateIwfMatchesReference:
             assert modes[1 if targets[0] == 80.0 else 0] == AT_MOST_POWER
             assert (shortfall == (0,)) == (targets[0] == 80.0)
 
+    @pytest.mark.parametrize("users,tones,case", [
+        (3, 9, dict(mode="ra")),
+        (3, 9, dict(mode="fm", targets=[80.0, 1.0, None])),
+        (3, 9, dict(mode="ra", max_iter=0)),
+        (2, 2, dict(mode="ra")),      # the Python-float sweeps
+        (2, 2, dict(mode="ra", max_iter=0)),
+    ])
+    def test_builds_one_allocation_per_user(self, monkeypatch, users, tones,
+                                            case):
+        # With no initial allocations the loop starts from a zero matrix:
+        # it used to build N zero allocations and stack them with
+        # power_matrix, 2N allocations in all.
+        channel, noise, budgets = self.instance(seed=11, n=users, k=tones)
+        built, stacked = [], []
+        init = PowerAllocation.__post_init__
+        stack = waterfilling.power_matrix
+
+        def post_init(alloc):
+            built.append(alloc)
+            init(alloc)
+
+        def power_matrix(*args):
+            stacked.append(args)
+            return stack(*args)
+
+        monkeypatch.setattr(PowerAllocation, "__post_init__", post_init)
+        monkeypatch.setattr(waterfilling, "power_matrix", power_matrix)
+        report = iterate_iwf(channel, noise, budgets, **case)
+        assert len(built) == users
+        assert all(a is b for a, b in zip(built, report.allocations))
+        assert stacked == []
+
 
 def iwf_outcome(solve, channel, noise, budgets, **kwargs):
     """What a solver returns, as comparable values, or the error it raises
