@@ -22,7 +22,7 @@ from .channel import (ChannelCsvError, NoiseProfile, _from_db, _texts,
                       _write_rows, load_channel_csv, load_noise_csv,
                       write_psd_csv)
 from .dfdm import _Sweep
-from .game import capacity, is_nash_equilibrium
+from .game import is_nash_equilibrium
 from .oracle import SearchSpaceError, brute_force_pareto
 from .waterfilling import MAX_ITER, TOL, InfeasibleError, iterate_iwf
 
@@ -133,8 +133,8 @@ def cmd_iwf(args) -> int:
     report = iterate_iwf(channel, noise, args.budgets, mode=args.mode,
                          targets=args.targets, max_iter=args.max_iter,
                          tol=args.tol, schedule=args.schedule, gap=g)
-    for alloc in report.allocations:
-        rate = capacity(alloc.user, report.allocations, channel, noise, g)
+    nash = is_nash_equilibrium(report.allocations, channel, noise, gap=g)
+    for alloc, rate in zip(report.allocations, nash.rates):
         spent = float(np.sum(alloc.power))
         print(f"user {alloc.user + 1}: rate {rate:.9g} bit/s, power {spent:.9g} mW")
     print(f"iterations: {report.iterations}  converged: {report.converged}"
@@ -142,7 +142,6 @@ def cmd_iwf(args) -> int:
     if report.shortfall_users:
         users = ", ".join(str(u + 1) for u in report.shortfall_users)
         print(f"targets unreachable for user(s) {users}; fell back to full power")
-    nash = is_nash_equilibrium(report.allocations, channel, noise, gap=g)
     print(f"nash: {nash.is_nash}  worst unilateral gain: {nash.worst_gain:.3g} bit/s")
     if args.psd_out:
         write_psd_csv([a.power for a in report.allocations], channel.grid,

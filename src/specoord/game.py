@@ -91,9 +91,14 @@ def _check_budget(budget: float, name: str = "budget") -> None:
 
 @dataclass(frozen=True)
 class NashResult:
+    """A profile's Nash certificate.  gains and rates hold each user's
+    best-response gain and its rate (as capacity gives it), in the order
+    of the allocations."""
+
     is_nash: bool
     worst_gain: float
     gains: np.ndarray
+    rates: np.ndarray
 
 
 def power_matrix(allocations: Sequence[PowerAllocation], num_users: int,
@@ -357,4 +362,5 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
         gains[idx] = _rate(best, rx.tones, floors, rx.widths) - rates[idx]
     worst = float(gains.max()) if gains.size else 0.0
     ok = all(g <= tol * max(1.0, r) for g, r in zip(gains, rates))
-    return NashResult(is_nash=bool(ok), worst_gain=worst, gains=gains)
+    return NashResult(is_nash=bool(ok), worst_gain=worst, gains=gains,
+                      rates=rates)

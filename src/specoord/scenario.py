@@ -34,6 +34,17 @@ from .oracle import brute_force_pareto
 from .waterfilling import iterate_iwf
 
 VALID_METHODS = ("ra-iwf", "fm-iwf", "dfdm", "oracle")
+# The fields load_config reads, per block; any other key is refused.
+_FIELDS = {
+    "": {"name", "grid", "channel", "noise_psd_dbm_hz", "budgets_mw",
+         "methods", "sweep", "near_user", "gap_db", "band_plan_hz",
+         "detail_rd_bps", "oracle_levels", "output_dir"},
+    "grid": {"f_start_hz", "f_end_hz", "num_tones"},
+    "channel.synthetic": {"kind", "lengths_km", "group_sizes",
+                          "coupling_lengths_km", "attenuation", "fext_coeff"},
+    "channel.csv": {"kind", "path"},
+    "sweep": {"rd_bps", "count", "min_fraction", "max_fraction"},
+}
 
 
 class ConfigError(ValueError):
@@ -54,6 +65,13 @@ def _object(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(path, "must be a JSON object")
     return value
+
+
+def _known(block: dict, path: str, fields: str) -> None:
+    """Refuse the first key of block that is not in _FIELDS[fields]."""
+    for key in block:
+        if key not in _FIELDS[fields]:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
 
 
 def _array(value, path: str) -> list:
@@ -128,8 +146,10 @@ def load_config(source) -> ScenarioConfig:
            else source)
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
+    _known(raw, "", "")
 
     grid = _object(_need(raw, "grid", ""), "grid")
+    _known(grid, "grid", "grid")
     f_start = _number(_need(grid, "f_start_hz", "grid"), "grid.f_start_hz")
     f_end = _number(_need(grid, "f_end_hz", "grid"), "grid.f_end_hz")
     num_tones = _integer(_need(grid, "num_tones", "grid"), "grid.num_tones")
@@ -141,6 +161,7 @@ def load_config(source) -> ScenarioConfig:
     chan = dict(_object(_need(raw, "channel", ""), "channel"))
     kind = _need(chan, "kind", "channel")
     if kind == "synthetic":
+        _known(chan, "channel", "channel.synthetic")
         lengths = _numbers(_need(chan, "lengths_km", "channel"), "channel.lengths_km")
         if len(lengths) != 2 or any(l < 0 for l in lengths):
             raise ConfigError("channel.lengths_km", "need two non-negative lengths")
@@ -174,6 +195,7 @@ def load_config(source) -> ScenarioConfig:
                                   "fext_coeff * f_end_hz ** 2 * size overflows "
                                   "a float")
     elif kind == "csv":
+        _known(chan, "channel", "channel.csv")
         _path(_need(chan, "path", "channel"), "channel.path")
     else:
         raise ConfigError("channel.kind", "must be 'synthetic' or 'csv'")
@@ -189,6 +211,7 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigError("methods", "must not repeat a method")
 
     sweep = dict(_object(_need(raw, "sweep", ""), "sweep"))
+    _known(sweep, "sweep", "sweep")
     if "rd_bps" in sweep:
         rd = _numbers(sweep["rd_bps"], "sweep.rd_bps")
         if not rd or any(r < 0 for r in rd):

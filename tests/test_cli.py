@@ -1,8 +1,15 @@
+import importlib.util
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from specoord import game, waterfilling
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               load_channel_csv, load_noise_csv,
                               make_uniform_grid, write_channel_csv,
@@ -45,10 +52,6 @@ class TestClassify:
         assert data["payoffs"]["T"] > data["payoffs"]["P"]
         assert data["h_lim1"] < data["h_lim2"]
         assert not data["boundary"]
-
-    def test_domain_error_exit_code(self, capsys):
-        assert main(["classify", "--h", "1.5", "--snr", "10"]) == 2
-        assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("snr", ["inf", "nan", "5e-324"])
     def test_non_finite_snr_exits_2(self, snr, capsys):
@@ -98,17 +101,20 @@ class TestIwf:
         assert code == 3
         assert "converged: False" in capsys.readouterr().out
 
-    def test_missing_noise_source(self, tmp_path, capsys):
-        chan, _ = coupled_csv(tmp_path)
-        code = main(["iwf", "--channel", chan, "--budgets", "1,1"])
-        assert code == 2
-        assert "noise" in capsys.readouterr().err
-
-    def test_budget_count_mismatch(self, tmp_path, capsys):
+    def test_rates_come_from_the_certificate(self, tmp_path, monkeypatch):
+        # One check in iterate_iwf and one matrix and check in the
+        # certificate, whose rates are the users' rates.
+        calls = []
+        for module, name in ((game, "_check_inputs"), (game, "power_matrix"),
+                             (waterfilling, "power_matrix")):
+            def counted(*args, inner=getattr(module, name), name=name, **kw):
+                calls.append(name)
+                return inner(*args, **kw)
+            monkeypatch.setattr(module, name, counted)
         chan, noise = coupled_csv(tmp_path)
-        code = main(["iwf", "--channel", chan, "--noise", noise,
-                     "--budgets", "1,1,1"])
-        assert code == 2
+        assert main(["iwf", "--channel", chan, "--noise", noise,
+                     "--budgets", "1,1"]) == 0
+        assert sorted(calls) == ["_check_inputs"] * 2 + ["power_matrix"]
 
     @pytest.mark.parametrize("users,edges,message", [
         # A noise file on 1-9 Hz has the channel's tone count, so it used
@@ -404,13 +410,6 @@ class TestRun:
         lines = (tmp_path / "alt" / "rate_region.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 + 2
 
-    def test_bad_override_exits_2(self, tmp_path, capsys):
-        cfg = self.write_config(tmp_path)
-        assert main(["run", "--config", cfg, "--set", "oops"]) == 2
-
-    def test_missing_config_exits_2(self, tmp_path, capsys):
-        assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
-
     def test_override_does_not_carry_to_the_next_call(self, tmp_path, capsys):
         # main parses every call with one parser.
         cfg = self.write_config(tmp_path)
@@ -505,3 +504,164 @@ class TestParser:
     def test_build_parser_is_fresh_and_main_reuses_one(self):
         assert build_parser() is not build_parser()
         assert _parser() is _parser()
+
+
+# Console checks.  A row of CONSOLE_CHECKS runs one command line through
+# main: its argv, its exit code, the start of its one stderr line (none on
+# exit 0), and the paths that must not exist after it.  A refusal prints
+# nothing on stdout.  {inputs} stands for the inputs fixture's directory,
+# {out} for a fresh directory per row.
+_spec = importlib.util.spec_from_file_location(
+    "make_golden", Path(__file__).resolve().parent / "golden" / "make_golden.py")
+make_golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(make_golden)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """The goldens' inputs, the 2-tone channel with its users relabelled
+    and with a nan gain, and coupled_csv's 8-tone channel."""
+    root = tmp_path_factory.mktemp("inputs")
+    make_golden.write_inputs(str(root))
+    two = load_channel_csv(root / "two_tone.csv")
+    write_channel_csv(ChannelMatrixSet(two.gains[:, ::-1, ::-1].copy(), two.grid),
+                      root / "two_tone_relabelled.csv")
+    lines = (root / "two_tone.csv").read_text().split("\n")
+    freq, _, *gains = lines[1].split(",")
+    lines[1] = ",".join([freq, "nan", *gains])
+    (root / "nan.csv").write_text("\n".join(lines))
+    coupled_csv(root)
+    return root
+
+
+def _fill(text: str, inputs, out) -> str:
+    return text.replace(make_golden.INPUTS, str(inputs)).replace(
+        make_golden.OUT, str(out))
+
+
+IWF = ["iwf", "--channel", "{inputs}/chan.csv"]
+RUN = ["run", "--config", "{inputs}/run_plan.json", "--output-dir", "{out}/run"]
+CONSOLE_CHECKS = [
+    pytest.param(["classify", "--h", "1.5", "--snr", "10"], 2,
+                 "error: h must satisfy 0 <= h < 1", [], id="classify-h-past-1"),
+    pytest.param(["region-map", "--h-min", "0.1", "--h-max", "0.5", "--snr-min",
+                  "1", "--snr-max", "inf", "--resolution", "4",
+                  "--output", "{out}/m.csv"], 2, "config error: snr_range: ",
+                 ["{out}/m.csv"],
+                 id="region-map-infinite-snr"),
+    # A strong-user SNR that underflows to 0 saturates the bounds.
+    pytest.param(["nearfar-bounds", "--alpha", "1", "--beta", "0.1", "--power",
+                  "1e-300", "--n2", "1e100", "--r2", "1"], 0, "", [],
+                 id="nearfar-bounds-snr-underflows"),
+    pytest.param([*IWF, "--budgets", "1,1"], 2,
+                 "config error: need --noise or --noise-psd-dbm-hz", [],
+                 id="iwf-no-noise"),
+    pytest.param([*IWF, "--noise", "{inputs}/noise.csv", "--budgets", "1,1,1"],
+                 2, "error: budgets: 3 given for 2 users", [],
+                 id="iwf-budget-count"),
+    pytest.param(["iwf", "--channel", "{inputs}/nan.csv", "--noise-psd-dbm-hz",
+                  "-60", "--budgets", "20,10"], 2,
+                 "config error: {inputs}/nan.csv: line 2: not a finite number",
+                 [], id="iwf-nan-gain"),
+    pytest.param(["run", "--config", "{out}/nope.json"], 2,
+                 "error: [Errno 2] No such file or directory", [],
+                 id="run-missing-config"),
+    pytest.param([*RUN, "--set", "oops"], 2,
+                 "config error: --set: expected key=value", ["{out}/run"],
+                 id="run-set-without-value"),
+    # A field that load_config does not read, at the top level, in the
+    # grid, in the sweep and in each kind of channel.
+    *(pytest.param([*RUN, "--set", assignment], 2,
+                   f"config error: {field}: unknown field", ["{out}/run"],
+                   id=f"run-unknown-field-{field}")
+      for assignment, field in (("budgets_mW=[1,1]", "budgets_mW"),
+                                ("grid.num_tone=3", "grid.num_tone"),
+                                ("sweep.cuont=9", "sweep.cuont"),
+                                ("channel.path=x.csv", "channel.path"),
+                                ("channel.kind=csv", "channel.lengths_km"))),
+]
+
+
+@pytest.mark.parametrize("argv,code,err,absent", CONSOLE_CHECKS)
+def test_console_check(inputs, tmp_path, capsys, argv, code, err, absent):
+    assert main([_fill(a, inputs, tmp_path) for a in argv]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith(_fill(err, inputs, tmp_path))
+        assert captured.err.count("\n") == 1 and captured.out == ""
+    for path in absent:
+        assert not os.path.exists(_fill(path, inputs, tmp_path))
+
+
+def _rows(path) -> list[list[str]]:
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+# A relabelled pair's second command line runs the first on the 2-tone
+# channel with its users, their budgets and the near user swapped.
+RELABEL = (("two_tone.csv", "two_tone_relabelled.csv"), ("20,10", "10,20"),
+           ("near_user=1", "near_user=0"))
+TWO_TONE = ["--channel", "{inputs}/two_tone.csv", "--noise-psd-dbm-hz", "-60",
+            "--budgets", "20,10"]
+
+
+@pytest.mark.parametrize("argv,relabel,names,transform", [
+    # A rerun writes the same bytes: stdout (in io.txt) and every file.
+    pytest.param(["dfdm", *TWO_TONE, "--rd", "1e5", "--json"], False, ["io.txt"],
+                 None, id="dfdm-json-rerun"),
+    pytest.param(RUN[:-1] + ["{out}"], False, None, None, id="run-rerun"),
+    pytest.param(["run", "--config", "{inputs}/run_csv.json", "--set",
+                  'methods=["dfdm", "fm-iwf", "oracle"]', "--set",
+                  "channel.path={inputs}/two_tone.csv", "--set",
+                  "budgets_mw=[20,10]", "--set", "near_user=1",
+                  "--output-dir", "{out}"], True, ["rate_region.csv"], None,
+                 id="run-relabels"),
+    # Two-user Jacobi IWF on two tones, which runs on Python floats,
+    # relabels exactly: the PSD columns swap.
+    pytest.param(["iwf", *TWO_TONE, "--schedule", "jacobi",
+                  "--psd-out", "{out}/psd.csv"], True, ["psd.csv"],
+                 lambda rows: [[f, b, a] for f, a, b in rows],
+                 id="iwf-jacobi-relabels"),
+    # So does the oracle's frontier: its columns swap, its order reverses.
+    pytest.param(["oracle", *TWO_TONE, "--levels", "31",
+                  "--output", "{out}/frontier.csv"], True, ["frontier.csv"],
+                 lambda rows: [[b, a] for a, b in rows[::-1]],
+                 id="oracle-relabels"),
+])
+def test_outputs_agree(inputs, tmp_path, argv, relabel, names, transform):
+    """Both command lines exit 0, and the named files of the second (all
+    of them when names is None) equal the first's: as text, or as data
+    rows after transform."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    second = list(argv)
+    for old, new in RELABEL if relabel else ():
+        second = [x.replace(old, new) for x in second]
+    for args, out in ((argv, a), (second, b)):
+        make_golden.run_case(args, str(inputs), str(out))
+        assert (out / "io.txt").read_text().startswith("exit 0\n")
+    assert names or sorted(os.listdir(a)) == sorted(os.listdir(b))
+    for name in names or os.listdir(a):
+        if transform is None:
+            assert (b / name).read_text() == (a / name).read_text()
+        else:
+            assert transform(_rows(b / name)) == _rows(a / name)
+
+
+def test_installed_entry_point(tmp_path):
+    """The specoord script on PATH, run without PYTHONPATH so that it
+    imports the installed package; without one, `python -m specoord.cli`
+    on this checkout."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    command = [shutil.which("specoord")]
+    if command[0] is None:
+        command = [sys.executable, "-m", "specoord.cli"]
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    for h, code, out, err in (("0.3", 0, "region: B", ""),
+                              ("1.5", 2, "", "error: h must satisfy")):
+        done = subprocess.run([*command, "classify", "--h", h, "--snr", "10"],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == code
+        assert out in done.stdout and done.stderr.startswith(err)
