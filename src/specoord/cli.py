@@ -257,9 +257,9 @@ def _apply_override(raw: dict, assignment: str) -> None:
     keys = path.split(".")
     node = raw
     for key in keys[:-1]:
-        node = node.setdefault(key, {})
-        if not isinstance(node, dict):
-            raise scenario.ConfigError(path, "cannot override inside a non-object")
+        node = node.setdefault(key, {}) if isinstance(node, dict) else None
+    if not isinstance(node, dict):  # the root too: a config may be an array
+        raise scenario.ConfigError(path, "cannot override inside a non-object")
     node[keys[-1]] = value
 
 

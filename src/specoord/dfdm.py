@@ -36,8 +36,8 @@ import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
 from .game import (AT_MOST_POWER, PowerAllocation, Receiver, _TOO_LARGE,
-                   _check_budget, _fill, _floor, _overflowing_budget, _rate,
-                   _receivers, power_matrix)
+                   _check_budget, _check_target, _fill, _floor,
+                   _overflowing_budget, _rate, _receivers, power_matrix)
 from .oracle import RateRegionCurve
 from .waterfilling import MAX_ITER, TOL, InfeasibleError, _step
 
@@ -93,8 +93,7 @@ class _Search:
         tone of the shortest such suffix (K for a zero target), and the
         fill aims at the smaller of the target and that suffix's rate.
         """
-        if not target >= 0:  # also rejects nan
-            raise ValueError("target_rate must be >= 0")
+        _check_target(target)
         tones = self.rx.tones
         lo = hi = tones.size  # the empty suffix carries a zero target
         if target > 0:
@@ -239,8 +238,7 @@ class _Sweep:
         iterate_iwf(mode="fm") on the instance labelled far user 0, near
         user 1, relabelled to the sweep's users.
         """
-        if not target >= 0:  # also rejects nan
-            raise ValueError("target_rate must be >= 0")
+        _check_target(target)
         target = float(target)
         near, far, search = self.near, self.far, self.search
         rx, budget, k = search.rx, self.budgets[near], search.k

@@ -89,6 +89,11 @@ def _check_budget(budget: float, name: str = "budget") -> None:
         raise ValueError(f"{name} must be finite and >= 0")
 
 
+def _check_target(target: float) -> None:
+    if not target >= 0:  # also rejects nan
+        raise ValueError("target_rate must be >= 0")
+
+
 @dataclass(frozen=True)
 class NashResult:
     """A profile's Nash certificate.  gains and rates hold each user's

@@ -34,7 +34,7 @@ from .oracle import brute_force_pareto
 from .waterfilling import iterate_iwf
 
 VALID_METHODS = ("ra-iwf", "fm-iwf", "dfdm", "oracle")
-# The fields load_config reads, per block; any other key is refused.
+# The fields load_config reads per block, channel kind and sweep form.
 _FIELDS = {
     "": {"name", "grid", "channel", "noise_psd_dbm_hz", "budgets_mw",
          "methods", "sweep", "near_user", "gap_db", "band_plan_hz",
@@ -43,7 +43,8 @@ _FIELDS = {
     "channel.synthetic": {"kind", "lengths_km", "group_sizes",
                           "coupling_lengths_km", "attenuation", "fext_coeff"},
     "channel.csv": {"kind", "path"},
-    "sweep": {"rd_bps", "count", "min_fraction", "max_fraction"},
+    "sweep.rd_bps": {"rd_bps"},
+    "sweep.count": {"count", "min_fraction", "max_fraction"},
 }
 
 
@@ -211,7 +212,7 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigError("methods", "must not repeat a method")
 
     sweep = dict(_object(_need(raw, "sweep", ""), "sweep"))
-    _known(sweep, "sweep", "sweep")
+    _known(sweep, "sweep", "sweep.rd_bps" if "rd_bps" in sweep else "sweep.count")
     if "rd_bps" in sweep:
         rd = _numbers(sweep["rd_bps"], "sweep.rd_bps")
         if not rd or any(r < 0 for r in rd):
@@ -442,10 +443,8 @@ def emit_region_map(snr_range: tuple, h_range: tuple, resolution: int,
     h_lo, h_hi = h_range
     if not 0 <= h_lo <= h_hi < 1:
         raise ConfigError("h_range", "need 0 <= lo <= hi < 1")
-    snrs = (np.geomspace(lo, hi, resolution) if resolution > 1
-            else np.array([lo]))
-    hs = (np.linspace(h_lo, h_hi, resolution) if resolution > 1
-          else np.array([h_lo])).tolist()
+    snrs = np.geomspace(lo, hi, resolution)
+    hs = np.linspace(h_lo, h_hi, resolution).tolist()
     # The limits depend on snr alone: one pair per row, all taken before
     # the file opens.
     rows = [(snr, symmetric.h_lim1(snr), symmetric.h_lim2(snr))

@@ -33,8 +33,8 @@ import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
 from .game import (_BAD_FLOOR, _BAD_POWER, _NO_TONES, AT_MOST_POWER,
                    FULL_POWER, InfeasibleError, PowerAllocation, _check_budget,
-                   _check_floor, _fill, _floor, _rate, _receivers,
-                   power_matrix)
+                   _check_floor, _check_target, _fill, _floor, _rate,
+                   _receivers, power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -96,15 +96,22 @@ def effective_noise(user: int, allocations: Sequence[PowerAllocation],
     return EffectiveNoise(user, values, usable)
 
 
+def _usable(eff: EffectiveNoise, grid: FrequencyGrid) -> tuple:
+    """eff's usable tones, with their floors and widths on grid."""
+    w = grid.widths
+    if w.size != eff.values.size:
+        raise ValueError("effective noise does not match grid")
+    tones = eff.usable.nonzero()[0]
+    return tones, eff.values[tones], w[tones]
+
+
 def achievable_rate(power: np.ndarray, eff: EffectiveNoise,
                     grid: FrequencyGrid) -> float:
     """Rate of a power vector against an effective noise floor."""
-    if grid.widths.size != eff.values.size:
-        raise ValueError("effective noise does not match grid")
+    usable = _usable(eff, grid)
     if np.shape(power) != eff.values.shape:
         raise ValueError("power does not match effective noise")
-    tones = eff.usable.nonzero()[0]
-    return _rate(power, tones, eff.values[tones], grid.widths[tones])
+    return _rate(power, *usable)
 
 
 def waterfill_ra(eff: EffectiveNoise, budget: float,
@@ -117,11 +124,7 @@ def waterfill_ra(eff: EffectiveNoise, budget: float,
     floors and picking the active set in closed form.
     """
     _check_budget(budget)
-    w = grid.widths
-    if w.size != eff.values.size:
-        raise ValueError("effective noise does not match grid")
-    tones = eff.usable.nonzero()[0]
-    power, mu, _ = _fill(tones, eff.values[tones], w[tones], w.size, budget)
+    power, mu, _ = _fill(*_usable(eff, grid), eff.values.size, budget)
     return PowerAllocation(eff.user, power, budget, FULL_POWER), mu
 
 
@@ -137,18 +140,13 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
     (carrying the best achievable rate) when the target exceeds the
     rate-adaptive rate at the full budget.
     """
-    if not target_rate >= 0:  # also rejects nan
-        raise ValueError("target_rate must be >= 0")
-    w = grid.widths
-    if w.size != eff.values.size:
-        raise ValueError("effective noise does not match grid")
-    tones = eff.usable.nonzero()[0]
+    _check_target(target_rate)
+    usable = _usable(eff, grid)
     if target_rate > 0:
-        if tones.size == 0:
+        if usable[0].size == 0:
             raise InfeasibleError("no usable tones", max_achievable=0.0)
         _check_budget(budget)
-    power, mu, short = _fill(tones, eff.values[tones], w[tones], w.size,
-                             budget, target_rate)
+    power, mu, short = _fill(*usable, eff.values.size, budget, target_rate)
     if short is not None:
         raise InfeasibleError(
             f"target rate {target_rate} exceeds achievable {short}",

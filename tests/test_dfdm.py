@@ -264,6 +264,11 @@ class TestDfdmAllocate:
         with pytest.raises(ValueError, match="target_rate"):
             dfdm_allocate(channel, noise, 1, -1.0, 1.0)
 
+    def test_fmiwf_rejects_negative_target(self):
+        channel, noise = coupled_channel()
+        with pytest.raises(ValueError, match="^target_rate must be >= 0$"):
+            _Sweep(channel, noise, [1.0, 1.0], 1, 1.0).fmiwf(-1.0)
+
     @pytest.mark.parametrize("solve", [dfdm_allocate, find_cutoff])
     def test_refuses_a_budget_past_the_finite_rate_rule(self, solve):
         # budget * direct / (gap * noise) overflows on every tone.  It used

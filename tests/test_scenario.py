@@ -175,6 +175,12 @@ class TestLoadConfig:
             # 10 ** 400 used to raise OverflowError when the run took the noise.
             ("noise-overflow", lambda c: c.update(noise_psd_dbm_hz=4000.0),
              "noise_psd_dbm_hz"),
+            # A sweep form refuses the other's fields; a count or fraction
+            # beside rd_bps used to be ignored, even out of range.
+            ("rd_bps-with-count", lambda c: c.update(sweep={
+                "rd_bps": [1e5], "count": 9, "max_fraction": 7.0}), "sweep.count"),
+            ("rd_bps-with-max_fraction", lambda c: c.update(sweep={
+                "rd_bps": [1e5], "max_fraction": 7.0}), "sweep.max_fraction"),
         ]),
     ])
     def test_field_errors_carry_paths(self, tmp_path, mutate, path):
