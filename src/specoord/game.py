@@ -126,29 +126,6 @@ def power_matrix(allocations: Sequence[PowerAllocation], num_users: int,
 _TOO_LARGE = "is too large: budget * direct / (gap * noise) overflows on a tone"
 
 
-def _check_inputs(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
-                  budgets: Sequence[float] | None = None, users: int | None = None):
-    """The one entry check of a solver instance; returns the budgets as floats."""
-    if users is not None and channel.num_users != users:
-        raise ValueError(f"needs a {users}-user channel, got {channel.num_users} users")
-    want = (channel.num_users, channel.num_tones)
-    if noise.values.shape != want:
-        raise ValueError(f"noise has shape {noise.values.shape}, but the channel "
-                         f"needs (users, tones) = {want}")
-    if not 1 <= gap < math.inf:  # also rejects nan
-        raise ValueError("gap must be finite and >= 1")
-    if budgets is not None:
-        budgets = [float(b) for b in budgets]
-        if len(budgets) != channel.num_users:
-            raise ValueError(f"budgets: {len(budgets)} given for {channel.num_users} users")
-        for i, b in enumerate(budgets):
-            _check_budget(b, f"budgets[{i}]")
-        i = _overflowing_budget(budgets, _direct(channel), noise.values, gap)
-        if i is not None:
-            raise ValueError(f"budgets[{i}] = {budgets[i]!r} {_TOO_LARGE}")
-    return budgets
-
-
 def _direct(channel: ChannelMatrixSet) -> np.ndarray:
     """The (N, K) direct gains of each user on each tone."""
     return np.diagonal(channel.gains, axis1=1, axis2=2).T
@@ -185,9 +162,25 @@ class Receiver(NamedTuple):
 def _receivers(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
                wanted: Sequence[int], budgets: Sequence[float] | None = None,
                users: int | None = None) -> tuple:
-    """Run _check_inputs once; return (budgets, the Receiver of each user
-    in wanted)."""
-    budgets = _check_inputs(channel, noise, gap, budgets, users)
+    """The one entry check of a solver instance; returns (the budgets as
+    floats, the Receiver of each user in wanted)."""
+    if users is not None and channel.num_users != users:
+        raise ValueError(f"needs a {users}-user channel, got {channel.num_users} users")
+    want = (channel.num_users, channel.num_tones)
+    if noise.values.shape != want:
+        raise ValueError(f"noise has shape {noise.values.shape}, but the channel "
+                         f"needs (users, tones) = {want}")
+    if not 1 <= gap < math.inf:  # also rejects nan
+        raise ValueError("gap must be finite and >= 1")
+    if budgets is not None:
+        budgets = [float(b) for b in budgets]
+        if len(budgets) != channel.num_users:
+            raise ValueError(f"budgets: {len(budgets)} given for {channel.num_users} users")
+        for i, b in enumerate(budgets):
+            _check_budget(b, f"budgets[{i}]")
+        i = _overflowing_budget(budgets, _direct(channel), noise.values, gap)
+        if i is not None:
+            raise ValueError(f"budgets[{i}] = {budgets[i]!r} {_TOO_LARGE}")
     receivers = []
     for user in wanted:
         if not 0 <= user < channel.num_users:

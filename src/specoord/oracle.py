@@ -19,7 +19,7 @@ from itertools import product
 import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
-from .game import _check_inputs
+from .game import _receivers
 
 
 class SearchSpaceError(ValueError):
@@ -76,7 +76,7 @@ def brute_force_pareto(channel: ChannelMatrixSet, noise: NoiseProfile,
     operations as a whole-grid sum, and a pair is dropped only when a pair
     of the grid beats it, so the frontier does not depend on the blocks.
     """
-    budgets = _check_inputs(channel, noise, gap, budgets, users=2)
+    budgets, _ = _receivers(channel, noise, gap, (), budgets, users=2)
     k = channel.num_tones
     if levels < 2:
         raise ValueError("levels must be >= 2")

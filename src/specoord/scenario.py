@@ -30,7 +30,7 @@ from .channel import (_FEXT_COEFF, ChannelMatrixSet, NoiseProfile, _from_db,
                       synthetic_dsl_channel)
 from .dfdm import _Sweep
 from .game import _TOO_LARGE, _direct, _overflowing_budget
-from .oracle import brute_force_pareto
+from .oracle import SearchSpaceError, brute_force_pareto
 from .waterfilling import iterate_iwf
 
 VALID_METHODS = ("ra-iwf", "fm-iwf", "dfdm", "oracle")
@@ -379,8 +379,11 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     details: dict[str, np.ndarray] = {}  # each method's (2, K) detail powers
     for method in config.methods:
         if method == "oracle":
-            curve = brute_force_pareto(channel, noise, budgets, gap=gap,
-                                       levels=config.oracle_levels)
+            try:
+                curve = brute_force_pareto(channel, noise, budgets, gap=gap,
+                                           levels=config.oracle_levels)
+            except SearchSpaceError as exc:  # the oracle's own cap rule
+                raise ConfigError("oracle_levels", str(exc)) from None
             # The curve's columns are (user 1, user 0) rates.
             points = curve.points[:, [1 - sweep.near, 1 - sweep.far]]
             for near_rate, far_rate in points[points[:, 0].argsort(kind="stable")]:

@@ -9,18 +9,18 @@ on the receiver kernel of the game module.
 
 The iterative loop plays these best responses in sequence; its fixed points
 are Nash equilibria of the underlying interference game.  It runs on the
-(N, K) power matrix, except for two users on at most two tones that both
-play rate-adaptive (mode "ra", or "fm" with no targets), as in the
-symmetric two-band game: there the sweeps run on Python floats, one scalar
-at a time (_pair_sweeps), with the same bits on any numpy.  With two users,
-the floor of a tone has one non-trivial product, the other user's power
-times its crosstalk gain; the matrix path's einsum only adds the exact zero
-of the user's own row to it, which no summation order and no fused
-multiply-add can round.  The fill is the kernel's sorted-prefix fill written
-out for one or two tones (a tie keeps their order, as a stable sort does):
+(N, K) power matrix, except for two users on two tones that both can use
+and that both play rate-adaptive (mode "ra", or "fm" with no targets), as
+in the symmetric two-band game: there the sweeps run on Python floats, one
+scalar at a time (_pair_sweeps), with the same bits on any numpy.  With two
+users, the floor of a tone has one non-trivial product, the other user's
+power times its crosstalk gain; the matrix path's einsum only adds the
+exact zero of the user's own row to it, which no summation order and no
+fused multiply-add can round.  The fill is the kernel's sorted-prefix fill
+written out for two tones (a tie keeps their order, as a stable sort does):
 each sum that path takes (both running sums, the active widths and floors,
-and the k-tone power vector whose other entries are zero) has at most one
-non-trivial addition, which no summation grouping can reorder.
+and the two-tone power vector) has at most one non-trivial addition, which
+no summation grouping can reorder.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
-from .game import (_BAD_FLOOR, _BAD_POWER, _NO_TONES, AT_MOST_POWER,
-                   FULL_POWER, InfeasibleError, PowerAllocation, _check_budget,
+from .game import (_BAD_FLOOR, _BAD_POWER, AT_MOST_POWER, FULL_POWER,
+                   InfeasibleError, PowerAllocation, _check_budget,
                    _check_floor, _check_target, _fill, _floor, _rate,
                    _receivers, power_matrix)
 
@@ -166,48 +166,36 @@ def _step(power: np.ndarray, old: np.ndarray) -> float:
 
 def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
                  max_iter: int, limit: float, jacobi: bool) -> list:
-    """iterate_iwf's sweeps for two rate-adaptive users on at most two
-    tones, on Python floats: p holds the two power rows as lists and is
-    updated in place; returns the changes of the sweeps.
+    """iterate_iwf's sweeps for two rate-adaptive users on two tones that
+    both can use, on Python floats: p holds the two power rows as lists and
+    is updated in place; returns the changes of the sweeps.
 
     Each step runs the IEEE operations of _floor, _fill and _step in the
     same order, on scalars, and raises their errors in user order (see the
     module docstring); both checks test every tone, as those reductions do.
     """
-    k = len(p[0])
-    for row in p:  # one tone: pad a second that neither user can use
-        row += [0.0] * (2 - k)
-    users = []
-    for gains_in, tones, widths, direct, noise_row, i in receivers:
-        # (tone, crosstalk, direct, noise, width) per usable tone, padded to two
-        cols = list(zip(tones.tolist(), gains_in[tones, 1 - i].tolist(),
-                        direct.tolist(), noise_row.tolist(), widths.tolist()))
-        users.append((i, len(cols), *(cols + [(0, 0.0, 1.0, 1.0, 1.0)] * 2)[:2],
-                      budgets[i]))
+    # Per user: its index, (crosstalk, direct, noise, width) per tone, budget.
+    users = [(i, *zip(g[:, 1 - i].tolist(), d.tolist(), z.tolist(),
+                      w.tolist()), budgets[i]) for g, _, w, d, z, i in receivers]
     inf = math.inf
     changes = []
     for _ in range(max_iter):
         basis = (p[0], p[1]) if jacobi else p
         delta = 0.0
-        for i, m, (t0, g0, d0, z0, w0), (t1, g1, d1, z1, w1), budget in users:
+        for i, (g0, d0, z0, w0), (g1, d1, z1, w1), budget in users:
             other = basis[1 - i]
-            if m:
-                f0 = gap * (g0 * other[t0] + z0) / d0
-                if not 0.0 < f0 < inf:
-                    raise ValueError(_BAD_FLOOR)
-            if m == 2:
-                f1 = gap * (g1 * other[t1] + z1) / d1
-                if not 0.0 < f1 < inf:
-                    raise ValueError(_BAD_FLOOR)
-                if f1 / w1 < f0 / w0:  # a tie keeps the order, as a stable sort
-                    t0, f0, w0, t1, f1, w1 = t1, f1, w1, t0, f0, w0
-            a = b = 0.0  # the powers on the cheaper tone t0 and on the other
+            f0 = gap * (g0 * other[0] + z0) / d0
+            f1 = gap * (g1 * other[1] + z1) / d1
+            if not (0.0 < f0 < inf and 0.0 < f1 < inf):
+                raise ValueError(_BAD_FLOOR)
+            swap = f1 / w1 < f0 / w0  # a tie keeps the order, as a stable sort
+            if swap:
+                f0, w0, f1, w1 = f1, w1, f0, w0
+            a = b = 0.0  # the powers on the cheaper tone and on the other
             if budget > 0:
-                if not m:
-                    raise InfeasibleError(_NO_TONES, max_achievable=0.0)
                 # The second tone is active when the two-tone level clears
                 # its floor; the level then moves by the deficit's share.
-                if m == 2 and (budget + (f0 + f1)) / (w0 + w1) > f1 / w1:
+                if (budget + (f0 + f1)) / (w0 + w1) > f1 / w1:
                     w_sum = w0 + w1
                     mu = (budget + (f0 + f1)) / w_sum
                     a, b = mu * w0 - f0, mu * w1 - f1
@@ -221,7 +209,7 @@ def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
                 a += deficit * w0 / w_sum
                 a = a if a > 0.0 or a != a else 0.0
             old = p[i]
-            new = p[i] = [a, b] if t0 == 0 else [b, a]
+            new = p[i] = [b, a] if swap else [a, b]
             s0, s1 = abs(new[0] - old[0]), abs(new[1] - old[1])
             if not (s0 < inf and s1 < inf):
                 raise ValueError(_BAD_POWER)
@@ -229,8 +217,6 @@ def _pair_sweeps(receivers: list, p: list, budgets: list, gap: float,
         changes.append(delta)
         if delta <= limit:
             break
-    for row in p:
-        del row[k:]
     return changes
 
 
@@ -257,10 +243,10 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
     entry, so a bad value raises even with max_iter=0, which returns the
     caller's initial allocations.
 
-    Two users on at most two tones with no targets (mode "ra", or "fm"
-    with both targets None) sweep on Python floats instead of the (N, K)
-    matrix, which is exact (see the module docstring).  The result, and
-    any error raised, is the same in every bit; only numpy's overflow
+    Two users on two tones that both can use, with no targets (mode "ra",
+    or "fm" with both targets None), sweep on Python floats instead of the
+    (N, K) matrix, which is exact (see the module docstring).  The result,
+    and any error raised, is the same in every bit; only numpy's overflow
     warnings, which the float loop does not give, are left out.
     """
     n, k = channel.num_users, channel.num_tones
@@ -296,12 +282,13 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
         p = power_matrix(allocs, n, k)
 
     # The loop works on one (N, K) power matrix and each receiver's plain
-    # arrays, or, for two rate-adaptive users on at most two tones, on
+    # arrays, or, for two rate-adaptive users on two usable tones, on
     # Python floats; the dataclasses are built once, at return, in the mode
     # of each user's last fill.
     limit = tol * max(max(budgets), 1e-300)
     short = [False] * n  # whether the user's last fill fell short of its target
-    if n == 2 and k <= 2 and all(t is None for t in targets):
+    if (n == 2 and k == 2 and all(rx.tones.size == 2 for rx in receivers)
+            and all(t is None for t in targets)):
         p = p.tolist()
         changes = _pair_sweeps(receivers, p, budgets, gap, max_iter, limit,
                                schedule == JACOBI)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specoord import game, waterfilling
+from specoord import dfdm, game, oracle, waterfilling
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               load_channel_csv, load_noise_csv,
                               make_uniform_grid, write_channel_csv,
@@ -98,16 +98,18 @@ class TestIwf:
         # One check in iterate_iwf and one matrix and check in the
         # certificate, whose rates are the users' rates.
         calls = []
-        for module, name in ((game, "_check_inputs"), (game, "power_matrix"),
-                             (waterfilling, "power_matrix")):
-            def counted(*args, inner=getattr(module, name), name=name, **kw):
-                calls.append(name)
-                return inner(*args, **kw)
-            monkeypatch.setattr(module, name, counted)
+        for module in (game, waterfilling, dfdm, oracle):
+            for name in ("_receivers", "power_matrix"):
+                if hasattr(module, name):
+                    def counted(*args, inner=getattr(module, name), name=name,
+                                **kw):
+                        calls.append(name)
+                        return inner(*args, **kw)
+                    monkeypatch.setattr(module, name, counted)
         chan, noise = coupled_csv(tmp_path)
         assert main(["iwf", "--channel", chan, "--noise", noise,
                      "--budgets", "1,1"]) == 0
-        assert sorted(calls) == ["_check_inputs"] * 2 + ["power_matrix"]
+        assert sorted(calls) == ["_receivers"] * 2 + ["power_matrix"]
 
 class TestDfdm:
     def test_json_payload(self, tmp_path, capsys):
@@ -533,6 +535,16 @@ CONSOLE_CHECKS = [
           ("band_plan_hz=[null]", "band_plan_hz",
            "need one entry (or null) per user"),
           ("name.x=1", "name.x", "cannot override inside a non-object"))),
+    # levels**(2K) past the oracle's cap used to be refused without naming
+    # oracle_levels: on the 2-tone config, and on 64 tones at the default 11.
+    pytest.param(["run", "--config", "{inputs}/run_csv.json", "--set",
+                  "oracle_levels=1000", "--output-dir", "{out}/run"], 2,
+                 "config error: oracle_levels: 1000**4 allocations exceed the "
+                 "cap 20000000; reduce the tone count or the number of levels",
+                 id="run-oracle-levels-past-the-cap"),
+    pytest.param([*RUN, "--set", 'methods=["oracle"]'], 2,
+                 "config error: oracle_levels: 11**128 allocations exceed the "
+                 "cap 20000000; ...", id="run-oracle-on-64-tones"),
     pytest.param(["conjure"], 2, "specoord: error: argument command: invalid "
                  "choice: 'conjure'...", id="unknown-command"),
 ]

@@ -315,24 +315,6 @@ class TestRegionSweep:
         assert np.allclose(clean, curves["fm-iwf"].points[:, 1], rtol=1e-9)
         assert np.allclose(clean, clean[0], rtol=1e-9)
 
-    def test_requires_two_users(self):
-        grid = make_uniform_grid(0, 2, 2)
-        channel = ChannelMatrixSet(np.ones((2, 3, 3)), grid)
-        noise = NoiseProfile.white(0.1, 3, 2)
-        with pytest.raises(ValueError):
-            dfdm_vs_fmiwf_region(channel, noise, [1.0] * 3, [0.5])
-
-
-class TestDfdmRound:
-    def test_requires_two_users(self):
-        # A third user used to drop out of the returned allocations.
-        grid = make_uniform_grid(0, 2, 2)
-        channel = ChannelMatrixSet(np.ones((2, 3, 3)), grid)
-        noise = NoiseProfile.white(0.1, 3, 2)
-        with pytest.raises(ValueError, match="got 3 users"):
-            _Sweep(channel, noise, [1.0] * 3, 1, 1.0).round(0.5)
-
-
 class TestTwoUserEntry:
     """A sweep and the region curves take two budgets and a near user of 0
     or 1."""
@@ -341,17 +323,6 @@ class TestTwoUserEntry:
         lambda ch, nz, b, near: _Sweep(ch, nz, b, near, 1.0).round(0.4),
         lambda ch, nz, b, near: dfdm_vs_fmiwf_region(ch, nz, b, [0.4], near),
     ]
-
-    @pytest.mark.parametrize("solve", SOLVERS, ids=["round", "region"])
-    @pytest.mark.parametrize("budgets,field", [
-        # One budget used to raise a raw IndexError, and three ran.
-        ([1.0], "budgets"), ([1.0, 1.0, 1.0], "budgets"),
-        ([1.0, math.nan], r"budgets\[1\]"),
-    ])
-    def test_rejects_bad_budgets(self, solve, budgets, field):
-        channel, noise = coupled_channel()
-        with pytest.raises(ValueError, match=field):
-            solve(channel, noise, budgets, 1)
 
     @pytest.mark.parametrize("solve", SOLVERS, ids=["round", "region"])
     @pytest.mark.parametrize("near", [2, -1])

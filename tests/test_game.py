@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from specoord import dfdm, game, oracle, waterfilling
 from specoord.channel import (ChannelMatrixSet, NoiseProfile,
                               make_uniform_grid, symmetric_two_band_channel)
-from specoord.dfdm import _Sweep, dfdm_allocate
+from specoord.dfdm import _Sweep, dfdm_allocate, dfdm_vs_fmiwf_region
 from specoord.game import (AT_MOST_POWER, FULL_POWER, PowerAllocation,
                            capacity, is_nash_equilibrium, power_matrix,
                            sinr_per_tone, validate_strategy)
@@ -316,8 +316,10 @@ class TestOneFloor:
 
 
 # Every public entry of one instance, with the gap it runs at (sinr_per_tone
-# has none).  The instance is 2 users on 4 tones at unit budgets.
+# has none).  The instance is 2 users on 4 tones at unit budgets; the
+# entries of BUDGETED also take the budget list, b.
 TWO_USERS = [PowerAllocation(u, np.full(4, 0.25), 1.0) for u in (0, 1)]
+UNIT = [1.0, 1.0]
 ENTRIES = {
     "capacity": lambda ch, nz, gap: capacity(0, TWO_USERS, ch, nz, gap),
     "sinr_per_tone": lambda ch, nz, gap: sinr_per_tone(0, TWO_USERS, ch, nz),
@@ -325,13 +327,17 @@ ENTRIES = {
         lambda ch, nz, gap: is_nash_equilibrium(TWO_USERS, ch, nz, gap=gap),
     "effective_noise":
         lambda ch, nz, gap: effective_noise(0, TWO_USERS, ch, nz, gap),
-    "iterate_iwf": lambda ch, nz, gap: iterate_iwf(ch, nz, [1.0, 1.0], gap=gap),
+    "iterate_iwf": lambda ch, nz, gap, b=UNIT: iterate_iwf(ch, nz, b, gap=gap),
     "dfdm_allocate":
         lambda ch, nz, gap: dfdm_allocate(ch, nz, 1, 0.5, 1.0, gap=gap),
-    "_Sweep": lambda ch, nz, gap: _Sweep(ch, nz, [1.0, 1.0], 1, gap),
+    "_Sweep": lambda ch, nz, gap, b=UNIT: _Sweep(ch, nz, b, 1, gap),
+    "dfdm_vs_fmiwf_region": lambda ch, nz, gap, b=UNIT:
+        dfdm_vs_fmiwf_region(ch, nz, b, [0.5], 1, gap),
     "brute_force_pareto":
-        lambda ch, nz, gap: brute_force_pareto(ch, nz, [1.0, 1.0], 3, gap),
+        lambda ch, nz, gap, b=UNIT: brute_force_pareto(ch, nz, b, 3, gap),
 }
+TWO_USER_ONLY = ["_Sweep", "dfdm_vs_fmiwf_region", "brute_force_pareto"]
+BUDGETED = ["iterate_iwf", *TWO_USER_ONLY]
 
 
 def four_tone_channel():
@@ -353,22 +359,51 @@ class TestInstanceCheck:
     @pytest.mark.parametrize("name", [n for n in ENTRIES if n != "sinr_per_tone"])
     @pytest.mark.parametrize("gap", [0.5, float("nan"), float("inf")])
     def test_refuses_a_bad_gap(self, name, gap):
+        # The oracle used to report rates above capacity at a gap below 1,
+        # and an empty frontier at a nan gap.
         noise = NoiseProfile(np.full((2, 4), 0.1))
         with pytest.raises(ValueError, match="gap must be finite and >= 1"):
             ENTRIES[name](four_tone_channel(), noise, gap)
 
+    @pytest.mark.parametrize("name", BUDGETED)
+    @pytest.mark.parametrize("budgets,message", [
+        # One budget used to raise a raw IndexError, and a third was ignored.
+        pytest.param([1.0], "budgets: 1 given for 2 users", id="one"),
+        pytest.param([1.0] * 3, "budgets: 3 given for 2 users", id="three"),
+        # In the oracle a negative budget gave a front holding nan, and a
+        # nan one an empty argmax.
+        pytest.param([1.0, -1.0], r"budgets\[1\] must be finite and >= 0",
+                     id="negative"),
+        pytest.param([math.nan, 1.0], r"budgets\[0\] must be finite and >= 0",
+                     id="nan-first"),
+        pytest.param([1.0, math.nan], r"budgets\[1\] must be finite and >= 0",
+                     id="nan-second"),
+    ])
+    def test_refuses_bad_budgets(self, name, budgets, message):
+        noise = NoiseProfile(np.full((2, 4), 0.1))
+        with pytest.raises(ValueError, match=message):
+            ENTRIES[name](four_tone_channel(), noise, 1.0, budgets)
+
+    @pytest.mark.parametrize("name", TWO_USER_ONLY)
+    def test_refuses_a_channel_of_another_user_count(self, name):
+        # A third user used to drop out of a DFDM round's allocations.
+        gains = np.tile(np.eye(3) + 0.1, (4, 1, 1))
+        channel = ChannelMatrixSet(gains, make_uniform_grid(0, 4, 4))
+        noise = NoiseProfile(np.full((3, 4), 0.1))
+        with pytest.raises(ValueError, match="needs a 2-user channel, got 3 users"):
+            ENTRIES[name](channel, noise, 1.0, [1.0] * 3)
+
     @pytest.mark.parametrize("users", [2, 3])
     def test_runs_once_per_solver_call(self, monkeypatch, users):
         calls = []
-        check = game._check_inputs
+        check = game._receivers
 
         def counted(*args, **kwargs):
             calls.append(args)
             return check(*args, **kwargs)
 
         for module in (game, waterfilling, dfdm, oracle):
-            if hasattr(module, "_check_inputs"):
-                monkeypatch.setattr(module, "_check_inputs", counted)
+            monkeypatch.setattr(module, "_receivers", counted)
         gains = np.tile(np.eye(users) + 0.1, (4, 1, 1))
         channel = ChannelMatrixSet(gains, make_uniform_grid(0, 4, 4))
         noise = NoiseProfile(np.full((users, 4), 0.1))
@@ -382,10 +417,10 @@ class TestInstanceCheck:
         assert checks(lambda: iterate_iwf(channel, noise, [1.0] * users)) == 1
         assert checks(lambda: is_nash_equilibrium(allocs, channel, noise)) == 1
         if users == 2:
-            assert checks(lambda: _Sweep(channel, noise, [1.0] * 2, 1, 1.0)) == 1
+            for name, entry in ENTRIES.items():
+                assert checks(lambda: entry(channel, noise, 1.0)) == 1, name
 
-    @pytest.mark.parametrize("name", ["iterate_iwf", "_Sweep",
-                                      "brute_force_pareto"])
+    @pytest.mark.parametrize("name", BUDGETED)
     @pytest.mark.parametrize("budgets,bad", [
         ([1e308, 1.0], 0),
         # The bound overflows in the division on a tone of small noise.
@@ -393,14 +428,9 @@ class TestInstanceCheck:
     ])
     def test_refuses_a_budget_past_the_finite_rate_rule(self, name, budgets,
                                                         bad):
-        channel = four_tone_channel()
         noise = NoiseProfile(np.array([[0.1] * 4, [0.1, 0.1, 0.1, 1e-10]]))
-        solve = {"iterate_iwf": lambda: iterate_iwf(channel, noise, budgets),
-                 "_Sweep": lambda: _Sweep(channel, noise, budgets, 1, 1.0),
-                 "brute_force_pareto":
-                     lambda: brute_force_pareto(channel, noise, budgets, 3)}
         with pytest.raises(ValueError, match=r"budgets\[%d\] .* too large" % bad):
-            solve[name]()
+            ENTRIES[name](four_tone_channel(), noise, 1.0, budgets)
 
     def test_lets_the_largest_finite_bound_through(self):
         # direct / noise = 1 on every tone: the bound is the budget itself.

@@ -229,18 +229,6 @@ class TestNoiseShape:
         with pytest.raises(ValueError, match="gap"):
             brute_force_pareto(self.channel, noise, [1.0, 1.0], levels=3, gap=gap)
 
-    @pytest.mark.parametrize("budgets,field", [
-        # One budget used to raise a raw IndexError, a third was ignored,
-        # a negative one gave a front holding nan and a nan one an empty
-        # argmax.
-        ([1.0], "budgets"), ([1.0, 1.0, 1.0], "budgets"),
-        ([1.0, -1.0], r"budgets\[1\]"), ([float("nan"), 1.0], r"budgets\[0\]"),
-    ])
-    def test_rejects_bad_budgets(self, budgets, field):
-        noise = NoiseProfile.white(0.1, 2, 4)
-        with pytest.raises(ValueError, match=field):
-            brute_force_pareto(self.channel, noise, budgets, levels=3)
-
 
 def broadcast_pareto(channel, noise, budgets, levels, gap=1.0):
     """Frontier from (na, nb, K) broadcast rate grids summed by einsum and

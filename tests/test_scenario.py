@@ -423,7 +423,7 @@ class TestRunCosts:
     ])
     def test_counts(self, tmp_path, monkeypatch, methods, checks):
         calls, matrices, channels, allocations = [], [], [], []
-        for name, log in (("_check_inputs", calls), ("power_matrix", matrices)):
+        for name, log in (("_receivers", calls), ("power_matrix", matrices)):
             def counted(*args, inner=getattr(game, name), log=log, **kwargs):
                 log.append(args)
                 return inner(*args, **kwargs)

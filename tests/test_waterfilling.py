@@ -165,8 +165,9 @@ class TestWaterfillRa:
 
 def reference_ra_fill(tones, floors, widths, k, budget):
     """The rate-adaptive fill by sorting the per-Hz floors and taking the
-    longest feasible prefix, on arrays: the path that the float loop's
-    scalar fill on one or two usable tones must reproduce bit for bit."""
+    longest feasible prefix, on arrays: the path that _fill on one or two
+    usable tones, and the float loop's scalar fill on two, must reproduce
+    bit for bit."""
     nu = floors / widths
     if budget == 0:
         return np.zeros(k), float(nu.min())
@@ -190,12 +191,13 @@ def reference_ra_fill(tones, floors, widths, k, budget):
 
 
 @st.composite
-def few_tone_fills(draw):
-    """(tones, floors, widths, k, budget): one or two usable tones among
-    k <= 6, floors from 1e-12 to 1e6, equal per-Hz floors on some pairs,
-    and budgets of 0, below half an ulp of every floor, or up to 1e12."""
-    k = draw(st.integers(1, 6))
-    m = draw(st.integers(1, min(k, 2)))
+def few_tone_fills(draw, two=False):
+    """(tones, floors, widths, k, budget): one or two usable tones (two
+    when two is set) among k <= 6, floors from 1e-12 to 1e6, equal per-Hz
+    floors on some pairs, and budgets of 0, below half an ulp of every
+    floor, or up to 1e12."""
+    k = draw(st.integers(2 if two else 1, 6))
+    m = 2 if two else draw(st.integers(1, min(k, 2)))
     tones = np.sort(draw(st.permutations(range(k)))[:m])
     floors = [draw(st.floats(1e-12, 1e6))]
     widths = [draw(st.floats(1e-3, 1e6))]
@@ -218,24 +220,28 @@ def few_tone_fills(draw):
     return tones, np.array(floors), np.array(widths), k, budget
 
 
-def on_few_tone_fills(test):
-    """Run test(self, case) on few_tone_fills and two hand-picked cases."""
-    # A tie with a budget too small to lift the level off it: the whole
-    # budget goes to the first of the two tones, as a stable sort orders.
-    test = example(case=(np.array([1, 3]), np.array([0.5, 0.5]),
-                         np.array([1.0, 1.0]), 5, 1e-20))(test)
-    # Rounding leaves a residue that the uniform shift of the level removes.
-    test = example(case=(np.array([0, 2]), np.array([0.1, 0.3]),
-                         np.array([1.0, 3.0]), 3, 1.3))(test)
-    return settings(max_examples=400)(given(case=few_tone_fills())(test))
+def on_few_tone_fills(two=False):
+    """Run test(self, case) on few_tone_fills(two) and two hand-picked
+    cases."""
+    def decorate(test):
+        # A tie with a budget too small to lift the level off it: the whole
+        # budget goes to the first of the two tones, as a stable sort orders.
+        test = example(case=(np.array([1, 3]), np.array([0.5, 0.5]),
+                             np.array([1.0, 1.0]), 5, 1e-20))(test)
+        # Rounding leaves a residue that the uniform shift of the level
+        # removes.
+        test = example(case=(np.array([0, 2]), np.array([0.1, 0.3]),
+                             np.array([1.0, 3.0]), 3, 1.3))(test)
+        return settings(max_examples=400)(given(case=few_tone_fills(two))(test))
+    return decorate
 
 
 class TestFillOnFewTones:
-    """_fill, and the scalar two-tone fill of the two-user float loop
-    (_pair_sweeps), give the bits of the sorted-prefix path on one or two
-    usable tones."""
+    """_fill on one or two usable tones, and the scalar two-tone fill of
+    the two-user float loop (_pair_sweeps) on two, give the bits of the
+    sorted-prefix path."""
 
-    @on_few_tone_fills
+    @on_few_tone_fills()
     def test_matches_the_sorted_prefix_path(self, case):
         tones, floors, widths, k, budget = case
         power, mu, short = _fill(tones, floors, widths, k, budget)
@@ -244,18 +250,18 @@ class TestFillOnFewTones:
         assert power.tobytes() == want_power.tobytes()
         assert mu == want_mu
 
-    @on_few_tone_fills
+    @on_few_tone_fills(two=True)
     def test_pair_matches_the_sorted_prefix_path(self, case):
         tones, floors, widths, k, budget = case
         assume(budget > 0)  # a zero budget takes no fill
         # One sweep of the float loop from zero powers, where user 0's
         # floors are its noise (unit direct gains, no crosstalk) on tones
-        # 0..m-1, in the case's order, and user 1 has no usable tone.
-        m = tones.size
-        rx = Receiver(np.zeros((m, 2)), np.arange(m), widths, np.ones(m),
+        # 0 and 1, in the case's order, and user 1 idles at budget 0 on
+        # two tones of its own.
+        rx = Receiver(np.zeros((2, 2)), np.arange(2), widths, np.ones(2),
                       floors, 0)
-        idle = Receiver(np.zeros((m, 2)), np.arange(0), *np.zeros((3, 0)), 1)
-        p = [[0.0] * m, [0.0] * m]
+        idle = Receiver(np.zeros((2, 2)), np.arange(2), *np.ones((3, 2)), 1)
+        p = [[0.0, 0.0], [0.0, 0.0]]
         waterfilling._pair_sweeps([rx, idle], p, [budget, 0.0], 1.0, 1, 0.0,
                                   False)
         power = np.zeros(k)
@@ -627,12 +633,13 @@ class TestIterateIwfMatchesReference:
     """The array loop gives the same bits as the per-user public steps."""
 
     @staticmethod
-    def instance(seed, n=3, k=9):
+    def instance(seed, n=3, k=9, masked=True):
         rng = np.random.default_rng(seed)
         gains = 0.4 * rng.random((k, n, n))
         for i in range(n):
             gains[:, i, i] = 0.5 + rng.random(k)
-        gains[rng.integers(k), 0, 0] = 0.0          # one masked tone
+        if masked:
+            gains[rng.integers(k), 0, 0] = 0.0      # one masked tone
         grid = FrequencyGrid(np.cumsum(np.r_[0.0, 0.5 + rng.random(k)]))
         noise = NoiseProfile(0.02 + 0.1 * rng.random((n, k)))
         return ChannelMatrixSet(gains, grid), noise, list(1.0 + rng.random(n))
@@ -694,7 +701,8 @@ class TestIterateIwfMatchesReference:
         # With no initial allocations the loop starts from a zero matrix:
         # it used to build N zero allocations and stack them with
         # power_matrix, 2N allocations in all.
-        channel, noise, budgets = self.instance(seed=11, n=users, k=tones)
+        channel, noise, budgets = self.instance(seed=11, n=users, k=tones,
+                                                masked=tones > 2)
         built, stacked = [], []
         init = PowerAllocation.__post_init__
         stack = waterfilling.power_matrix
@@ -736,21 +744,29 @@ def iwf_outcome(solve, channel, noise, budgets, **kwargs):
 
 @st.composite
 def two_user_games(draw):
-    """(channel, noise, budgets, kwargs) of a 2-user game on one or two
-    tones that iterate_iwf runs on Python floats: crosstalk gains up to
-    0.999, drawn per tone and direction, SNR from 1e-1 to 1e4, gap >= 1,
-    zero budgets, a masked tone for one or both users, skewed starts that
-    may hold power on a masked tone, and 0, 1, 3 or 60 sweeps."""
-    k = draw(st.integers(1, 2))
+    """(channel, noise, budgets, kwargs) of a 2-user game: most often on
+    two tones that both users can use, which iterate_iwf runs on Python
+    floats, else on one tone or with a masked tone for one or both users,
+    which take the matrix loop.  Crosstalk gains up to 0.999, drawn per
+    tone and direction, SNR from 1e-1 to 1e4, gap >= 1, zero budgets,
+    skewed starts that may hold power on a masked tone, and 0, 1, 3 or 60
+    sweeps."""
+    # About one game in eight is outside the float loop's domain.
+    layout = draw(st.sampled_from(["two tones"] * 14 + ["one tone", "masked"]))
+    k = 1 if layout == "one tone" else 2
     gains = np.empty((k, 2, 2))
     for t in range(k):
         for i in range(2):
             for j in range(2):
                 gains[t, i, j] = draw(st.floats(0.5, 2.0) if i == j
                                       else st.floats(0.0, 0.999))
-    for i in range(2):
-        if draw(st.booleans()):
-            gains[draw(st.integers(0, k - 1)), i, i] = 0.0
+    if layout == "masked":
+        for i in draw(st.sampled_from([(0,), (1,), (0, 1)])):
+            gains[draw(st.integers(0, 1)), i, i] = 0.0
+    elif layout == "one tone":
+        for i in range(2):
+            if draw(st.booleans()):
+                gains[0, i, i] = 0.0
     widths = [draw(st.floats(0.5, 2.0)) for _ in range(k)]
     channel = ChannelMatrixSet(gains, FrequencyGrid(np.cumsum([0.0] + widths)))
     snr = [10.0 ** draw(st.floats(-1.0, 4.0)) for _ in range(2)]
@@ -783,8 +799,9 @@ def overflowing_game(noise_row, direct, budgets):
 
 class TestTwoUserFloatLoop:
     """iterate_iwf's sweeps on Python floats, for two rate-adaptive users
-    on at most two tones, give the bits, the reports and the errors of the
-    per-user public steps."""
+    on two tones that both can use, give the bits, the reports and the
+    errors of the per-user public steps; so does the matrix loop that
+    other two-user games take."""
 
     @settings(max_examples=200, deadline=None)
     @given(game=two_user_games())
@@ -830,19 +847,23 @@ class TestTwoUserFloatLoop:
 
         monkeypatch.setattr(waterfilling, "_pair_sweeps", counted)
 
-        def takes_it(users, tones, **kwargs):
+        def takes_it(users, tones, masked=None, **kwargs):
             rng = np.random.default_rng(3)
             gains = 0.2 * rng.random((tones, users, users))
             for i in range(users):
                 gains[:, i, i] = 1.0
+            if masked is not None:  # the second tone of that user
+                gains[1, masked, masked] = 0.0
             channel = ChannelMatrixSet(gains, unit_grid(tones))
             noise = NoiseProfile(np.full((users, tones), 0.1))
             del calls[:]
             iterate_iwf(channel, noise, [1.0] * users, **kwargs)
             return len(calls) == 1
 
-        assert takes_it(2, 1) and takes_it(2, 2, schedule=JACOBI)
+        assert takes_it(2, 2) and takes_it(2, 2, schedule=JACOBI)
         assert takes_it(2, 2, mode="fm", targets=[None, None])
+        assert not takes_it(2, 1)
+        assert not takes_it(2, 2, masked=0) and not takes_it(2, 2, masked=1)
         assert not takes_it(2, 3)
         assert not takes_it(3, 2)
         assert not takes_it(2, 2, mode="fm", targets=[0.5, None])
