@@ -34,6 +34,18 @@ def _lock(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_range(a: np.ndarray, message: str, positive: bool = False) -> None:
+    """Raise ValueError(message) unless every entry of a is finite and >= 0
+    (> 0 when positive); an empty a passes.  Two reductions and no
+    full-size temporary: min and max are nan when any entry is, which fails
+    both tests."""
+    if a.size:
+        low = np.minimum.reduce(a, axis=None)
+        if not ((low > 0 if positive else low >= 0)
+                and np.maximum.reduce(a, axis=None) < np.inf):
+            raise ValueError(message)
+
+
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Tone boundaries in Hz.  K tones are the intervals between K+1 edges."""
@@ -45,9 +57,14 @@ class FrequencyGrid:
         object.__setattr__(self, "edges", edges)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("grid needs at least two edges")
-        widths = _lock(np.diff(edges))
+        # An infinite edge, or finite ones too far apart, gives an infinite
+        # width; a nan edge or two infinite ones a nan width.
+        with np.errstate(over="ignore", invalid="ignore"):
+            widths = _lock(np.diff(edges))
         if not np.all(widths > 0):
             raise ValueError("grid edges must be strictly increasing")
+        if not np.maximum.reduce(widths) < np.inf:
+            raise ValueError("grid edges and tone widths must be finite")
         object.__setattr__(self, "_widths", widths)
 
     @property
@@ -94,8 +111,7 @@ class ChannelMatrixSet:
             raise ValueError("gains must have shape (num_tones, N, N)")
         if gains.shape[0] != self.grid.num_tones:
             raise ValueError("gain stack does not match grid tone count")
-        if not np.all(np.isfinite(gains)) or np.any(gains < 0):
-            raise ValueError("gains must be finite and non-negative")
+        _check_range(gains, "gains must be finite and non-negative")
 
     @property
     def num_users(self) -> int:
@@ -115,8 +131,8 @@ class NoiseProfile:
     def __post_init__(self):
         values = _lock(np.atleast_2d(np.asarray(self.values, dtype=float)))
         object.__setattr__(self, "values", values)
-        if not np.all(np.isfinite(values)) or np.any(values <= 0):
-            raise ValueError("noise must be finite and strictly positive")
+        _check_range(values, "noise must be finite and strictly positive",
+                     positive=True)
 
     @property
     def num_users(self) -> int:
@@ -263,12 +279,18 @@ def _read_table(path, header: tuple, value: tuple) -> tuple[FrequencyGrid, np.nd
         table.append(vals)
     table = np.array(table)
     freqs = table[:, 0]
-    if np.any(np.diff(freqs) <= 0):
+    with np.errstate(over="ignore"):  # the grid refuses an infinite width
+        steps = np.diff(freqs)
+        f0 = 2 * freqs[0] - freqs[1] if freqs.size >= 2 else 0.0
+    if np.any(steps <= 0):
         raise ChannelCsvError(f"{path}: frequencies must be strictly ascending")
-    f0 = 2 * freqs[0] - freqs[1] if freqs.size >= 2 else 0.0
     if f0 >= freqs[0]:
         raise ChannelCsvError(f"{path}: cannot reconstruct a positive first tone width")
-    return FrequencyGrid(np.r_[f0, freqs]), table[:, 1:].copy()
+    try:
+        grid = FrequencyGrid(np.r_[f0, freqs])
+    except ValueError as exc:
+        raise ChannelCsvError(f"{path}: {exc}") from None
+    return grid, table[:, 1:].copy()
 
 
 def load_channel_csv(path) -> ChannelMatrixSet:

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelMatrixSet, NoiseProfile
+from .channel import ChannelMatrixSet, NoiseProfile, _check_range
 
 FULL_POWER = "full-power"
 AT_MOST_POWER = "at-most-power"
@@ -67,7 +67,7 @@ class PowerAllocation:
         object.__setattr__(self, "power", power)
         if power.ndim != 1:
             raise ValueError("power must be a 1-D vector")
-        _check_power(power)
+        _check_range(power, _BAD_POWER)
         _check_budget(self.budget)
         if self.mode not in (FULL_POWER, AT_MOST_POWER):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -75,13 +75,6 @@ class PowerAllocation:
     @property
     def total(self) -> float:
         return float(self.power.sum())
-
-
-def _check_power(power: np.ndarray) -> None:
-    # min and max are nan when any entry is, which fails both tests.
-    if power.size and not (np.minimum.reduce(power) >= 0
-                           and np.maximum.reduce(power) < np.inf):
-        raise ValueError(_BAD_POWER)
 
 
 def _check_budget(budget: float, name: str = "budget") -> None:
@@ -206,7 +199,7 @@ def _floor(p: np.ndarray, rx: Receiver, gap: float) -> np.ndarray:
     if rx.tones.size < interference.size:
         interference = interference[rx.tones]
     floors = gap * (interference + rx.noise) / rx.direct
-    _check_floor(floors)
+    _check_range(floors, _BAD_FLOOR, positive=True)
     return floors
 
 
@@ -217,14 +210,6 @@ def _rate(power: np.ndarray, tones: np.ndarray, floors: np.ndarray,
     terms = np.zeros(power.size)
     terms[tones] = widths * np.log1p(power[tones] / floors)
     return float(np.add.reduce(terms) / np.log(2.0))
-
-
-def _check_floor(floors: np.ndarray) -> None:
-    """Effective noise on usable tones must be finite and > 0."""
-    # min and max are nan when any entry is, which fails both tests.
-    if floors.size and not (np.minimum.reduce(floors) > 0
-                            and np.maximum.reduce(floors) < np.inf):
-        raise ValueError(_BAD_FLOOR)
 
 
 def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,

@@ -38,10 +38,9 @@ VALID_METHODS = ("ra-iwf", "fm-iwf", "dfdm", "oracle")
 _FIELDS = {
     "": {"name", "grid", "channel", "noise_psd_dbm_hz", "budgets_mw",
          "methods", "sweep", "near_user", "gap_db", "band_plan_hz",
-         "detail_rd_bps", "oracle_levels", "output_dir"},
+         "oracle_levels", "output_dir"},
     "grid": {"f_start_hz", "f_end_hz", "num_tones"},
-    "channel.synthetic": {"kind", "lengths_km", "group_sizes",
-                          "coupling_lengths_km", "attenuation", "fext_coeff"},
+    "channel.synthetic": {"kind", "lengths_km", "group_sizes"},
     "channel.csv": {"kind", "path"},
     "sweep.rd_bps": {"rd_bps"},
     "sweep.count": {"count", "min_fraction", "max_fraction"},
@@ -122,7 +121,6 @@ class ScenarioConfig:
     near_user: int
     gap_db: float
     band_plan_hz: tuple | None
-    detail_rd_bps: float | None
     oracle_levels: int
     output_dir: str
 
@@ -171,25 +169,12 @@ def load_config(source) -> ScenarioConfig:
         if len(sizes) != 2 or any(
                 _integer(s, f"channel.group_sizes[{i}]") < 1 for i, s in enumerate(sizes)):
             raise ConfigError("channel.group_sizes", "need two sizes >= 1")
-        coupling = chan.get("coupling_lengths_km")
-        if coupling is not None:
-            rows = [_numbers(row, f"channel.coupling_lengths_km[{i}]") for i, row
-                    in enumerate(_array(coupling, "channel.coupling_lengths_km"))]
-            if len(rows) != 2 or any(len(r) != 2 or min(r) < 0 for r in rows):
-                raise ConfigError("channel.coupling_lengths_km",
-                                  "need a 2x2 matrix of lengths >= 0")
-        for key in ("attenuation", "fext_coeff"):
-            if key in chan and _number(chan[key], f"channel.{key}") < 0:
-                raise ConfigError(f"channel.{key}", "must be >= 0")
-        # The crosstalk is at most fext_coeff * f**2 at the tone centres,
+        # The crosstalk is at most _FEXT_COEFF * f**2 at the tone centres,
         # f <= f_end, times the size of the group it comes from.
         if not f_end * f_end < math.inf:
             raise ConfigError("grid.f_end_hz", "is too large: f_end_hz ** 2 "
                               "overflows a float")
-        fext = chan.get("fext_coeff", _FEXT_COEFF) * (f_end * f_end)
-        if not fext < math.inf:
-            raise ConfigError("channel.fext_coeff", "is too large: fext_coeff "
-                              "* f_end_hz ** 2 overflows a float")
+        fext = _FEXT_COEFF * (f_end * f_end)
         for i, s in enumerate(sizes):  # the gains are scaled by float(s)
             if not fext * _number(s, f"channel.group_sizes[{i}]") < math.inf:
                 raise ConfigError(f"channel.group_sizes[{i}]", "is too large: "
@@ -259,11 +244,6 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigError("gap_db", "must be >= 0")
     if _from_db(gap_db) == math.inf:
         raise ConfigError("gap_db", "is too large: the linear gap overflows a float")
-    detail = raw.get("detail_rd_bps")
-    if detail is not None:
-        detail = _number(detail, "detail_rd_bps")
-        if detail < 0:
-            raise ConfigError("detail_rd_bps", "must be >= 0")
     levels = _integer(raw.get("oracle_levels", 11), "oracle_levels")
     if levels < 2:
         raise ConfigError("oracle_levels", "must be >= 2")
@@ -282,7 +262,6 @@ def load_config(source) -> ScenarioConfig:
         near_user=near,
         gap_db=gap_db,
         band_plan_hz=plan,
-        detail_rd_bps=detail,
         oracle_levels=levels,
         output_dir=str(_path(raw.get("output_dir", "scenario_out"), "output_dir")),
     )
@@ -307,15 +286,12 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
         grid = make_uniform_grid(config.grid_spec["f_start_hz"],
                                  config.grid_spec["f_end_hz"],
                                  int(config.grid_spec["num_tones"]))
-        # An attenuation * length past the float range gives exp(-inf) = 0.
+        # A length past the float range gives exp(-inf) = 0.
         with np.errstate(over="ignore"):
-            channel = synthetic_dsl_channel(
-                spec["lengths_km"], grid,
-                coupling_lengths_km=spec.get("coupling_lengths_km"),
-                **{k: spec[k] for k in ("attenuation", "fext_coeff") if k in spec})
+            channel = synthetic_dsl_channel(spec["lengths_km"], grid)
         for user in (0, 1):
             if not channel.gains[:, user, user].any():
-                raise ConfigError("channel.attenuation", "underflows every direct "
+                raise ConfigError("channel.lengths_km", "underflows every direct "
                                   f"gain of user {user} to 0 on this grid and "
                                   "line length")
         # Crosstalk into each receiver is the other group's power sum.
@@ -350,11 +326,11 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     """Execute a scenario and write its CSV artefacts.
 
     Returns a report dict with the emitted file paths and the rate-region
-    rows (method, target, near rate, far rate).  Each method's PSD and SINR
-    files hold its allocation at the detail target, computed by one more
-    round when it is not one of the swept targets.  Raises ConfigError for
-    configuration problems; infeasibility inside a method propagates as
-    waterfilling.InfeasibleError.
+    rows (method, target, near rate, far rate).  Every method but the
+    oracle writes PSD and SINR files of its allocation at the middle swept
+    target, the report's detail_rd_bps; RA-IWF has no target and writes its
+    one allocation.  Raises ConfigError for configuration problems;
+    infeasibility inside a method propagates as waterfilling.InfeasibleError.
     """
     channel = build_channel(config)
     grid = channel.grid
@@ -369,8 +345,7 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
         raise ConfigError(f"budgets_mw[{i}]", f"{budgets[i]!r} {_TOO_LARGE}")
     sweep = _Sweep(channel, noise, budgets, config.near_user, gap)
     targets = _sweep_targets(config, sweep.search.full)
-    detail_rd = (config.detail_rd_bps if config.detail_rd_bps is not None
-                 else targets[len(targets) // 2])
+    detail_rd = targets[len(targets) // 2]
 
     def row(method: str, target: str, near_rate: float, far_rate: float) -> tuple:
         return method, target, format_float(near_rate), format_float(far_rate)
@@ -401,8 +376,6 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
             rows.append(row(method, format_float(rd), near_rate, far_rate))
             if rd == detail_rd:
                 details[method] = p
-        if method not in details:
-            details[method] = play(detail_rd)[0]
 
     # Made only now, so a run that fails leaves no directory behind.
     out_dir = output_dir or config.output_dir

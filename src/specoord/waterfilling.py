@@ -30,11 +30,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from .channel import ChannelMatrixSet, FrequencyGrid, NoiseProfile
+from .channel import (ChannelMatrixSet, FrequencyGrid, NoiseProfile,
+                      _check_range)
 from .game import (_BAD_FLOOR, _BAD_POWER, AT_MOST_POWER, FULL_POWER,
                    InfeasibleError, PowerAllocation, _check_budget,
-                   _check_floor, _check_target, _fill, _floor, _rate,
-                   _receivers, power_matrix)
+                   _check_target, _fill, _floor, _rate, _receivers,
+                   power_matrix)
 
 GAUSS_SEIDEL = "gauss-seidel"
 JACOBI = "jacobi"
@@ -65,7 +66,7 @@ class EffectiveNoise:
         object.__setattr__(self, "usable", usable)
         if values.shape != usable.shape or values.ndim != 1:
             raise ValueError("values and usable must be matching 1-D arrays")
-        _check_floor(values[usable])
+        _check_range(values[usable], _BAD_FLOOR, positive=True)
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,20 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             make_uniform_grid(0, 1, 0)
 
+    # Edges 2e308 apart used to give an infinite width after numpy's
+    # overflow warning, and capacity on the grid inf.  A warning fails the
+    # test; a nan edge stays a non-increasing one.
+    @pytest.mark.parametrize("edges,message", [
+        ([-1e308, 1e308], "grid edges and tone widths must be finite"),
+        ([0.0, 1.0, np.inf], "grid edges and tone widths must be finite"),
+        ([-np.inf, 0.0], "grid edges and tone widths must be finite"),
+        ([np.inf, np.inf], "grid edges must be strictly increasing"),
+        ([0.0, np.nan], "grid edges must be strictly increasing"),
+    ], ids=["2e308-apart", "inf-last", "inf-first", "inf-inf", "nan"])
+    def test_rejects_non_finite_edges_or_widths(self, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FrequencyGrid(np.array(edges))
+
     def test_immutable(self):
         grid = make_uniform_grid(0, 1, 4)
         with pytest.raises(ValueError):
@@ -134,6 +148,21 @@ class TestSyntheticDsl:
                 assert np.array_equal(ch.gains[:, i, j], want)
 
 
+class TestChannelMatrixSet:
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_rejects_bad_gains(self, bad):
+        gains = np.ones((2, 2, 2))
+        gains[1, 0, 1] = bad
+        with pytest.raises(ValueError,
+                           match="^gains must be finite and non-negative$"):
+            ChannelMatrixSet(gains, make_uniform_grid(0, 2, 2))
+
+    def test_accepts_zero_and_empty_gains(self):
+        grid = make_uniform_grid(0, 2, 2)
+        assert ChannelMatrixSet(np.zeros((2, 2, 2)), grid).num_users == 2
+        assert ChannelMatrixSet(np.zeros((2, 0, 0)), grid).num_users == 0
+
+
 class TestNoiseProfile:
     def test_psd_conversion(self):
         # -140 dBm/Hz over a 4.3125 kHz tone: 1e-14 mW/Hz * width
@@ -144,6 +173,15 @@ class TestNoiseProfile:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             NoiseProfile(np.array([[1.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_rejects_negative_or_non_finite(self, bad):
+        with pytest.raises(ValueError,
+                           match="^noise must be finite and strictly positive$"):
+            NoiseProfile(np.array([[1.0, 2.0], [3.0, bad]]))
+
+    def test_accepts_empty(self):
+        assert NoiseProfile(np.zeros((2, 0))).values.shape == (2, 0)
 
     # 10 ** 400 used to escape as an OverflowError (a numpy float as a
     # RuntimeWarning); 3080 dBm/Hz is a finite 1e308 mW/Hz, but its power
@@ -186,6 +224,21 @@ class TestCsvRoundTrip:
         path.write_text("freq_hz,g_1_1\n2,1\n1,1\n")
         with pytest.raises(ChannelCsvError, match="ascending"):
             load_channel_csv(path)
+
+    # Upper edges 2e308 apart used to load, after numpy's overflow
+    # warnings, as a grid of infinite widths.
+    @pytest.mark.parametrize("load,body", [
+        (load_channel_csv, "freq_hz,g_1_1\n-1e308,1\n1e308,1\n"),
+        (load_noise_csv, "freq_hz,n_1\n-1e308,0.1\n1e308,0.1\n"),
+        (load_noise_csv, "freq_hz,n_1\n-9e307,0.1\n0,0.1\n"),
+    ], ids=["channel", "noise", "noise-first-edge"])
+    def test_widths_past_the_float_range(self, tmp_path, load, body):
+        path = tmp_path / "wide.csv"
+        path.write_text(body)
+        with pytest.raises(ChannelCsvError) as exc:
+            load(path)
+        assert str(exc.value) == (f"{path}: grid edges and tone widths must "
+                                  "be finite")
 
     def test_error_names_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -303,20 +303,19 @@ class TestRun:
         pytest.param(f"channel.group_sizes=[1, {10 ** 320}]", 2,
                      "config error: channel.group_sizes[1]: ",
                      id="group-size-past-float"),
-        # Synthetic gains past the float range, or all zero.  The first two
-        # used to exit 2 naming no field, f_end_hz after an overflow
-        # warning; the third exited 3 with "no usable tones".
-        pytest.param("channel.fext_coeff=1e308", 2,
-                     "config error: channel.fext_coeff: ", id="fext-overflows"),
+        # Synthetic gains past the float range, or all zero.  The first
+        # used to exit 2 naming no field after an overflow warning; the
+        # second exited 3 with "no usable tones".
         pytest.param("grid.f_end_hz=1e308", 2,
                      "config error: grid.f_end_hz: ", id="f-end-overflows"),
-        pytest.param("channel.attenuation=1e308", 2,
-                     "config error: channel.attenuation: ",
-                     id="attenuation-underflows"),
+        pytest.param("channel.lengths_km=[1e5, 0.6]", 2,
+                     "config error: channel.lengths_km: underflows every "
+                     "direct gain of user 0 to 0 on this grid and line length",
+                     id="lengths-underflow"),
         # Crosstalk times a group size past the float range; it used to
         # exit 2 naming no field, after numpy's overflow warning.
-        pytest.param(("channel.fext_coeff=1e100",
-                      f"channel.group_sizes=[1, {10 ** 300}]"), 2,
+        pytest.param(("grid.f_end_hz=1e154",
+                      f"channel.group_sizes=[1, {10 ** 17}]"), 2,
                      "config error: channel.group_sizes[1]: is too large: ",
                      id="group-size-overflows"),
     ])
@@ -366,7 +365,8 @@ _spec.loader.exec_module(make_golden)
 def inputs(tmp_path_factory):
     """The goldens' inputs, the 2-tone channel with its users relabelled
     and with a nan gain, coupled_csv's 8-tone channel, noise files that do
-    not fit it, and a config that is a JSON array."""
+    not fit it, a 2-tone channel and noise whose upper edges are too far
+    apart for a float, and a config that is a JSON array."""
     root = tmp_path_factory.mktemp("inputs")
     make_golden.write_inputs(str(root))
     two = load_channel_csv(root / "two_tone.csv")
@@ -383,6 +383,10 @@ def inputs(tmp_path_factory):
         grid = make_uniform_grid(*edges)
         write_noise_csv(NoiseProfile.white(0.1, users, grid.num_tones), grid,
                         root / f"{name}.csv")
+    for name, header, values in (("wide", "g_1_1,g_1_2,g_2_1,g_2_2", "1,0.1,0.1,1"),
+                                 ("wide_noise", "n_1,n_2", "0.1,0.1")):
+        (root / f"{name}.csv").write_text(
+            f"freq_hz,{header}\n-1e308,{values}\n1e308,{values}\n")
     (root / "array.json").write_text("[]")
     return root
 
@@ -468,6 +472,15 @@ CONSOLE_CHECKS = [
                    f"error: --noise-psd-dbm-hz: noise PSD {float(psd)} dBm/Hz "
                    "is too large: the noise power of a tone overflows a float",
                    id=f"iwf-noise-psd-{psd}") for psd in ("4000", "3080", "inf")),
+    # Upper edges 2e308 apart used to load, after numpy's overflow
+    # warnings, as a grid of infinite widths; the run then blamed the
+    # powers or the noise PSD.
+    *(pytest.param(["iwf", "--channel", "{inputs}/wide.csv", *noise,
+                    "--budgets", "1,1"], 2, "config error: {inputs}/wide.csv: "
+                   "grid edges and tone widths must be finite",
+                   id=f"iwf-wide-grid-{form}")
+      for form, noise in (("noise-file", ["--noise", "{inputs}/wide_noise.csv"]),
+                          ("noise-psd", ["--noise-psd-dbm-hz", "-140"]))),
     pytest.param(["iwf", "--channel", "{inputs}/nan.csv", *TWO_TONE[2:]], 2,
                  "config error: {inputs}/nan.csv: line 2: not a finite number: "
                  "'nan'", id="iwf-nan-gain"),
@@ -507,7 +520,9 @@ CONSOLE_CHECKS = [
     pytest.param([*RUN, "--set", "oops"], 2, "config error: --set: expected "
                  "key=value, got 'oops'", id="run-set-without-value"),
     # A field that load_config does not read, at the top level, in the
-    # grid, in the sweep and in each kind of channel or form of sweep.
+    # grid, in the sweep and in each kind of channel or form of sweep, and
+    # each field it no longer reads: the detail target (the middle swept
+    # target now) and the synthetic model's overrides.
     *(pytest.param([*RUN, "--set", assignment], 2,
                    f"config error: {field}: unknown field",
                    id=f"run-unknown-field-{field}")
@@ -517,7 +532,14 @@ CONSOLE_CHECKS = [
                                 ("channel.path=x.csv", "channel.path"),
                                 ("channel.kind=csv", "channel.lengths_km"),
                                 ('sweep={"rd_bps": [1e5], "count": 9, '
-                                 '"max_fraction": 7.0}', "sweep.count"))),
+                                 '"max_fraction": 7.0}', "sweep.count"),
+                                ("detail_rd_bps=1", "detail_rd_bps"),
+                                ("channel.attenuation=1e-3",
+                                 "channel.attenuation"),
+                                ("channel.fext_coeff=1e-16",
+                                 "channel.fext_coeff"),
+                                ("channel.coupling_lengths_km=[[0.5, 0.5], "
+                                 "[0.5, 0.5]]", "channel.coupling_lengths_km"))),
     # A field of the wrong type or shape.  The first five used to end in a
     # raw TypeError or AttributeError traceback (exit 1), or, for a
     # fractional count, to run int(count) targets.

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,11 @@ from specoord.game import PowerAllocation, sinr_per_tone
 from specoord.scenario import (ConfigError, build_channel, emit_region_map,
                                load_config, run_scenario)
 from specoord.symmetric import classify_game, h_lim1, h_lim2
+
+
+# Fields a scenario no longer reads (see test_field_errors_carry_paths).
+REMOVED_FIELDS = ("detail_rd_bps", "attenuation", "fext_coeff",
+                  "coupling_lengths_km")
 
 
 def base_config(tmp_path, **overrides):
@@ -103,21 +109,15 @@ class TestLoadConfig:
              lambda c: c["channel"].update(group_sizes=[1, 10 ** 320]),
              "channel.group_sizes[1]"),
             # Crosstalk times the size past the float range used to warn
-            # and then fail in the channel, naming no field; the builder's
-            # default fext_coeff counts when the field is absent.
+            # and then fail in the channel, naming no field.
             ("group_sizes-crosstalk-overflows",
-             lambda c: c["channel"].update(fext_coeff=1e100,
-                                           group_sizes=[1, 10 ** 300]),
+             lambda c: (c["grid"].update(f_end_hz=1e154),
+                        c["channel"].update(group_sizes=[1, 10 ** 17])),
              "channel.group_sizes[1]"),
             ("group_sizes-overflow-default-fext",
              lambda c: (c["grid"].update(f_end_hz=1e150),
                         c["channel"].update(group_sizes=[10 ** 300, 1])),
              "channel.group_sizes[0]"),
-            ("coupling-string",
-             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, "a"], [0.5, 0.5]]),
-             "channel.coupling_lengths_km[0][1]"),
-            ("attenuation-string", lambda c: c["channel"].update(attenuation="x"),
-             "channel.attenuation"),
             ("csv-path-number", lambda c: c.update(channel={"kind": "csv", "path": 3}),
              "channel.path"),
             ("budgets-string", lambda c: c.update(budgets_mw="ab"), "budgets_mw"),
@@ -141,8 +141,6 @@ class TestLoadConfig:
             ("band_plan-string-edge",
              lambda c: c.update(band_plan_hz=[[[0.1e6, "x"]], None]),
              "band_plan_hz[0][0][1]"),
-            ("detail-string", lambda c: c.update(detail_rd_bps="1e6"),
-             "detail_rd_bps"),
             ("oracle_levels-fraction", lambda c: c.update(oracle_levels=11.5),
              "oracle_levels"),
             ("f_end-past-float-range", lambda c: c["grid"].update(f_end_hz=10 ** 400),
@@ -154,22 +152,7 @@ class TestLoadConfig:
         # Values of the right type but out of range used to get past the
         # load and fail at run time under a library message, or to run.
         *(pytest.param(mutate, path, id=name) for name, mutate, path in [
-            ("fext_coeff-negative", lambda c: c["channel"].update(fext_coeff=-1e-16),
-             "channel.fext_coeff"),
-            ("attenuation-negative", lambda c: c["channel"].update(attenuation=-5e-4),
-             "channel.attenuation"),
-            ("coupling-3x2",
-             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, 0.5]] * 3),
-             "channel.coupling_lengths_km"),
-            ("coupling-short-row",
-             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, 0.5], [0.5]]),
-             "channel.coupling_lengths_km"),
-            ("coupling-negative",
-             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, -0.1], [0.5, 0.5]]),
-             "channel.coupling_lengths_km"),
             ("oracle_levels-one", lambda c: c.update(oracle_levels=1), "oracle_levels"),
-            ("detail-negative", lambda c: c.update(detail_rd_bps=-5.0),
-             "detail_rd_bps"),
             # 10 ** 400 used to raise OverflowError when the run took the gap.
             ("gap_db-overflow", lambda c: c.update(gap_db=4000.0), "gap_db"),
             # 10 ** 400 used to raise OverflowError when the run took the noise.
@@ -182,6 +165,33 @@ class TestLoadConfig:
             ("rd_bps-with-max_fraction", lambda c: c.update(sweep={
                 "rd_bps": [1e5], "max_fraction": 7.0}), "sweep.max_fraction"),
         ]),
+        # The detail target and the synthetic model's overrides are not
+        # scenario fields: any value of them is refused as an unknown
+        # field, before it is read.
+        *(pytest.param(mutate, path, id=name) for name, mutate, path in [
+            ("coupling-string",
+             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, "a"], [0.5, 0.5]]),
+             "channel.coupling_lengths_km"),
+            ("coupling-3x2",
+             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, 0.5]] * 3),
+             "channel.coupling_lengths_km"),
+            ("coupling-short-row",
+             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, 0.5], [0.5]]),
+             "channel.coupling_lengths_km"),
+            ("coupling-negative",
+             lambda c: c["channel"].update(coupling_lengths_km=[[0.5, -0.1], [0.5, 0.5]]),
+             "channel.coupling_lengths_km"),
+            ("attenuation-string", lambda c: c["channel"].update(attenuation="x"),
+             "channel.attenuation"),
+            ("attenuation-negative", lambda c: c["channel"].update(attenuation=-5e-4),
+             "channel.attenuation"),
+            ("fext_coeff-negative", lambda c: c["channel"].update(fext_coeff=-1e-16),
+             "channel.fext_coeff"),
+            ("detail-string", lambda c: c.update(detail_rd_bps="1e6"),
+             "detail_rd_bps"),
+            ("detail-negative", lambda c: c.update(detail_rd_bps=-5.0),
+             "detail_rd_bps"),
+        ]),
     ])
     def test_field_errors_carry_paths(self, tmp_path, mutate, path):
         cfg = base_config(tmp_path)
@@ -189,18 +199,18 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(cfg)
         assert exc.value.path == path
+        if path.split(".")[-1] in REMOVED_FIELDS:
+            assert str(exc.value) == f"{path}: unknown field"
 
     def test_stores_resolved_defaults(self, tmp_path):
         cfg = base_config(tmp_path, sweep={"count": 2})
         cfg["channel"].pop("group_sizes")
         config = load_config(cfg)
         assert config.channel_spec["group_sizes"] == [1, 1]
-        assert "attenuation" not in config.channel_spec  # synthetic_dsl_channel's
         assert config.sweep == {"count": 2, "min_fraction": 0.1,
                                 "max_fraction": 0.95}
         assert (config.near_user, config.gap_db, config.oracle_levels,
-                config.band_plan_hz, config.detail_rd_bps) == (1, 0.0, 11,
-                                                               None, None)
+                config.band_plan_hz) == (1, 0.0, 11, None)
         cfg.pop("output_dir")
         assert load_config(cfg).output_dir == "scenario_out"
 
@@ -370,32 +380,20 @@ class TestRunScenario:
             assert np.allclose(recomputed, sinr_rows[:, 1 + u], rtol=1e-9)
 
     def test_explicit_targets_and_detail(self, tmp_path):
-        cfg = base_config(tmp_path, sweep={"rd_bps": [3e5, 6e5]},
-                          detail_rd_bps=6e5)
-        report = run_scenario(load_config(cfg))
-        assert report["detail_rd_bps"] == 6e5
-        swept = [float(r[1]) for r in report["rows"] if r[0] == "fm-iwf"]
-        assert swept == [3e5, 6e5]
-
-    def test_detail_target_off_the_sweep(self, tmp_path):
-        # A detail target that is not one of the swept targets still gets its
-        # PSD and SINR files, the same bytes as when it is swept.
-        off = base_config(tmp_path, sweep={"rd_bps": [3e5, 6e5]},
-                          detail_rd_bps=4.5e5, output_dir=str(tmp_path / "off"))
-        on = base_config(tmp_path, sweep={"rd_bps": [4.5e5]},
-                         detail_rd_bps=4.5e5, output_dir=str(tmp_path / "on"))
-        report = run_scenario(load_config(off))
-        run_scenario(load_config(on))
-        names = sorted(f"{kind}_{m}" for kind in ("psd", "sinr")
-                       for m in ("fm-iwf", "dfdm", "ra-iwf"))
-        assert sorted(report["files"]) == sorted(names + ["rate_region"])
-        for method in ("fm_iwf", "dfdm"):
-            for kind in ("psd", "sinr"):
-                name = f"{kind}_{method}.csv"
-                assert ((tmp_path / "off" / name).read_bytes()
-                        == (tmp_path / "on" / name).read_bytes())
-        swept = [float(r[1]) for r in report["rows"] if r[0] == "fm-iwf"]
-        assert swept == [3e5, 6e5]
+        # The PSD and SINR files hold the middle swept target, the same
+        # bytes as when it is swept alone.
+        reports = [run_scenario(load_config(base_config(
+            tmp_path, sweep={"rd_bps": targets}, output_dir=str(tmp_path / name))))
+            for name, targets in (("three", [3e5, 4.5e5, 6e5]), ("one", [4.5e5]))]
+        assert [r["detail_rd_bps"] for r in reports] == [4.5e5, 4.5e5]
+        swept = [float(r[1]) for r in reports[0]["rows"] if r[0] == "fm-iwf"]
+        assert swept == [3e5, 4.5e5, 6e5]
+        names = [f"{kind}_{m}" for kind in ("psd", "sinr")
+                 for m in ("fm-iwf", "dfdm", "ra-iwf")]
+        assert sorted(reports[0]["files"]) == sorted(names + ["rate_region"])
+        for name in names:
+            three, one = (Path(r["files"][name]).read_bytes() for r in reports)
+            assert three == one
 
     def test_oracle_method_appends_frontier(self, tmp_path):
         cfg = base_config(tmp_path,
