@@ -65,6 +65,11 @@ class FrequencyGrid:
             raise ValueError("grid edges must be strictly increasing")
         if not np.maximum.reduce(widths) < np.inf:
             raise ValueError("grid edges and tone widths must be finite")
+        # log2(1 + SINR) < 1024 for a finite SINR, so this keeps every rate
+        # finite.  A Python float overflows to inf without a warning.
+        if not float(edges[-1]) - float(edges[0]) < np.finfo(float).max / 1024:
+            raise ValueError("grid span must be below float max / 1024, "
+                             "about 1.76e305 Hz")
         object.__setattr__(self, "_widths", widths)
 
     @property
@@ -190,44 +195,37 @@ def nearfar_two_band_channel(alpha: float, beta: float, gamma: float,
     return ChannelMatrixSet(np.stack([band1, band2]), grid)
 
 
-_FEXT_COEFF = 1e-16  # synthetic_dsl_channel's crosstalk coefficient
+_ATTENUATION = 5e-4  # synthetic_dsl_channel's loss per km and sqrt(Hz)
+_FEXT_COEFF = 1e-16  # and its crosstalk coefficient
 
 
-def synthetic_dsl_channel(lengths_km, grid: FrequencyGrid,
-                          coupling_lengths_km=None,
-                          attenuation: float = 5e-4,
-                          fext_coeff: float = _FEXT_COEFF) -> ChannelMatrixSet:
+def synthetic_dsl_channel(lengths_km, grid: FrequencyGrid) -> ChannelMatrixSet:
     """Deterministic synthetic DSL-like channel for N lines.
 
     Direct gain follows the classic twisted-pair shape
-    g(f, L) = exp(-attenuation * L_km * sqrt(f_Hz)), evaluated at tone
+    g(f, L) = exp(-_ATTENUATION * L_km * sqrt(f_Hz)), evaluated at tone
     centers.  Crosstalk coupling from line j into line i is
-    fext_coeff * f^2 * g(f, Lc(i, j)) with Lc the coupling length, which
-    defaults to the shorter of the two line lengths (the shared binder
-    segment).  This is a stylised model, not a cable measurement; the
-    constants are configuration, chosen to give DSL-like attenuation slopes.
+    _FEXT_COEFF * f^2 * g(f, min(L_i, L_j)): it couples over the shorter
+    line, the shared binder segment.  This is a stylised model, not a cable
+    measurement; the two constants are fixed, chosen to give DSL-like
+    attenuation slopes.
     """
     lengths = np.asarray(lengths_km, dtype=float)
     if lengths.ndim != 1 or lengths.size < 1:
         raise ValueError("lengths_km must be a 1-D sequence")
-    if np.any(lengths < 0):
-        raise ValueError("line lengths must be >= 0")
-    n = lengths.size
-    if coupling_lengths_km is None:
-        lc = np.minimum.outer(lengths, lengths)
-    else:
-        lc = np.asarray(coupling_lengths_km, dtype=float)
-        if lc.shape != (n, n) or np.any(lc < 0):
-            raise ValueError("coupling_lengths_km must be a non-negative (N, N) matrix")
+    if not np.all((lengths >= 0) & (lengths < np.inf)):
+        raise ValueError("lengths_km must be finite and >= 0")
     f = grid.centers
     root_f = np.sqrt(f)
-    # One (K, N, N) array, filled in place: crosstalk everywhere, then the
-    # direct gains on the diagonal.
-    gains = np.multiply.outer(root_f, -attenuation * lc)
-    np.exp(gains, out=gains)
-    gains *= (fext_coeff * f ** 2)[:, None, None]
-    users = np.arange(n)
-    gains[:, users, users] = np.exp(-attenuation * np.outer(root_f, lengths))
+    # A pair couples over its shorter line, so each tone has one crosstalk
+    # exponential per line: gather them into the (K, N, N) stack, scale it
+    # in place, then write the direct gains on the diagonal.
+    xtalk = np.exp(np.multiply.outer(root_f, -_ATTENUATION * lengths))
+    users = np.arange(lengths.size)
+    shorter = np.where(lengths[:, None] <= lengths, users[:, None], users)
+    gains = np.take(xtalk, shorter, axis=1)  # C order, unlike xtalk[:, shorter]
+    gains *= (_FEXT_COEFF * f ** 2)[:, None, None]
+    gains[:, users, users] = np.exp(-_ATTENUATION * np.outer(root_f, lengths))
     return ChannelMatrixSet(gains, grid)
 
 

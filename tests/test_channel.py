@@ -8,7 +8,7 @@ from specoord.channel import (ChannelCsvError, ChannelMatrixSet, FrequencyGrid,
                               make_uniform_grid, nearfar_two_band_channel,
                               symmetric_two_band_channel, synthetic_dsl_channel,
                               write_channel_csv, write_noise_csv, write_psd_csv)
-from specoord.channel import _texts, _write_rows
+from specoord.channel import _ATTENUATION, _FEXT_COEFF, _texts, _write_rows
 
 
 class TestFrequencyGrid:
@@ -39,15 +39,19 @@ class TestFrequencyGrid:
             make_uniform_grid(0, 1, 0)
 
     # Edges 2e308 apart used to give an infinite width after numpy's
-    # overflow warning, and capacity on the grid inf.  A warning fails the
-    # test; a nan edge stays a non-increasing one.
+    # overflow warning, and capacity on the grid inf; a span of 2e308 over
+    # finite widths made capacity overflow.  A warning fails the test; a
+    # nan edge stays a non-increasing one.
     @pytest.mark.parametrize("edges,message", [
         ([-1e308, 1e308], "grid edges and tone widths must be finite"),
         ([0.0, 1.0, np.inf], "grid edges and tone widths must be finite"),
         ([-np.inf, 0.0], "grid edges and tone widths must be finite"),
         ([np.inf, np.inf], "grid edges must be strictly increasing"),
         ([0.0, np.nan], "grid edges must be strictly increasing"),
-    ], ids=["2e308-apart", "inf-last", "inf-first", "inf-inf", "nan"])
+        ([-1e308, 0.0, 1e308],
+         "grid span must be below float max / 1024, about 1.76e305 Hz"),
+    ], ids=["2e308-apart", "inf-last", "inf-first", "inf-inf", "nan",
+            "2e308-span"])
     def test_rejects_non_finite_edges_or_widths(self, edges, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             FrequencyGrid(np.array(edges))
@@ -126,26 +130,30 @@ class TestSyntheticDsl:
         fext = ch.gains[:, 0, 1]
         assert np.all(np.diff(fext) > 0)
 
+    # A nan length used to be refused as a bad gain, and an infinite one
+    # accepted with an all-zero direct gain.
     def test_rejects_negative_length(self):
-        with pytest.raises(ValueError):
-            synthetic_dsl_channel([-1.0, 1.0], self.grid())
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError,
+                               match="^lengths_km must be finite and >= 0$"):
+                synthetic_dsl_channel([bad, 1.0], self.grid())
 
-    @pytest.mark.parametrize("coupled", [False, True])
-    def test_matches_the_pairwise_formula(self, rng, coupled):
-        # The docstring's formula, one (i, j) pair at a time, bit for bit.
-        lengths = rng.uniform(0.2, 4.0, 6)
-        lc = rng.uniform(0.0, 3.0, (6, 6)) if coupled else np.minimum.outer(
-            lengths, lengths)
+    def test_matches_the_pairwise_formula(self, rng):
+        # The docstring's formula, one (i, j) pair at a time, bit for bit:
+        # random lengths, tied ones, a zero one and a single line.
         grid = self.grid()
-        ch = synthetic_dsl_channel(lengths, grid, lc if coupled else None,
-                                   attenuation=7e-4, fext_coeff=3e-16)
         f = grid.centers
-        direct = np.exp(-7e-4 * np.outer(np.sqrt(f), lengths))
-        for i in range(6):
-            for j in range(6):
-                want = (direct[:, i] if i == j else
-                        3e-16 * f ** 2 * np.exp(-7e-4 * lc[i, j] * np.sqrt(f)))
-                assert np.array_equal(ch.gains[:, i, j], want)
+        for lengths in (rng.uniform(0.2, 4.0, 6), [1.0, 1.0, 0.5],
+                        [0.0, 2.0, 0.0], [1.5]):
+            ch = synthetic_dsl_channel(lengths, grid)
+            assert ch.gains.flags.c_contiguous
+            direct = np.exp(-_ATTENUATION * np.outer(np.sqrt(f), lengths))
+            for i, li in enumerate(lengths):
+                for j, lj in enumerate(lengths):
+                    want = (direct[:, i] if i == j else
+                            _FEXT_COEFF * f ** 2
+                            * np.exp(-_ATTENUATION * min(li, lj) * np.sqrt(f)))
+                    assert np.array_equal(ch.gains[:, i, j], want)
 
 
 class TestChannelMatrixSet:

@@ -365,8 +365,9 @@ _spec.loader.exec_module(make_golden)
 def inputs(tmp_path_factory):
     """The goldens' inputs, the 2-tone channel with its users relabelled
     and with a nan gain, coupled_csv's 8-tone channel, noise files that do
-    not fit it, a 2-tone channel and noise whose upper edges are too far
-    apart for a float, and a config that is a JSON array."""
+    not fit it, 2-tone channels and noise whose upper edges are too far
+    apart for a float ("wide") or for a finite rate ("huge"), and a config
+    that is a JSON array."""
     root = tmp_path_factory.mktemp("inputs")
     make_golden.write_inputs(str(root))
     two = load_channel_csv(root / "two_tone.csv")
@@ -383,10 +384,13 @@ def inputs(tmp_path_factory):
         grid = make_uniform_grid(*edges)
         write_noise_csv(NoiseProfile.white(0.1, users, grid.num_tones), grid,
                         root / f"{name}.csv")
-    for name, header, values in (("wide", "g_1_1,g_1_2,g_2_1,g_2_2", "1,0.1,0.1,1"),
-                                 ("wide_noise", "n_1,n_2", "0.1,0.1")):
+    for name, header, values, edges in (
+            ("wide", "g_1_1,g_1_2,g_2_1,g_2_2", "1,0.1,0.1,1", ("-1e308", "1e308")),
+            ("wide_noise", "n_1,n_2", "0.1,0.1", ("-1e308", "1e308")),
+            ("huge", "g_1_1,g_1_2,g_2_1,g_2_2", "1,0.1,0.1,1", ("1e306", "2e306")),
+            ("huge_noise", "n_1,n_2", "1e-300,1e-300", ("1e306", "2e306"))):
         (root / f"{name}.csv").write_text(
-            f"freq_hz,{header}\n-1e308,{values}\n1e308,{values}\n")
+            f"freq_hz,{header}\n" + "".join(f"{e},{values}\n" for e in edges))
     (root / "array.json").write_text("[]")
     return root
 
@@ -503,6 +507,13 @@ CONSOLE_CHECKS = [
                     "{out}/x.csv"], 2, f"error: budgets: {n} given for 2 users",
                    id=f"oracle-budgets-{budgets}")
       for budgets, n in (("1", 1), ("1,1,1", 3))),
+    # A span of 2e306 Hz used to exit 0 after numpy's overflow warning,
+    # with an infinite frontier.
+    pytest.param(["oracle", "--channel", "{inputs}/huge.csv", "--noise",
+                  "{inputs}/huge_noise.csv", "--budgets", "1,1", "--output",
+                  "{out}/x.csv"], 2, "config error: {inputs}/huge.csv: grid "
+                 "span must be below float max / 1024, about 1.76e305 Hz",
+                 id="oracle-huge-span"),
     pytest.param(["oracle", *INSTANCE, "--levels", "3", "--output",
                   "{out}/x.csv"], 2, "config error: 3**16 allocations exceed "
                  "the cap 20000000; reduce the tone count or the number of "
