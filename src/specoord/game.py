@@ -289,11 +289,23 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     return power, float(mu), None
 
 
+def _profile(allocations: Sequence[PowerAllocation], channel: ChannelMatrixSet,
+             noise: NoiseProfile, gap: float, wanted: Sequence[int]) -> tuple:
+    """The (N, K) power matrix of allocations and the Receivers of wanted.
+    A user's budget in the finite-rate rule is the larger of its
+    allocation's budget and power total, 0 with no allocation."""
+    p = power_matrix(allocations, channel.num_users, channel.num_tones)
+    budgets = np.zeros(channel.num_users)
+    with np.errstate(over="ignore"):  # an inf total is refused by name
+        for alloc in allocations:
+            budgets[alloc.user] = max(alloc.budget, alloc.total)
+    return p, _receivers(channel, noise, gap, wanted, budgets)[1]
+
+
 def sinr_per_tone(user: int, allocations: Sequence[PowerAllocation],
                   channel: ChannelMatrixSet, noise: NoiseProfile) -> np.ndarray:
     """Received SINR of one user on every tone (no gap applied)."""
-    p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    _, (rx,) = _receivers(channel, noise, 1.0, [user])
+    p, (rx,) = _profile(allocations, channel, noise, 1.0, [user])
     sinr = np.zeros(channel.num_tones)
     sinr[rx.tones] = p[user, rx.tones] / _floor(p, rx, 1.0)
     return sinr
@@ -308,8 +320,7 @@ def capacity(user: int, allocations: Sequence[PowerAllocation],
     all other users' transmissions as Gaussian noise.  gap >= 1 is the
     linear SNR gap of the coding scheme (1 for Shannon capacity).
     """
-    p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    _, (rx,) = _receivers(channel, noise, gap, [user])
+    p, (rx,) = _profile(allocations, channel, noise, gap, [user])
     return _rate(p[user], rx.tones, _floor(p, rx, gap), rx.widths)
 
 
@@ -334,14 +345,13 @@ def is_nash_equilibrium(allocations: Sequence[PowerAllocation],
     passes when no user can improve its rate by more than
     tol * max(1, current rate).
     """
-    k = channel.num_tones
-    p = power_matrix(allocations, channel.num_users, k)
-    _, receivers = _receivers(channel, noise, gap, [a.user for a in allocations])
+    p, receivers = _profile(allocations, channel, noise, gap,
+                            [a.user for a in allocations])
     rates, gains = np.empty((2, len(allocations)))
     for idx, (alloc, rx) in enumerate(zip(allocations, receivers)):
         floors = _floor(p, rx, gap)
         rates[idx] = _rate(p[rx.user], rx.tones, floors, rx.widths)
-        best, _, _ = _fill(rx.tones, floors, rx.widths, k, alloc.budget)
+        best, _, _ = _fill(rx.tones, floors, rx.widths, p.shape[1], alloc.budget)
         gains[idx] = _rate(best, rx.tones, floors, rx.widths) - rates[idx]
     worst = float(gains.max()) if gains.size else 0.0
     ok = all(g <= tol * max(1.0, r) for g, r in zip(gains, rates))

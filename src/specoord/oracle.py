@@ -160,7 +160,7 @@ def _pareto_front(blocks) -> np.ndarray:
     for block in blocks:
         x, y = block.T
         if not len(front) and len(block):
-            fx, fy = block[np.argmax(x + y)]
+            fx, fy = block[np.argmax(0.5 * x + 0.5 * y)]
         keep = (x > fx) | (y >= fy)
         x, y = x[keep], y[keep]
         # The staircase ascends in x and descends in y, so the first row
@@ -172,7 +172,7 @@ def _pareto_front(blocks) -> np.ndarray:
         if keep.any():
             rest = np.column_stack((x[keep], y[keep]))
             front = _front(np.concatenate((front, rest)))
-            fx, fy = front[np.argmax(front.sum(axis=1))]
+            fx, fy = front[np.argmax(0.5 * front[:, 0] + 0.5 * front[:, 1])]
     return front
 
 

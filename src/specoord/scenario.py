@@ -34,7 +34,7 @@ from .oracle import SearchSpaceError, brute_force_pareto
 from .waterfilling import iterate_iwf
 
 VALID_METHODS = ("ra-iwf", "fm-iwf", "dfdm", "oracle")
-# The fields load_config reads per block, channel kind and sweep form.
+# The fields load_config reads per block and channel kind.
 _FIELDS = {
     "": {"name", "grid", "channel", "noise_psd_dbm_hz", "budgets_mw",
          "methods", "sweep", "near_user", "gap_db", "band_plan_hz",
@@ -42,9 +42,10 @@ _FIELDS = {
     "grid": {"f_start_hz", "f_end_hz", "num_tones"},
     "channel.synthetic": {"kind", "lengths_km", "group_sizes"},
     "channel.csv": {"kind", "path"},
-    "sweep.rd_bps": {"rd_bps"},
-    "sweep.count": {"count", "min_fraction", "max_fraction"},
+    "sweep": {"count", "max_fraction"},
 }
+# A sweep's first target, as a fraction of the near user's full-band rate.
+_MIN_FRACTION = 0.1
 
 
 class ConfigError(ValueError):
@@ -197,21 +198,13 @@ def load_config(source) -> ScenarioConfig:
         raise ConfigError("methods", "must not repeat a method")
 
     sweep = dict(_object(_need(raw, "sweep", ""), "sweep"))
-    _known(sweep, "sweep", "sweep.rd_bps" if "rd_bps" in sweep else "sweep.count")
-    if "rd_bps" in sweep:
-        rd = _numbers(sweep["rd_bps"], "sweep.rd_bps")
-        if not rd or any(r < 0 for r in rd):
-            raise ConfigError("sweep.rd_bps", "need non-negative targets")
-        sweep["rd_bps"] = rd
-    else:
-        if _integer(sweep.get("count", 0), "sweep.count") < 1:
-            raise ConfigError("sweep.count", "must be >= 1")
-        lo = _number(sweep.get("min_fraction", 0.1), "sweep.min_fraction")
-        hi = _number(sweep.get("max_fraction", 0.95), "sweep.max_fraction")
-        if not 0 < lo <= hi <= 1:
-            raise ConfigError("sweep.min_fraction",
-                              "need 0 < min_fraction <= max_fraction <= 1")
-        sweep.update(min_fraction=lo, max_fraction=hi)
+    _known(sweep, "sweep", "sweep")
+    if _integer(sweep.get("count", 0), "sweep.count") < 1:
+        raise ConfigError("sweep.count", "must be >= 1")
+    hi = sweep["max_fraction"] = _number(sweep.get("max_fraction", 0.95),
+                                         "sweep.max_fraction")
+    if not _MIN_FRACTION <= hi <= 1:
+        raise ConfigError("sweep.max_fraction", f"must lie in [{_MIN_FRACTION}, 1]")
 
     near = _integer(raw.get("near_user", 1), "near_user")
     if near not in (0, 1):
@@ -314,14 +307,6 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
     return ChannelMatrixSet(gains, grid)
 
 
-def _sweep_targets(config: ScenarioConfig, max_rate: float) -> list[float]:
-    if "rd_bps" in config.sweep:
-        return list(config.sweep["rd_bps"])
-    lo = config.sweep["min_fraction"] * max_rate
-    hi = config.sweep["max_fraction"] * max_rate
-    return list(np.linspace(lo, hi, config.sweep["count"]))
-
-
 def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     """Execute a scenario and write its CSV artefacts.
 
@@ -344,7 +329,8 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     if i is not None:
         raise ConfigError(f"budgets_mw[{i}]", f"{budgets[i]!r} {_TOO_LARGE}")
     sweep = _Sweep(channel, noise, budgets, config.near_user, gap)
-    targets = _sweep_targets(config, sweep.search.full)
+    full, top = sweep.search.full, config.sweep["max_fraction"]
+    targets = list(np.linspace(_MIN_FRACTION * full, top * full, config.sweep["count"]))
     detail_rd = targets[len(targets) // 2]
 
     def row(method: str, target: str, near_rate: float, far_rate: float) -> tuple:

@@ -286,10 +286,11 @@ class TestRun:
         pytest.param("band_plan_hz=[[[0.0, 1.0]], null]", 2,  # covers no
                      "config error: band_plan_hz[0]: covers no tone centre",
                      id="band_plan_hz=[[[0.0, 1.0]], null]-2"),  # tone centre
-        # An unreachable target; the whole sweep, as a count beside rd_bps
-        # is refused.
-        pytest.param('sweep={"rd_bps": [1e12]}', 3, "infeasible: ",
-                     id="sweep.rd_bps=[1e12]-3"),
+        # A CSV channel whose far user (user 0) has no usable tone: the
+        # solvers' failure, exit 3.
+        pytest.param('channel={"kind": "csv", "path": "{tmp}/dark.csv"}', 3,
+                     "infeasible: no usable tones to allocate power on (best "
+                     "achievable 0 bit/s)", id="far-user-without-tones-3"),
         # A budget past the finite-rate rule; it used to exit 0 with inf
         # far rates in rate_region.csv, then to be refused as the solver's
         # "budgets[0]" instead of the field the user wrote.
@@ -322,9 +323,12 @@ class TestRun:
     def test_failed_run_leaves_the_output_dir_as_it_was(self, tmp_path, capsys,
                                                         override, code, err):
         cfg = self.write_config(tmp_path)
+        gains = np.tile([[0.0, 0.1], [0.1, 1.0]], (2, 1, 1))
+        write_channel_csv(ChannelMatrixSet(gains, make_uniform_grid(0, 2e5, 2)),
+                          tmp_path / "dark.csv")
         argv = ["run", "--config", cfg]
         for assignment in [override] if isinstance(override, str) else override:
-            argv += ["--set", assignment]
+            argv += ["--set", assignment.replace("{tmp}", str(tmp_path))]
         out = tmp_path / "out"
         assert main(argv) == code
         assert capsys.readouterr().err.startswith(err)
@@ -531,9 +535,10 @@ CONSOLE_CHECKS = [
     pytest.param([*RUN, "--set", "oops"], 2, "config error: --set: expected "
                  "key=value, got 'oops'", id="run-set-without-value"),
     # A field that load_config does not read, at the top level, in the
-    # grid, in the sweep and in each kind of channel or form of sweep, and
-    # each field it no longer reads: the detail target (the middle swept
-    # target now) and the synthetic model's overrides.
+    # grid, in the sweep and in each kind of channel, and each field it no
+    # longer reads: the sweep's explicit targets and first fraction (0.1
+    # now), the detail target (the middle swept target now) and the
+    # synthetic model's overrides.
     *(pytest.param([*RUN, "--set", assignment], 2,
                    f"config error: {field}: unknown field",
                    id=f"run-unknown-field-{field}")
@@ -542,8 +547,9 @@ CONSOLE_CHECKS = [
                                 ("sweep.cuont=9", "sweep.cuont"),
                                 ("channel.path=x.csv", "channel.path"),
                                 ("channel.kind=csv", "channel.lengths_km"),
-                                ('sweep={"rd_bps": [1e5], "count": 9, '
-                                 '"max_fraction": 7.0}', "sweep.count"),
+                                ('sweep={"count": 3, "rd_bps": [1e5]}',
+                                 "sweep.rd_bps"),
+                                ("sweep.min_fraction=0.2", "sweep.min_fraction"),
                                 ("detail_rd_bps=1", "detail_rd_bps"),
                                 ("channel.attenuation=1e-3",
                                  "channel.attenuation"),
@@ -551,9 +557,9 @@ CONSOLE_CHECKS = [
                                  "channel.fext_coeff"),
                                 ("channel.coupling_lengths_km=[[0.5, 0.5], "
                                  "[0.5, 0.5]]", "channel.coupling_lengths_km"))),
-    # A field of the wrong type or shape.  The first five used to end in a
-    # raw TypeError or AttributeError traceback (exit 1), or, for a
-    # fractional count, to run int(count) targets.
+    # A field of the wrong type, shape or range.  The first five used to
+    # end in a raw TypeError or AttributeError traceback (exit 1), or, for
+    # a fractional count, to run int(count) targets.
     *(pytest.param([*RUN, "--set", assignment], 2,
                    f"config error: {field}: {message}", id=f"run-wrong-{field}")
       for assignment, field, message in (
@@ -563,6 +569,7 @@ CONSOLE_CHECKS = [
            "must be a finite number"),
           ("sweep=[]", "sweep", "must be a JSON object"),
           ("sweep.count=2.5", "sweep.count", "must be an integer"),
+          ("sweep.max_fraction=0.05", "sweep.max_fraction", "must lie in [0.1, 1]"),
           ('methods=["sorcery"]', "methods", "must be a non-empty subset of "
            "('ra-iwf', 'fm-iwf', 'dfdm', 'oracle')"),
           ("band_plan_hz=[null]", "band_plan_hz",

@@ -464,8 +464,8 @@ class TestSharedSweep:
             "channel": {"kind": "synthetic", "lengths_km": [2.5, 0.7],
                         "group_sizes": [6, 9]},
             "noise_psd_dbm_hz": -135.0, "budgets_mw": [20.0, 30.0],
-            "methods": ["dfdm"], "sweep": {"count": 1}, "near_user": near,
-            "gap_db": gap_db, "band_plan_hz": plan,
+            "methods": ["dfdm"], "sweep": {"count": 7, "max_fraction": 1.0},
+            "near_user": near, "gap_db": gap_db, "band_plan_hz": plan,
             "output_dir": str(tmp_path)}
         config = load_config(cfg)
         channel = build_channel(config)
@@ -475,8 +475,9 @@ class TestSharedSweep:
         far_initial = opening(channel, noise, far, budgets[far], gap)
         full = full_band_rate(channel, noise, near, budgets[near], far_initial,
                               gap)
-        targets = [f * full for f in FRACTIONS]
-        report = run_scenario(load_config(dict(cfg, sweep={"rd_bps": targets})))
+        # The scenario's targets: 7 from 0.1 of the full-band rate to all of it.
+        targets = list(np.linspace(0.1 * full, 1.0 * full, 7))
+        report = run_scenario(config)
         want = []
         for t in targets:
             *_, near_rate, far_rate = reference_round(

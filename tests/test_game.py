@@ -194,11 +194,46 @@ class TestUnderflowingFloor:
                              ids=["capacity", "sinr", "nash"])
     def test_refused(self, measure):
         # capacity and sinr_per_tone used to divide by the zero floor: a
-        # RuntimeWarning, and inf without -W error.
+        # RuntimeWarning, and inf without -W error.  At zero power and
+        # budget the finite-rate rule passes, so the floor check fires.
         channel, noise = one_tone_instance(direct=1e300, noise=1e-300)
-        alloc = [PowerAllocation(0, np.array([1.0]), 1.0)]
+        alloc = [PowerAllocation(0, np.array([0.0]), 0.0)]
         with pytest.raises(ValueError, match="effective noise must be finite"):
             measure(alloc, channel, noise)
+
+
+class TestFiniteRateRule:
+    """capacity, sinr_per_tone and is_nash_equilibrium refuse a profile that
+    breaks the finite-rate rule, as iterate_iwf refuses its budgets.  Each
+    user's budget there is the larger of its allocation's budget and power
+    total."""
+
+    @pytest.mark.parametrize("measure", TestUnderflowingFloor.MEASURES,
+                             ids=["capacity", "sinr", "nash"])
+    @pytest.mark.parametrize("total,budget", [(1e307, 1e307), (1e307, 1.0),
+                                              (1.0, 1e307)])
+    def test_refused_by_name(self, measure, total, budget):
+        # They used to give inf rates, [inf, 0] SINRs and a nan worst gain,
+        # after numpy's overflow RuntimeWarning.
+        channel = symmetric_two_band_channel(0.5)
+        noise = NoiseProfile.white(1e-300, 2, 2)
+        allocs = [PowerAllocation(u, np.eye(2)[u] * total, budget, AT_MOST_POWER)
+                  for u in (0, 1)]
+        message = r"^budgets\[0\] = 1e\+307 is too large: "
+        with pytest.raises(ValueError, match=message):
+            measure(allocs, channel, noise)
+        with pytest.raises(ValueError, match=message):
+            iterate_iwf(channel, noise, [1e307, 1e307])
+
+    @pytest.mark.parametrize("measure", TestUnderflowingFloor.MEASURES,
+                             ids=["capacity", "sinr", "nash"])
+    def test_total_past_the_float_range(self, measure):
+        # Finite powers whose sum overflows: refused by name, with no
+        # overflow warning from the sum.
+        channel = symmetric_two_band_channel(0.5)
+        allocs = [PowerAllocation(0, np.full(2, 1e308), 1.0, AT_MOST_POWER)]
+        with pytest.raises(ValueError, match=r"^budgets\[0\] must be finite"):
+            measure(allocs, channel, NoiseProfile.white(1.0, 2, 2))
 
 
 class TestNoiseShape:

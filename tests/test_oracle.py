@@ -48,6 +48,18 @@ class TestBruteForce:
         assert curve.points.shape == (1, 2)
         assert np.allclose(curve.points[0], np.log2(1 + 1 / 0.1), rtol=1e-12)
 
+    def test_rates_past_half_the_float_range(self):
+        # Both rates pass float max / 2: the pivot used to be picked by
+        # x + y, which overflowed in _pareto_front.
+        edge = np.nextafter(np.finfo(float).max / 1024, 0)
+        channel = ChannelMatrixSet(np.eye(2)[None],
+                                   FrequencyGrid(np.array([0.0, edge])))
+        noise = NoiseProfile.white(1e-300, 2, 1)
+        curve = brute_force_pareto(channel, noise, [1e7, 1e7], levels=3)
+        rate = edge * np.log2(1 + 1e7 / 1e-300)
+        assert curve.points.shape == (1, 2)
+        assert np.allclose(curve.points[0], rate, rtol=1e-12)
+
     def test_low_coupling_flat_point_on_frontier(self):
         channel, noise, budgets = symmetric_game_instance(0.05, 10)
         curve = brute_force_pareto(channel, noise, budgets, levels=11)

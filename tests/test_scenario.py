@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from specoord.channel import (ChannelMatrixSet, NoiseProfile,
+from specoord.channel import (ChannelMatrixSet, NoiseProfile, format_float,
                               load_channel_csv, make_uniform_grid,
                               write_channel_csv, write_noise_csv)
 from specoord import dfdm, game, oracle, waterfilling
@@ -20,7 +20,7 @@ from specoord.symmetric import classify_game, h_lim1, h_lim2
 
 # Fields a scenario no longer reads (see test_field_errors_carry_paths).
 REMOVED_FIELDS = ("detail_rd_bps", "attenuation", "fext_coeff",
-                  "coupling_lengths_km")
+                  "coupling_lengths_km", "rd_bps", "min_fraction")
 
 
 def base_config(tmp_path, **overrides):
@@ -32,7 +32,7 @@ def base_config(tmp_path, **overrides):
         "noise_psd_dbm_hz": -140.0,
         "budgets_mw": [30.0, 30.0],
         "methods": ["fm-iwf", "dfdm", "ra-iwf"],
-        "sweep": {"count": 3, "min_fraction": 0.2, "max_fraction": 0.8},
+        "sweep": {"count": 3, "max_fraction": 0.8},
         "near_user": 1,
         "output_dir": str(tmp_path / "out"),
     }
@@ -74,6 +74,12 @@ class TestLoadConfig:
         (lambda c: c.update(methods=["fm-iwf", "magic"]), "methods"),
         (lambda c: c.update(methods=[]), "methods"),
         (lambda c: c.update(sweep={}), "sweep.count"),
+        # The first target is 0.1 of the full-band rate: the last may not
+        # lie below it.
+        (lambda c: c.update(sweep={"count": 3, "max_fraction": 0.05}),
+         "sweep.max_fraction"),
+        # A sweep has one form; the fields of the explicit-target form and
+        # the first fraction are refused as unknown fields.
         (lambda c: c.update(sweep={"count": 3, "min_fraction": 0.9,
                                    "max_fraction": 0.5}), "sweep.min_fraction"),
         (lambda c: c.update(sweep={"rd_bps": []}), "sweep.rd_bps"),
@@ -129,11 +135,9 @@ class TestLoadConfig:
             ("sweep-array", lambda c: c.update(sweep=[]), "sweep"),
             ("count-fraction", lambda c: c.update(sweep={"count": 2.5}),
              "sweep.count"),
-            ("min_fraction-string",
-             lambda c: c.update(sweep={"count": 3, "min_fraction": "0.2"}),
-             "sweep.min_fraction"),
-            ("rd_bps-string", lambda c: c.update(sweep={"rd_bps": ["1e6"]}),
-             "sweep.rd_bps[0]"),
+            ("max_fraction-string",
+             lambda c: c.update(sweep={"count": 3, "max_fraction": "0.8"}),
+             "sweep.max_fraction"),
             ("noise-array", lambda c: c.update(noise_psd_dbm_hz=[-140.0]),
              "noise_psd_dbm_hz"),
             ("gap_db-string", lambda c: c.update(gap_db="3"), "gap_db"),
@@ -158,17 +162,23 @@ class TestLoadConfig:
             # 10 ** 400 used to raise OverflowError when the run took the noise.
             ("noise-overflow", lambda c: c.update(noise_psd_dbm_hz=4000.0),
              "noise_psd_dbm_hz"),
-            # A sweep form refuses the other's fields; a count or fraction
-            # beside rd_bps used to be ignored, even out of range.
-            ("rd_bps-with-count", lambda c: c.update(sweep={
-                "rd_bps": [1e5], "count": 9, "max_fraction": 7.0}), "sweep.count"),
-            ("rd_bps-with-max_fraction", lambda c: c.update(sweep={
-                "rd_bps": [1e5], "max_fraction": 7.0}), "sweep.max_fraction"),
+            ("max_fraction-above-one", lambda c: c.update(sweep={
+                "count": 3, "max_fraction": 1.5}), "sweep.max_fraction"),
         ]),
-        # The detail target and the synthetic model's overrides are not
-        # scenario fields: any value of them is refused as an unknown
-        # field, before it is read.
+        # The detail target, the explicit targets, the first fraction and
+        # the synthetic model's overrides are not scenario fields: any
+        # value of them is refused as an unknown field, before it is read,
+        # also beside fields a sweep reads.
         *(pytest.param(mutate, path, id=name) for name, mutate, path in [
+            ("min_fraction-string",
+             lambda c: c.update(sweep={"count": 3, "min_fraction": "0.2"}),
+             "sweep.min_fraction"),
+            ("rd_bps-string", lambda c: c.update(sweep={"rd_bps": ["1e6"]}),
+             "sweep.rd_bps"),
+            ("rd_bps-with-count", lambda c: c.update(sweep={
+                "rd_bps": [1e5], "count": 9, "max_fraction": 7.0}), "sweep.rd_bps"),
+            ("rd_bps-with-max_fraction", lambda c: c.update(sweep={
+                "rd_bps": [1e5], "max_fraction": 7.0}), "sweep.rd_bps"),
             ("coupling-string",
              lambda c: c["channel"].update(coupling_lengths_km=[[0.5, "a"], [0.5, 0.5]]),
              "channel.coupling_lengths_km"),
@@ -207,8 +217,7 @@ class TestLoadConfig:
         cfg["channel"].pop("group_sizes")
         config = load_config(cfg)
         assert config.channel_spec["group_sizes"] == [1, 1]
-        assert config.sweep == {"count": 2, "min_fraction": 0.1,
-                                "max_fraction": 0.95}
+        assert config.sweep == {"count": 2, "max_fraction": 0.95}
         assert (config.near_user, config.gap_db, config.oracle_levels,
                 config.band_plan_hz) == (1, 0.0, 11, None)
         cfg.pop("output_dir")
@@ -380,20 +389,25 @@ class TestRunScenario:
             assert np.allclose(recomputed, sinr_rows[:, 1 + u], rtol=1e-9)
 
     def test_explicit_targets_and_detail(self, tmp_path):
-        # The PSD and SINR files hold the middle swept target, the same
-        # bytes as when it is swept alone.
+        # The targets run from 0.1 to max_fraction of the full-band rate.
+        # The PSD and SINR files hold the middle swept target: 3 and 5
+        # targets share it bit for bit, and write the same bytes.
         reports = [run_scenario(load_config(base_config(
-            tmp_path, sweep={"rd_bps": targets}, output_dir=str(tmp_path / name))))
-            for name, targets in (("three", [3e5, 4.5e5, 6e5]), ("one", [4.5e5]))]
-        assert [r["detail_rd_bps"] for r in reports] == [4.5e5, 4.5e5]
-        swept = [float(r[1]) for r in reports[0]["rows"] if r[0] == "fm-iwf"]
-        assert swept == [3e5, 4.5e5, 6e5]
+            tmp_path, sweep={"count": count, "max_fraction": 0.8},
+            output_dir=str(tmp_path / str(count))))) for count in (3, 5)]
+        full = reports[0]["near_max_bps"]
+        for report, count in zip(reports, (3, 5)):
+            targets = list(np.linspace(0.1 * full, 0.8 * full, count))
+            swept = [r[1] for r in report["rows"] if r[0] == "fm-iwf"]
+            assert swept == [format_float(t) for t in targets]
+            assert report["detail_rd_bps"] == targets[count // 2]
+        assert reports[0]["detail_rd_bps"] == reports[1]["detail_rd_bps"]
         names = [f"{kind}_{m}" for kind in ("psd", "sinr")
                  for m in ("fm-iwf", "dfdm", "ra-iwf")]
         assert sorted(reports[0]["files"]) == sorted(names + ["rate_region"])
         for name in names:
-            three, one = (Path(r["files"][name]).read_bytes() for r in reports)
-            assert three == one
+            three, five = (Path(r["files"][name]).read_bytes() for r in reports)
+            assert three == five
 
     def test_oracle_method_appends_frontier(self, tmp_path):
         cfg = base_config(tmp_path,
