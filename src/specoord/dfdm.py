@@ -144,7 +144,7 @@ def dfdm_allocate(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     _check_budget(budget)
     if _overflowing_budget([budget], rx.direct[None], rx.noise[None],
                            gap) is not None:
-        raise ValueError(f"budget = {budget!r} {_TOO_LARGE}")
+        raise ValueError(f"budget = {budget!r} {_TOO_LARGE.format('budget')}")
     cutoff, power, achieved = _Search(rx, budget, p, gap).allocate(target_rate)
     return DfdmResult(cutoff, float(channel.grid.edges[cutoff]),
                       PowerAllocation(user, power, budget, AT_MOST_POWER),

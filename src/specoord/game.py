@@ -82,9 +82,9 @@ def _check_budget(budget: float, name: str = "budget") -> None:
         raise ValueError(f"{name} must be finite and >= 0")
 
 
-def _check_target(target: float) -> None:
+def _check_target(target: float, name: str = "target_rate") -> None:
     if not target >= 0:  # also rejects nan
-        raise ValueError("target_rate must be >= 0")
+        raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ def power_matrix(allocations: Sequence[PowerAllocation], num_users: int,
     return out
 
 
-_TOO_LARGE = "is too large: budget * direct / (gap * noise) overflows on a tone"
+# The finite-rate rule's refusal of a value; {} names the value's kind.
+_TOO_LARGE = "is too large: {} * direct / (gap * noise) overflows on a tone"
 
 
 def _direct(channel: ChannelMatrixSet) -> np.ndarray:
@@ -173,7 +174,8 @@ def _receivers(channel: ChannelMatrixSet, noise: NoiseProfile, gap: float,
             _check_budget(b, f"budgets[{i}]")
         i = _overflowing_budget(budgets, _direct(channel), noise.values, gap)
         if i is not None:
-            raise ValueError(f"budgets[{i}] = {budgets[i]!r} {_TOO_LARGE}")
+            raise ValueError(f"budgets[{i}] = {budgets[i]!r} "
+                             f"{_TOO_LARGE.format('budget')}")
     receivers = []
     for user in wanted:
         if not 0 <= user < channel.num_users:
@@ -292,14 +294,24 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
 def _profile(allocations: Sequence[PowerAllocation], channel: ChannelMatrixSet,
              noise: NoiseProfile, gap: float, wanted: Sequence[int]) -> tuple:
     """The (N, K) power matrix of allocations and the Receivers of wanted.
-    A user's budget in the finite-rate rule is the larger of its
-    allocation's budget and power total, 0 with no allocation."""
+    The finite-rate rule holds each allocation's budget and power total; a
+    refusal names allocations[i] and which of the two broke the rule."""
     p = power_matrix(allocations, channel.num_users, channel.num_tones)
-    budgets = np.zeros(channel.num_users)
+    _, receivers = _receivers(channel, noise, gap, wanted)
     with np.errstate(over="ignore"):  # an inf total is refused by name
-        for alloc in allocations:
-            budgets[alloc.user] = max(alloc.budget, alloc.total)
-    return p, _receivers(channel, noise, gap, wanted, budgets)[1]
+        totals = [alloc.total for alloc in allocations]
+    largest = np.zeros(channel.num_users)  # 0 for a user with no allocation
+    for i, (alloc, total) in enumerate(zip(allocations, totals)):
+        if total == math.inf:
+            raise ValueError(f"allocations[{i}].total must be finite")
+        largest[alloc.user] = max(alloc.budget, total)
+    user = _overflowing_budget(largest, _direct(channel), noise.values, gap)
+    if user is not None:
+        i = next(i for i, alloc in enumerate(allocations) if alloc.user == user)
+        name = "budget" if allocations[i].budget >= totals[i] else "total"
+        raise ValueError(f"allocations[{i}].{name} = {float(largest[user])!r} "
+                         f"{_TOO_LARGE.format(name)}")
+    return p, receivers
 
 
 def sinr_per_tone(user: int, allocations: Sequence[PowerAllocation],

@@ -505,10 +505,14 @@ def compare_regions(params: NearFarParams, r2_values) -> dict[str, RateRegionCur
     For each strong-user rate r2: (i) fixed-margin IWF using the
     water-filling split at the politeness that reaches r2, (ii) the
     interference-minimal split preserving the same strong-user rate, and
-    (iii) the dynamic-FDM closed-form bracket.  Requires equal band widths
-    so that all three live on the same axes.
+    (iii) the dynamic-FDM closed-form bracket.  Requires unit band widths
+    so that all three live on the same axes: the symmetric forms give
+    rates per band, the DFDM bracket rates over the bands' widths.
     """
-    params._require_symmetric("compare_regions")
+    if not params.w1 == params.w2 == 1:
+        raise ValueError("compare_regions needs unit band widths (w1 == w2 == 1):"
+                         " its symmetric forms give rates per band, its DFDM"
+                         " bracket rates over the widths")
     r2_values = np.asarray(list(r2_values), dtype=float)
     iwf_pts, polite_pts = [], []
     for r2 in r2_values:

@@ -34,18 +34,10 @@ from .oracle import SearchSpaceError, brute_force_pareto
 from .waterfilling import iterate_iwf
 
 VALID_METHODS = ("ra-iwf", "fm-iwf", "dfdm", "oracle")
-# The fields load_config reads per block and channel kind.
-_FIELDS = {
-    "": {"name", "grid", "channel", "noise_psd_dbm_hz", "budgets_mw",
-         "methods", "sweep", "near_user", "gap_db", "band_plan_hz",
-         "oracle_levels", "output_dir"},
-    "grid": {"f_start_hz", "f_end_hz", "num_tones"},
-    "channel.synthetic": {"kind", "lengths_km", "group_sizes"},
-    "channel.csv": {"kind", "path"},
-    "sweep": {"count", "max_fraction"},
-}
 # A sweep's first target, as a fraction of the near user's full-band rate.
 _MIN_FRACTION = 0.1
+# The default of a field that a config must set.
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -56,29 +48,22 @@ class ConfigError(ValueError):
         self.path = path
 
 
-def _need(d: dict, key: str, path: str):
-    if key not in d:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing")
-    return d[key]
+# Each parser takes a JSON value and its field path, and returns the value
+# parsed or raises ConfigError naming the path.
+
+def _typed(types, message: str):
+    """A parser that passes a value of types through and refuses any other."""
+    def parser(value, path: str):
+        if not isinstance(value, types):
+            raise ConfigError(path, message)
+        return value
+    return parser
 
 
-def _object(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, "must be a JSON object")
-    return value
-
-
-def _known(block: dict, path: str, fields: str) -> None:
-    """Refuse the first key of block that is not in _FIELDS[fields]."""
-    for key in block:
-        if key not in _FIELDS[fields]:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
-
-
-def _array(value, path: str) -> list:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(path, "must be a JSON array")
-    return list(value)
+_object = _typed(dict, "must be a JSON object")
+_array = _typed((list, tuple), "must be a JSON array")
+_string = _typed(str, "must be a string")
+_path = _typed((str, os.PathLike), "must be a file path")
 
 
 def _number(value, path: str) -> float:
@@ -93,16 +78,6 @@ def _number(value, path: str) -> float:
     raise ConfigError(path, "must be a finite number")
 
 
-def _numbers(value, path: str) -> list[float]:
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(_array(value, path))]
-
-
-def _path(value, path: str):
-    if not isinstance(value, (str, os.PathLike)):
-        raise ConfigError(path, "must be a file path")
-    return value
-
-
 def _integer(value, path: str) -> int:
     # Checked, not truncated: int(2.5) would run 2 silently.
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -110,19 +85,132 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
+def _each(parse):
+    """A parser of a JSON array into the list of its items parsed by parse."""
+    return lambda value, path: [parse(v, f"{path}[{i}]")
+                                for i, v in enumerate(_array(value, path))]
+
+
+_numbers, _integers = _each(_number), _each(_integer)
+
+
+def _checked(parse, *rules):
+    """parse, then refuse a parsed value that fails ok with message, for
+    each (ok, message) rule in turn."""
+    def parser(value, path: str):
+        parsed = parse(value, path)
+        for ok, message in rules:
+            if not ok(parsed):
+                raise ConfigError(path, message)
+        return parsed
+    return parser
+
+
+def _block(value, path: str, fields: str) -> dict:
+    """The fields of _FIELDS[fields] parsed from the JSON object value: its
+    first unknown key is refused, then each field in table order, missing
+    if required and absent, else by its parser; an absent field takes its
+    default, parsed too."""
+    block, schema = _object(value, path), _FIELDS[fields]
+    prefix = f"{path}." if path else ""
+    for key in block:
+        if key not in schema:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    parsed = {}
+    for key, (parse, default) in schema.items():
+        value = block.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{prefix}{key}", "missing")
+        parsed[key] = parse(value, f"{prefix}{key}")
+    return parsed
+
+
+def _channel(value, path: str) -> dict:
+    """A channel block, read with the fields of its kind."""
+    kind = _object(value, path).get("kind")
+    if kind not in ("synthetic", "csv"):
+        raise ConfigError(f"{path}.kind", "must be 'synthetic' or 'csv'"
+                          if "kind" in value else "missing")
+    return _block(value, path, f"channel.{kind}")
+
+
+def _band_plan(value, path: str) -> tuple | None:
+    """null, or one entry per user: null or a list of [lo, hi] ranges."""
+    if value is None:
+        return None
+    plan = _array(value, path)
+    if len(plan) != 2:
+        raise ConfigError(path, "need one entry (or null) per user")
+    return tuple(None if ranges is None else tuple(_ranges(ranges, f"{path}[{u}]"))
+                 for u, ranges in enumerate(plan))
+
+
+def _db(what: str):
+    """A parser of a value in dB whose linear value is a finite float."""
+    return _checked(_number, (lambda db: _from_db(db) < math.inf,
+                              f"is too large: the linear {what} overflows a float"))
+
+
+_ranges = _each(_checked(lambda v, p: tuple(_numbers(v, p)), (
+    lambda b: len(b) == 2 and b[0] < b[1], "need [lo, hi] with lo < hi")))
+_count = _checked(_integer, (lambda n: n >= 1, "must be >= 1"))
+_budgets = _checked(lambda v, p: tuple(_numbers(v, p)),
+                    (lambda b: len(b) == 2 and min(b) > 0, "need two positive budgets"))
+_methods = _checked(lambda v, p: tuple(_array(v, p)),
+                    (lambda m: m and all(x in VALID_METHODS for x in m),
+                     f"must be a non-empty subset of {VALID_METHODS}"),
+                    (lambda m: len(set(m)) == len(m), "must not repeat a method"))
+_lengths = _checked(_numbers, (lambda km: len(km) == 2 and min(km) >= 0,
+                               "need two non-negative lengths"))
+_sizes = _checked(_integers, (lambda s: len(s) == 2 and min(s) >= 1,
+                              "need two sizes >= 1"))
+
+# The schema: each block's fields, in the order they are read, map to
+# (parser, default); a channel reads the block of its kind.
+_FIELDS = {
+    "": {
+        "grid": (lambda v, p: _block(v, p, "grid"), _REQUIRED),
+        "channel": (_channel, _REQUIRED),
+        "budgets_mw": (_budgets, _REQUIRED),
+        "methods": (_methods, _REQUIRED),
+        "sweep": (lambda v, p: _block(v, p, "sweep"), _REQUIRED),
+        "near_user": (_checked(_integer, (lambda u: u in (0, 1), "must be 0 or 1")), 1),
+        "band_plan_hz": (_band_plan, None),
+        "noise_psd_dbm_hz": (_db("PSD"), _REQUIRED),
+        "gap_db": (_checked(_db("gap"), (lambda db: db >= 0, "must be >= 0")), 0.0),
+        "oracle_levels": (_checked(_integer, (lambda n: n >= 2, "must be >= 2")), 11),
+        "name": (_string, "scenario"),
+        "output_dir": (lambda v, p: str(_path(v, p)), "scenario_out"),
+    },
+    "grid": {"f_start_hz": (_number, _REQUIRED), "f_end_hz": (_number, _REQUIRED),
+             "num_tones": (_count, _REQUIRED)},
+    "channel.synthetic": {"kind": (_string, _REQUIRED),
+                          "lengths_km": (_lengths, _REQUIRED),
+                          "group_sizes": (_sizes, [1, 1])},
+    "channel.csv": {"kind": (_string, _REQUIRED), "path": (_path, _REQUIRED)},
+    "sweep": {"count": (_count, _REQUIRED),
+              "max_fraction": (_checked(_number, (
+                  lambda f: _MIN_FRACTION <= f <= 1,
+                  f"must lie in [{_MIN_FRACTION}, 1]")), 0.95)},
+}
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
-    grid_spec: dict
-    channel_spec: dict
-    noise_psd_dbm_hz: float
+    """A parsed config: one attribute per field of _FIELDS[""], every
+    default resolved; grid, channel and sweep hold their blocks as dicts."""
+
+    grid: dict
+    channel: dict
     budgets_mw: tuple
     methods: tuple
     sweep: dict
     near_user: int
-    gap_db: float
     band_plan_hz: tuple | None
+    noise_psd_dbm_hz: float
+    gap_db: float
     oracle_levels: int
+    name: str
     output_dir: str
 
     @property
@@ -141,123 +229,34 @@ def _read_json(path):
 
 def load_config(source) -> ScenarioConfig:
     """Parse and validate a scenario config from a dict or a JSON file path
-    into a config that holds every default resolved."""
+    into a config that holds every default resolved.  _FIELDS parses each
+    field on its own; the rules here tie fields together."""
     raw = (_read_json(source) if isinstance(source, (str, os.PathLike))
            else source)
     if not isinstance(raw, dict):
         raise ConfigError("<root>", "config must be a JSON object")
-    _known(raw, "", "")
-
-    grid = _object(_need(raw, "grid", ""), "grid")
-    _known(grid, "grid", "grid")
-    f_start = _number(_need(grid, "f_start_hz", "grid"), "grid.f_start_hz")
-    f_end = _number(_need(grid, "f_end_hz", "grid"), "grid.f_end_hz")
-    num_tones = _integer(_need(grid, "num_tones", "grid"), "grid.num_tones")
-    if num_tones < 1:
-        raise ConfigError("grid.num_tones", "must be >= 1")
+    fields = _block(raw, "", "")
+    f_start, f_end = fields["grid"]["f_start_hz"], fields["grid"]["f_end_hz"]
     if not f_end > f_start >= 0:
         raise ConfigError("grid.f_end_hz", "need f_end_hz > f_start_hz >= 0")
-
-    chan = dict(_object(_need(raw, "channel", ""), "channel"))
-    kind = _need(chan, "kind", "channel")
-    if kind == "synthetic":
-        _known(chan, "channel", "channel.synthetic")
-        lengths = _numbers(_need(chan, "lengths_km", "channel"), "channel.lengths_km")
-        if len(lengths) != 2 or any(l < 0 for l in lengths):
-            raise ConfigError("channel.lengths_km", "need two non-negative lengths")
-        sizes = chan["group_sizes"] = _array(chan.get("group_sizes", [1, 1]),
-                                             "channel.group_sizes")
-        if len(sizes) != 2 or any(
-                _integer(s, f"channel.group_sizes[{i}]") < 1 for i, s in enumerate(sizes)):
-            raise ConfigError("channel.group_sizes", "need two sizes >= 1")
+    # A CSV channel brings its own grid: build_channel checks its plan.
+    if fields["channel"]["kind"] == "synthetic":
         # The crosstalk is at most _FEXT_COEFF * f**2 at the tone centres,
         # f <= f_end, times the size of the group it comes from.
         if not f_end * f_end < math.inf:
             raise ConfigError("grid.f_end_hz", "is too large: f_end_hz ** 2 "
                               "overflows a float")
         fext = _FEXT_COEFF * (f_end * f_end)
-        for i, s in enumerate(sizes):  # the gains are scaled by float(s)
-            if not fext * _number(s, f"channel.group_sizes[{i}]") < math.inf:
-                raise ConfigError(f"channel.group_sizes[{i}]", "is too large: "
-                                  "fext_coeff * f_end_hz ** 2 * size overflows "
-                                  "a float")
-    elif kind == "csv":
-        _known(chan, "channel", "channel.csv")
-        _path(_need(chan, "path", "channel"), "channel.path")
-    else:
-        raise ConfigError("channel.kind", "must be 'synthetic' or 'csv'")
-
-    budgets = _numbers(_need(raw, "budgets_mw", ""), "budgets_mw")
-    if len(budgets) != 2 or any(b <= 0 for b in budgets):
-        raise ConfigError("budgets_mw", "need two positive budgets")
-
-    methods = _array(_need(raw, "methods", ""), "methods")
-    if not methods or any(m not in VALID_METHODS for m in methods):
-        raise ConfigError("methods", f"must be a non-empty subset of {VALID_METHODS}")
-    if len(set(methods)) < len(methods):
-        raise ConfigError("methods", "must not repeat a method")
-
-    sweep = dict(_object(_need(raw, "sweep", ""), "sweep"))
-    _known(sweep, "sweep", "sweep")
-    if _integer(sweep.get("count", 0), "sweep.count") < 1:
-        raise ConfigError("sweep.count", "must be >= 1")
-    hi = sweep["max_fraction"] = _number(sweep.get("max_fraction", 0.95),
-                                         "sweep.max_fraction")
-    if not _MIN_FRACTION <= hi <= 1:
-        raise ConfigError("sweep.max_fraction", f"must lie in [{_MIN_FRACTION}, 1]")
-
-    near = _integer(raw.get("near_user", 1), "near_user")
-    if near not in (0, 1):
-        raise ConfigError("near_user", "must be 0 or 1")
-
-    plan = raw.get("band_plan_hz")
-    if plan is not None:
-        plan = _array(plan, "band_plan_hz")
-        if len(plan) != 2:
-            raise ConfigError("band_plan_hz", "need one entry (or null) per user")
-        for u, ranges in enumerate(plan):
-            if ranges is None:
-                continue
-            for r, pair in enumerate(_array(ranges, f"band_plan_hz[{u}]")):
-                path = f"band_plan_hz[{u}][{r}]"
-                pair = _numbers(pair, path)
-                if len(pair) != 2 or not pair[0] < pair[1]:
-                    raise ConfigError(path, "need [lo, hi] with lo < hi")
-                # A CSV channel brings its own grid: build_channel checks it.
-                if kind == "synthetic" and (pair[0] < f_start or pair[1] > f_end):
-                    raise ConfigError(path, "outside the grid")
-        plan = tuple(None if r is None else tuple(tuple(p) for p in r) for r in plan)
-
-    psd = _number(_need(raw, "noise_psd_dbm_hz", ""), "noise_psd_dbm_hz")
-    if _from_db(psd) == math.inf:
-        raise ConfigError("noise_psd_dbm_hz",
-                          "is too large: the linear PSD overflows a float")
-    gap_db = _number(raw.get("gap_db", 0.0), "gap_db")
-    if gap_db < 0:
-        raise ConfigError("gap_db", "must be >= 0")
-    if _from_db(gap_db) == math.inf:
-        raise ConfigError("gap_db", "is too large: the linear gap overflows a float")
-    levels = _integer(raw.get("oracle_levels", 11), "oracle_levels")
-    if levels < 2:
-        raise ConfigError("oracle_levels", "must be >= 2")
-    name = raw.get("name", "scenario")
-    if not isinstance(name, str):
-        raise ConfigError("name", "must be a string")
-
-    return ScenarioConfig(
-        name=name,
-        grid_spec=dict(grid),
-        channel_spec=chan,
-        noise_psd_dbm_hz=psd,
-        budgets_mw=tuple(budgets),
-        methods=tuple(methods),
-        sweep=sweep,
-        near_user=near,
-        gap_db=gap_db,
-        band_plan_hz=plan,
-        oracle_levels=levels,
-        output_dir=str(_path(raw.get("output_dir", "scenario_out"), "output_dir")),
-    )
+        for i, s in enumerate(fields["channel"]["group_sizes"]):
+            path = f"channel.group_sizes[{i}]"  # the gains are scaled by float(s)
+            if not fext * _number(s, path) < math.inf:
+                raise ConfigError(path, "is too large: fext_coeff * f_end_hz "
+                                  "** 2 * size overflows a float")
+        for u, ranges in enumerate(fields["band_plan_hz"] or ()):
+            for r, (lo, hi) in enumerate(ranges or ()):
+                if lo < f_start or hi > f_end:
+                    raise ConfigError(f"band_plan_hz[{u}][{r}]", "outside the grid")
+    return ScenarioConfig(**fields)
 
 
 def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
@@ -267,7 +266,7 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
     against that grid here, not against the config's grid block.  A plan
     must cover at least one tone centre of each user it restricts.
     """
-    spec = config.channel_spec
+    spec = config.channel
     if spec["kind"] == "csv":
         channel = load_channel_csv(spec["path"])
         if channel.num_users != 2:
@@ -276,9 +275,8 @@ def build_channel(config: ScenarioConfig) -> ChannelMatrixSet:
             return channel
         gains = channel.gains.copy()
     else:
-        grid = make_uniform_grid(config.grid_spec["f_start_hz"],
-                                 config.grid_spec["f_end_hz"],
-                                 int(config.grid_spec["num_tones"]))
+        grid = make_uniform_grid(config.grid["f_start_hz"], config.grid["f_end_hz"],
+                                 config.grid["num_tones"])
         # A length past the float range gives exp(-inf) = 0.
         with np.errstate(over="ignore"):
             channel = synthetic_dsl_channel(spec["lengths_km"], grid)
@@ -327,7 +325,8 @@ def run_scenario(config: ScenarioConfig, output_dir: str | None = None) -> dict:
     budgets = list(config.budgets_mw)
     i = _overflowing_budget(budgets, _direct(channel), noise.values, gap)
     if i is not None:
-        raise ConfigError(f"budgets_mw[{i}]", f"{budgets[i]!r} {_TOO_LARGE}")
+        raise ConfigError(f"budgets_mw[{i}]",
+                          f"{budgets[i]!r} {_TOO_LARGE.format('budget')}")
     sweep = _Sweep(channel, noise, budgets, config.near_user, gap)
     full, top = sweep.search.full, config.sweep["max_fraction"]
     targets = list(np.linspace(_MIN_FRACTION * full, top * full, config.sweep["count"]))

@@ -106,13 +106,26 @@ def _usable(eff: EffectiveNoise, grid: FrequencyGrid) -> tuple:
     return tones, eff.values[tones], w[tones]
 
 
+def _check_ratio(value, floors: np.ndarray, name: str) -> None:
+    """The finite-rate rule on an effective noise: value / floor is finite
+    on every usable tone, value a budget or the powers on those tones.
+    The rate of a power at most value then stays finite."""
+    with np.errstate(over="ignore"):
+        ratio = value / floors
+    _check_range(ratio, f"{name} is too large: {name} / floor overflows on a "
+                 "usable tone")
+
+
 def achievable_rate(power: np.ndarray, eff: EffectiveNoise,
                     grid: FrequencyGrid) -> float:
     """Rate of a power vector against an effective noise floor."""
-    usable = _usable(eff, grid)
+    tones, floors, widths = _usable(eff, grid)
     if np.shape(power) != eff.values.shape:
         raise ValueError("power does not match effective noise")
-    return _rate(power, *usable)
+    power = np.asarray(power, dtype=float)
+    _check_range(power, _BAD_POWER)
+    _check_ratio(power[tones], floors, "power")
+    return _rate(power, tones, floors, widths)
 
 
 def waterfill_ra(eff: EffectiveNoise, budget: float,
@@ -125,7 +138,9 @@ def waterfill_ra(eff: EffectiveNoise, budget: float,
     floors and picking the active set in closed form.
     """
     _check_budget(budget)
-    power, mu, _ = _fill(*_usable(eff, grid), eff.values.size, budget)
+    usable = _usable(eff, grid)
+    _check_ratio(budget, usable[1], "budget")
+    power, mu, _ = _fill(*usable, eff.values.size, budget)
     return PowerAllocation(eff.user, power, budget, FULL_POWER), mu
 
 
@@ -147,6 +162,7 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
         if usable[0].size == 0:
             raise InfeasibleError("no usable tones", max_achievable=0.0)
         _check_budget(budget)
+        _check_ratio(budget, usable[1], "budget")
     power, mu, short = _fill(*usable, eff.values.size, budget, target_rate)
     if short is not None:
         raise InfeasibleError(
@@ -267,8 +283,8 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
         if len(targets) != n:
             raise ValueError("need one target (or None) per user")
         for i, t in enumerate(targets):
-            if t is not None and not t >= 0:
-                raise ValueError(f"targets[{i}] must be >= 0")
+            if t is not None:
+                _check_target(t, f"targets[{i}]")
     else:
         if targets is not None:
             raise ValueError("targets need mode 'fm'")

@@ -557,6 +557,12 @@ CONSOLE_CHECKS = [
                                  "channel.fext_coeff"),
                                 ("channel.coupling_lengths_km=[[0.5, 0.5], "
                                  "[0.5, 0.5]]", "channel.coupling_lengths_km"))),
+    # A required field left out, in a block and at the top level.
+    *(pytest.param([*RUN, "--set", assignment], 2,
+                   f"config error: {field}: missing", id=f"run-missing-{field}")
+      for assignment, field in (('sweep={"max_fraction": 0.8}', "sweep.count"),
+                                ('channel={"kind": "csv"}', "channel.path"),
+                                ('channel={"path": "x.csv"}', "channel.kind"))),
     # A field of the wrong type, shape or range.  The first five used to
     # end in a raw TypeError or AttributeError traceback (exit 1), or, for
     # a fractional count, to run int(count) targets.

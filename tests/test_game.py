@@ -204,9 +204,9 @@ class TestUnderflowingFloor:
 
 class TestFiniteRateRule:
     """capacity, sinr_per_tone and is_nash_equilibrium refuse a profile that
-    breaks the finite-rate rule, as iterate_iwf refuses its budgets.  Each
-    user's budget there is the larger of its allocation's budget and power
-    total."""
+    breaks the finite-rate rule, as iterate_iwf refuses its budgets.  The
+    rule holds each allocation's budget and power total, and a refusal
+    names the allocation by its position and the value that broke it."""
 
     @pytest.mark.parametrize("measure", TestUnderflowingFloor.MEASURES,
                              ids=["capacity", "sinr", "nash"])
@@ -214,16 +214,31 @@ class TestFiniteRateRule:
                                               (1.0, 1e307)])
     def test_refused_by_name(self, measure, total, budget):
         # They used to give inf rates, [inf, 0] SINRs and a nan worst gain,
-        # after numpy's overflow RuntimeWarning.
+        # after numpy's overflow RuntimeWarning; then to name budgets[0]
+        # with the larger of the budget and the total.
         channel = symmetric_two_band_channel(0.5)
         noise = NoiseProfile.white(1e-300, 2, 2)
         allocs = [PowerAllocation(u, np.eye(2)[u] * total, budget, AT_MOST_POWER)
                   for u in (0, 1)]
-        message = r"^budgets\[0\] = 1e\+307 is too large: "
-        with pytest.raises(ValueError, match=message):
+        broke = "total" if total > budget else "budget"
+        with pytest.raises(ValueError) as exc:
             measure(allocs, channel, noise)
-        with pytest.raises(ValueError, match=message):
+        assert str(exc.value) == (f"allocations[0].{broke} = 1e+307 is too large: "
+                                  f"{broke} * direct / (gap * noise) overflows on a tone")
+        with pytest.raises(ValueError, match=r"^budgets\[0\] = 1e\+307 is too "
+                           r"large: budget \* direct "):
             iterate_iwf(channel, noise, [1e307, 1e307])
+
+    @pytest.mark.parametrize("measure", TestUnderflowingFloor.MEASURES,
+                             ids=["capacity", "sinr", "nash"])
+    def test_names_the_allocation_by_position(self, measure):
+        # User 0's allocation comes second, and user 1's is within the rule.
+        channel = symmetric_two_band_channel(0.5)
+        noise = NoiseProfile.white(1e-300, 2, 2)
+        allocs = [PowerAllocation(1, np.zeros(2), 1e-10, AT_MOST_POWER),
+                  PowerAllocation(0, np.array([1e307, 0.0]), 1.0, AT_MOST_POWER)]
+        with pytest.raises(ValueError, match=r"^allocations\[1\]\.total = 1e\+307 "):
+            measure(allocs, channel, noise)
 
     @pytest.mark.parametrize("measure", TestUnderflowingFloor.MEASURES,
                              ids=["capacity", "sinr", "nash"])
@@ -232,8 +247,9 @@ class TestFiniteRateRule:
         # overflow warning from the sum.
         channel = symmetric_two_band_channel(0.5)
         allocs = [PowerAllocation(0, np.full(2, 1e308), 1.0, AT_MOST_POWER)]
-        with pytest.raises(ValueError, match=r"^budgets\[0\] must be finite"):
+        with pytest.raises(ValueError) as exc:
             measure(allocs, channel, NoiseProfile.white(1.0, 2, 2))
+        assert str(exc.value) == "allocations[0].total must be finite"
 
 
 class TestNoiseShape:

@@ -453,6 +453,16 @@ class TestCompareRegions:
         assert np.allclose(curves["fm-iwf"].points,
                            curves["interference-min"].points, rtol=1e-12)
 
+    @pytest.mark.parametrize("w1,w2", [(2.0, 2.0), (0.5, 0.5), (1.0, 2.0)])
+    def test_refuses_non_unit_widths(self, w1, w2):
+        # At w1 = w2 = 2 the curves used to disagree in units: with alpha
+        # 0.2, beta 0 and n1 = n2 = 1e-3 the FM-IWF point read r1 = 6.66
+        # per band, while fdm_weak_user_rate reads 13.32 over the band.
+        p = replace(BASE, alpha=0.2, beta=0.0, n1=1e-3, n2=1e-3, w1=w1, w2=w2)
+        with pytest.raises(ValueError, match=r"^compare_regions needs unit "
+                           r"band widths \(w1 == w2 == 1\)"):
+            compare_regions(p, [2.0])
+
 
 # --- the region sweep against an independent per-target reference ---------
 #

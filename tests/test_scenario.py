@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import json
 import math
 import os
@@ -13,8 +15,9 @@ from specoord import dfdm, game, oracle, waterfilling
 from specoord.cli import main
 from specoord.dfdm import _Sweep, dfdm_vs_fmiwf_region
 from specoord.game import PowerAllocation, sinr_per_tone
-from specoord.scenario import (ConfigError, build_channel, emit_region_map,
-                               load_config, run_scenario)
+from specoord.scenario import (_FIELDS, _REQUIRED, ConfigError, ScenarioConfig,
+                               build_channel, emit_region_map, load_config,
+                               run_scenario)
 from specoord.symmetric import classify_game, h_lim1, h_lim2
 
 
@@ -216,7 +219,7 @@ class TestLoadConfig:
         cfg = base_config(tmp_path, sweep={"count": 2})
         cfg["channel"].pop("group_sizes")
         config = load_config(cfg)
-        assert config.channel_spec["group_sizes"] == [1, 1]
+        assert config.channel["group_sizes"] == [1, 1]
         assert config.sweep == {"count": 2, "max_fraction": 0.95}
         assert (config.near_user, config.gap_db, config.oracle_levels,
                 config.band_plan_hz) == (1, 0.0, 11, None)
@@ -228,6 +231,30 @@ class TestLoadConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(cfg)
         assert exc.value.path == "channel.path"
+
+
+class TestSchema:
+    """_FIELDS, ScenarioConfig and the README's field table list the same
+    fields, and the table the same defaults."""
+
+    def test_config_attributes_are_the_top_level_fields(self):
+        assert ({f.name for f in dataclasses.fields(ScenarioConfig)}
+                == set(_FIELDS[""]))
+
+    def test_readme_table_lists_every_field(self):
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| Field | Type | Default |") + 2
+        table = {}
+        for line in itertools.takewhile(lambda row: row.startswith("|"), lines[start:]):
+            field, _, default = (cell.strip() for cell in line.strip("|").split("|"))
+            table[field.strip("`")] = default
+        schema = {}
+        for block, fields in _FIELDS.items():
+            for key, (_, default) in fields.items():
+                path = f"{block.split('.')[0]}.{key}" if block else key
+                schema[path] = ("required" if default is _REQUIRED
+                                else f"`{json.dumps(default)}`")
+        assert table == schema
 
 
 class TestBuildChannel:

@@ -102,6 +102,48 @@ class TestAchievableRateSizes:
             achievable_rate(np.ones(size), eff_of([1.0, 1.0, 1.0]), unit_grid(3))
 
 
+class TestFloorRules:
+    """achievable_rate, waterfill_ra and waterfill_fm apply the rules of
+    every other entry: powers finite and >= 0, and the finite-rate rule,
+    power / floor and budget / floor finite on every usable tone.  Each
+    refusal names its argument."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_rate_refuses_bad_powers(self, bad):
+        # nan and inf used to be rated nan and inf, with no warning.
+        with pytest.raises(ValueError) as exc:
+            achievable_rate(np.array([bad, 0.0]), eff_of([1e-3, 1.0]), unit_grid(2))
+        assert str(exc.value) == "powers must be finite and non-negative"
+
+    def test_rate_refuses_a_power_past_the_rule(self):
+        with pytest.raises(ValueError) as exc:
+            achievable_rate(np.array([1e10, 0.0]), eff_of([1e-300, 1.0]),
+                            unit_grid(2))
+        assert str(exc.value) == ("power is too large: power / floor overflows "
+                                  "on a usable tone")
+
+    @pytest.mark.parametrize("fill", [
+        lambda eff, budget: waterfill_ra(eff, budget, unit_grid(2)),
+        lambda eff, budget: waterfill_fm(eff, budget, 1.0, unit_grid(2)),
+    ], ids=["ra", "fm"])
+    def test_fill_refuses_a_budget_past_the_rule(self, fill):
+        # waterfill_ra used to accept it, and the rate of its fill overflowed.
+        with pytest.raises(ValueError) as exc:
+            fill(eff_of([1e-300, 1.0]), 1e10)
+        assert str(exc.value) == ("budget is too large: budget / floor overflows "
+                                  "on a usable tone")
+        # Within the rule the fill and its rate stay finite.
+        alloc, _ = fill(eff_of([1e-290, 1.0]), 1e10)
+        assert math.isfinite(achievable_rate(alloc.power, eff_of([1e-290, 1.0]),
+                                             unit_grid(2)))
+
+    def test_an_unusable_tone_is_outside_the_rule(self):
+        eff = eff_of([1.0, 1e-300], usable=[True, False])
+        alloc, _ = waterfill_ra(eff, 1e10, unit_grid(2))
+        assert achievable_rate(np.array([1e10, 1e300]), eff, unit_grid(2)) == (
+            achievable_rate(alloc.power, eff, unit_grid(2)))
+
+
 class TestWaterfillRa:
     def test_both_tones_active(self):
         alloc, mu = waterfill_ra(eff_of([1.0, 3.0]), 4.0, unit_grid(2))
@@ -549,7 +591,7 @@ class TestIterateIwfEntryChecks:
 
     @pytest.mark.parametrize("target", [math.nan, -1.0])
     def test_rejects_bad_target_naming_the_user(self, target):
-        with pytest.raises(ValueError, match=r"targets\[1\]"):
+        with pytest.raises(ValueError, match=r"^targets\[1\] must be >= 0$"):
             iterate_iwf(self.channel, self.noise, [1.0, 1.0], mode="fm",
                         targets=[1.0, target], max_iter=0)
 
