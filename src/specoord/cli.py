@@ -10,6 +10,7 @@ input errors, 3 when a rate target is infeasible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -200,21 +201,15 @@ def _add_nearfar_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--w2", type=float, default=1.0, help="band 2 width (Hz)")
 
 
-def _bound_dict(pair: nearfar.RateBoundPair) -> dict:
-    return {"lower": pair.lower, "upper": pair.upper, "method": pair.method,
-            "flags": pair.flags}
-
-
 def cmd_nearfar_bounds(args) -> int:
     params = _nearfar_params(args)
     out = {}
     if args.method in ("fmiwf", "both"):
-        pair = nearfar.rr_iwf_bounds(args.r2, params)
-        out["fm-iwf"] = _bound_dict(pair)
+        out["fm-iwf"] = dataclasses.asdict(nearfar.rr_iwf_bounds(args.r2, params))
         out["fm-iwf"]["exact_tau_estimate"] = nearfar.rr_iwf_exact_tau_r1(
             args.r2, params)
     if args.method in ("dfdm", "both"):
-        out["dfdm"] = _bound_dict(nearfar.dfdm_rate_bounds(args.r2, params))
+        out["dfdm"] = dataclasses.asdict(nearfar.dfdm_rate_bounds(args.r2, params))
         if out["dfdm"]["flags"]["feasible"]:
             out["dfdm"]["lambda"] = nearfar.solve_lambda(args.r2, params)
     _print_json(out if args.method == "both" else next(iter(out.values())))

@@ -22,9 +22,8 @@ and rates both users.  FM-IWF runs its Gauss-Seidel loop on the same two
 receivers, far user first, so its first sweep reuses the opening and the
 near floor against it; with the order set by role, not by index, swapping
 the users' labels and near_user relabels it exactly.  A suffix carries a
-target when its rate reaches target * (1 - 1e-12), the one feasibility
-rule.  find_cutoff and dfdm_allocate are one-target uses of the same
-search.
+target by game._carries, the one feasibility rule of the package.
+find_cutoff and dfdm_allocate are one-target uses of the same search.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ import numpy as np
 
 from .channel import ChannelMatrixSet, NoiseProfile
 from .game import (AT_MOST_POWER, PowerAllocation, Receiver, _TOO_LARGE,
-                   _check_budget, _check_target, _fill, _floor,
+                   _carries, _check_budget, _check_target, _fill, _floor,
                    _overflowing_budget, _rate, _receivers, power_matrix)
 from .oracle import RateRegionCurve
 from .waterfilling import MAX_ITER, TOL, InfeasibleError, _step
@@ -88,24 +87,23 @@ class _Search:
         """The cutoff, then the least power above it that meets the target:
         (cutoff index, power, achieved rate).
 
-        A suffix carries the target when its rate reaches target *
-        (1 - 1e-12), the one feasibility rule.  The cutoff is the first
-        tone of the shortest such suffix (K for a zero target), and the
-        fill aims at the smaller of the target and that suffix's rate.
+        A suffix carries the target by _carries, the one feasibility
+        rule.  The cutoff is the first tone of the shortest such suffix (K
+        for a zero target), and the fill aims at the smaller of the target
+        and that suffix's rate.
         """
         _check_target(target)
         tones = self.rx.tones
         lo = hi = tones.size  # the empty suffix carries a zero target
         if target > 0:
-            floor = target * (1 - 1e-12)
-            if self.full < floor:
+            if not _carries(self.full, target):
                 raise InfeasibleError(
                     f"target {target} exceeds full-band rate {self.full}",
                     max_achievable=self.full)
-            lo = 0  # rate_from(lo) >= floor > rate_from(hi)
+            lo = 0  # rate_from(lo) carries the target, rate_from(hi) not
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if self.rate_from(mid) >= floor:
+                if _carries(self.rate_from(mid), target):
                     lo = mid
                 else:
                     hi = mid
@@ -125,10 +123,10 @@ def find_cutoff(channel: ChannelMatrixSet, noise: NoiseProfile, user: int,
     The achievable rate (rate-adaptive water-filling of the full budget on
     the remaining tones) is non-increasing in the cutoff, so a binary
     search over the suffixes of the usable tones applies.  Tones k..K-1
-    carry the target when their rate reaches target * (1 - 1e-12), the
-    rule dfdm_allocate fills by.  Returns K for a zero target, once the
-    inputs pass their checks; raises InfeasibleError, carrying the
-    full-band rate, when even the full band cannot carry the target.
+    carry the target by game._carries, the rule dfdm_allocate fills by.
+    Returns K for a zero target, once the inputs pass their checks;
+    raises InfeasibleError, carrying the full-band rate, when even the
+    full band cannot carry the target.
     """
     return dfdm_allocate(channel, noise, user, target_rate, budget, others,
                          gap).cutoff_index

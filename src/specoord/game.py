@@ -87,6 +87,11 @@ def _check_target(target: float, name: str = "target_rate") -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
+def _carries(rate, target):
+    """The package's one feasibility rule, elementwise on arrays."""
+    return rate >= target * (1 - 1e-12)
+
+
 @dataclass(frozen=True)
 class NashResult:
     """A profile's Nash certificate.  gains and rates hold each user's

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .game import InfeasibleError, _carries
 from .oracle import RateRegionCurve
 
 
@@ -238,12 +239,12 @@ def _scaled(coupling: float, power):
 
 
 def _check_r2(r2: float, positive: bool = False) -> None:
-    """The target rule of the FM-IWF forms (r2 >= 0), or with positive of
-    the DFDM forms (r2 > 0); both reject nan and inf."""
-    if positive and not 0 < r2 < math.inf:
-        raise ValueError("r2 must be finite and > 0")
+    """The target rule of the FM-IWF forms (r2 >= 0, which nan and inf
+    break), then with positive that of the DFDM forms (r2 > 0)."""
     if not 0 <= r2 < math.inf:
         raise ValueError("r2 must be finite and >= 0")
+    if positive and r2 == 0:
+        raise ValueError("r2 must be finite and > 0")
 
 
 def strong_tau_for_rate(params: NearFarParams, r2: float) -> float:
@@ -273,14 +274,14 @@ def rr_iwf_bounds(r2: float, params: NearFarParams) -> RateBoundPair:
 
     flags: "bandwidth_limited" marks spectral efficiency >= 1 bit/s/Hz
     (r2 >= W1 + W2), required for the tau lower bound and hence for the
-    rate upper bound to be meaningful; "feasible" marks tau <= 1.  Past
-    the float range of 2**(r2/(W1+W2)) tau is inf, the target infeasible,
-    and both bounds are 0 (the interference-free rate when beta = 0).
+    rate upper bound to be meaningful; "feasible" marks tau <= 1 by the
+    one rule, game._carries.  Past the float range of 2**(r2/(W1+W2)) tau
+    is inf, the target infeasible, and both bounds are 0 (the
+    interference-free rate when beta = 0).
     """
-    _check_r2(r2)
-    tau = strong_tau_for_rate(params, r2)
+    tau = strong_tau_for_rate(params, r2)  # checks r2
     flags = {"bandwidth_limited": bool(r2 >= params.w1 + params.w2),
-             "feasible": bool(tau <= 1.0 + 1e-12),
+             "feasible": bool(_carries(_strong_rate_of_lambda(1.0, params), r2)),
              "tau": tau}
     (lower,), (upper,) = _fmiwf_bracket(np.array([r2]), params)
     return RateBoundPair(lower=float(lower), upper=float(upper),
@@ -362,7 +363,7 @@ def dfdm_lambda_bounds(r2: float, params: NearFarParams
         lambda_max = (r2 / log2(1 + P/(N2 (W1+W2))) - W2) / W1,
 
     both clamped to [0, 1].  The raw lambda_max exceeding 1 means r2 is not
-    achievable at all; the third return value is that feasibility flag.
+    achievable at all: the third return value, by game._carries.
     """
     _check_r2(r2, positive=True)
     lam_min, lam_max, feasible = _lambda_bracket(np.array([r2]), params)
@@ -383,7 +384,7 @@ def _lambda_bracket(r2: np.ndarray, params: NearFarParams) -> tuple:
         lam_min = (r2 / band2 - params.w2) / params.w1
         lam_max_raw = (r2 / full - params.w2) / params.w1
     return (np.clip(lam_min, 0.0, 1.0), np.clip(lam_max_raw, 0.0, 1.0),
-            lam_max_raw <= 1.0 + 1e-12)
+            _carries(_strong_rate_of_lambda(1.0, params), r2))
 
 
 def solve_lambda(r2: float, params: NearFarParams) -> float:
@@ -393,18 +394,18 @@ def solve_lambda(r2: float, params: NearFarParams) -> float:
     band x = lambda W1 + W2, so Newton's method started at lambda = 0 rises
     monotonically onto the root.  The loop returns at the first step that
     does not rise or would pass lambda = 1; a strictly rising sequence of
-    floats in [0, 1] is finite.  Targets below the band-2-only rate clamp
-    to 0; targets above the full-spectrum rate raise InfeasibleError-style
-    ValueError carrying the maximum in the message.
+    floats in [0, 1] is finite.  A target the full-spectrum rate does not
+    carry (game._carries) raises InfeasibleError carrying that rate; below
+    the band-2-only rate lambda is 0, from the full-spectrum rate on 1.
     """
     _check_r2(r2, positive=True)
-    r_at_0 = _strong_rate_of_lambda(0.0, params)
     r_at_1 = _strong_rate_of_lambda(1.0, params)
-    if r2 <= r_at_0:
+    if not _carries(r_at_1, r2):
+        raise InfeasibleError(f"r2 {r2} exceeds the full-spectrum rate {r_at_1}",
+                              max_achievable=r_at_1)
+    if r2 <= _strong_rate_of_lambda(0.0, params):
         return 0.0
-    if r2 > r_at_1:
-        raise ValueError(f"r2 {r2} exceeds the full-spectrum rate {r_at_1}")
-    if r2 == r_at_1:
+    if r2 >= r_at_1:
         return 1.0
     s = params.power / params.n2
     lam = 0.0
@@ -485,9 +486,7 @@ def rate_bounds_table(r2_values, params: NearFarParams) -> np.ndarray:
     r2 = np.asarray(r2_values, dtype=float).reshape(-1)
     refused = ~((r2 > 0) & (r2 < math.inf))
     if refused.any():
-        first = float(r2[refused.argmax()])
-        _check_r2(first)
-        _check_r2(first, positive=True)
+        _check_r2(float(r2[refused.argmax()]), positive=True)
     table = np.empty((r2.size, 4))
     table[:, 0], table[:, 1] = _fmiwf_bracket(r2, params)
     lam_min, lam_max, _ = _lambda_bracket(r2, params)

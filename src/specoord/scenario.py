@@ -20,6 +20,7 @@ import math
 import numbers
 import os
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -86,9 +87,9 @@ def _integer(value, path: str) -> int:
 
 
 def _each(parse):
-    """A parser of a JSON array into the list of its items parsed by parse."""
-    return lambda value, path: [parse(v, f"{path}[{i}]")
-                                for i, v in enumerate(_array(value, path))]
+    """A parser of a JSON array into the tuple of its items parsed by parse."""
+    return lambda value, path: tuple(parse(v, f"{path}[{i}]")
+                                     for i, v in enumerate(_array(value, path)))
 
 
 _numbers, _integers = _each(_number), _each(_integer)
@@ -106,11 +107,11 @@ def _checked(parse, *rules):
     return parser
 
 
-def _block(value, path: str, fields: str) -> dict:
-    """The fields of _FIELDS[fields] parsed from the JSON object value: its
-    first unknown key is refused, then each field in table order, missing
-    if required and absent, else by its parser; an absent field takes its
-    default, parsed too."""
+def _block(value, path: str, fields: str) -> MappingProxyType:
+    """The fields of _FIELDS[fields] parsed from the JSON object value, as
+    a read-only mapping: its first unknown key is refused, then each field
+    in table order, missing if required and absent, else by its parser; an
+    absent field takes its default, parsed too."""
     block, schema = _object(value, path), _FIELDS[fields]
     prefix = f"{path}." if path else ""
     for key in block:
@@ -122,10 +123,10 @@ def _block(value, path: str, fields: str) -> dict:
         if value is _REQUIRED:
             raise ConfigError(f"{prefix}{key}", "missing")
         parsed[key] = parse(value, f"{prefix}{key}")
-    return parsed
+    return MappingProxyType(parsed)
 
 
-def _channel(value, path: str) -> dict:
+def _channel(value, path: str) -> MappingProxyType:
     """A channel block, read with the fields of its kind."""
     kind = _object(value, path).get("kind")
     if kind not in ("synthetic", "csv"):
@@ -141,7 +142,7 @@ def _band_plan(value, path: str) -> tuple | None:
     plan = _array(value, path)
     if len(plan) != 2:
         raise ConfigError(path, "need one entry (or null) per user")
-    return tuple(None if ranges is None else tuple(_ranges(ranges, f"{path}[{u}]"))
+    return tuple(None if ranges is None else _ranges(ranges, f"{path}[{u}]")
                  for u, ranges in enumerate(plan))
 
 
@@ -151,11 +152,11 @@ def _db(what: str):
                               f"is too large: the linear {what} overflows a float"))
 
 
-_ranges = _each(_checked(lambda v, p: tuple(_numbers(v, p)), (
+_ranges = _each(_checked(_numbers, (
     lambda b: len(b) == 2 and b[0] < b[1], "need [lo, hi] with lo < hi")))
 _count = _checked(_integer, (lambda n: n >= 1, "must be >= 1"))
-_budgets = _checked(lambda v, p: tuple(_numbers(v, p)),
-                    (lambda b: len(b) == 2 and min(b) > 0, "need two positive budgets"))
+_budgets = _checked(_numbers, (lambda b: len(b) == 2 and min(b) > 0,
+                               "need two positive budgets"))
 _methods = _checked(lambda v, p: tuple(_array(v, p)),
                     (lambda m: m and all(x in VALID_METHODS for x in m),
                      f"must be a non-empty subset of {VALID_METHODS}"),
@@ -198,13 +199,13 @@ _FIELDS = {
 @dataclass(frozen=True)
 class ScenarioConfig:
     """A parsed config: one attribute per field of _FIELDS[""], every
-    default resolved; grid, channel and sweep hold their blocks as dicts."""
+    default resolved; blocks are read-only mappings and arrays tuples."""
 
-    grid: dict
-    channel: dict
+    grid: MappingProxyType
+    channel: MappingProxyType
     budgets_mw: tuple
     methods: tuple
-    sweep: dict
+    sweep: MappingProxyType
     near_user: int
     band_plan_hz: tuple | None
     noise_psd_dbm_hz: float

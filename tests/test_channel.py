@@ -138,6 +138,11 @@ class TestSyntheticDsl:
                                match="^lengths_km must be finite and >= 0$"):
                 synthetic_dsl_channel([bad, 1.0], self.grid())
 
+    @pytest.mark.parametrize("lengths", [[], [[1.0, 2.0]]])
+    def test_rejects_lengths_not_a_1d_sequence(self, lengths):
+        with pytest.raises(ValueError, match="^lengths_km must be a 1-D sequence$"):
+            synthetic_dsl_channel(lengths, self.grid())
+
     def test_matches_the_pairwise_formula(self, rng):
         # The docstring's formula, one (i, j) pair at a time, bit for bit:
         # random lengths, tied ones, a zero one and a single line.
@@ -164,6 +169,17 @@ class TestChannelMatrixSet:
         with pytest.raises(ValueError,
                            match="^gains must be finite and non-negative$"):
             ChannelMatrixSet(gains, make_uniform_grid(0, 2, 2))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3)])
+    def test_rejects_a_stack_not_of_square_matrices(self, shape):
+        with pytest.raises(ValueError,
+                           match=r"^gains must have shape \(num_tones, N, N\)$"):
+            ChannelMatrixSet(np.ones(shape), make_uniform_grid(0, 2, 2))
+
+    def test_rejects_a_stack_of_another_tone_count(self):
+        with pytest.raises(ValueError,
+                           match="^gain stack does not match grid tone count$"):
+            ChannelMatrixSet(np.ones((3, 2, 2)), make_uniform_grid(0, 2, 2))
 
     def test_accepts_zero_and_empty_gains(self):
         grid = make_uniform_grid(0, 2, 2)

@@ -370,8 +370,9 @@ def inputs(tmp_path_factory):
     """The goldens' inputs, the 2-tone channel with its users relabelled
     and with a nan gain, coupled_csv's 8-tone channel, noise files that do
     not fit it, 2-tone channels and noise whose upper edges are too far
-    apart for a float ("wide") or for a finite rate ("huge"), and a config
-    that is a JSON array."""
+    apart for a float ("wide") or for a finite rate ("huge"), channels with
+    a header that names no square gain matrix, a row one field short, and
+    one tone at 0 Hz, and a config that is a JSON array."""
     root = tmp_path_factory.mktemp("inputs")
     make_golden.write_inputs(str(root))
     two = load_channel_csv(root / "two_tone.csv")
@@ -392,7 +393,10 @@ def inputs(tmp_path_factory):
             ("wide", "g_1_1,g_1_2,g_2_1,g_2_2", "1,0.1,0.1,1", ("-1e308", "1e308")),
             ("wide_noise", "n_1,n_2", "0.1,0.1", ("-1e308", "1e308")),
             ("huge", "g_1_1,g_1_2,g_2_1,g_2_2", "1,0.1,0.1,1", ("1e306", "2e306")),
-            ("huge_noise", "n_1,n_2", "1e-300,1e-300", ("1e306", "2e306"))):
+            ("huge_noise", "n_1,n_2", "1e-300,1e-300", ("1e306", "2e306")),
+            ("three_gains", "g_1_1,g_1_2,g_2_1", "1,0.1,0.1", ("1", "2")),
+            ("short_row", "g_1_1,g_1_2,g_2_1,g_2_2", "1,0.1,0.1", ("1", "2")),
+            ("zero_hz", "g_1_1,g_1_2,g_2_1,g_2_2", "1,0.1,0.1,1", ("0",))):
         (root / f"{name}.csv").write_text(
             f"freq_hz,{header}\n" + "".join(f"{e},{values}\n" for e in edges))
     (root / "array.json").write_text("[]")
@@ -428,6 +432,17 @@ CONSOLE_CHECKS = [
                   "1e-300", "--n2", "1e100", "--r2", "1"], 0,
                  '{"fm-iwf": {"lower": 0.0, "upper": 0.0, ..."dfdm": {"lower": '
                  '0.0, "upper": 0.0, ...', id="nearfar-bounds-snr-underflows"),
+    # A target just past the full-spectrum rate, within the one feasibility
+    # rule's tolerance, is feasible for both brackets and solves to lambda
+    # 1; it used to be flagged feasible and then refused by solve_lambda.
+    pytest.param(["nearfar-bounds", "--alpha", "0.5", "--beta", "0.2", "--r2",
+                  "1.1699250014424292"], 0, '{"fm-iwf": ..."feasible": true, '
+                 '..."dfdm": ..."feasible": true, ..."lambda": 1.0}}',
+                 id="nearfar-bounds-at-the-full-spectrum-rate"),
+    # A negative target breaks the ">= 0" rule before the DFDM forms' "> 0".
+    pytest.param(["nearfar-bounds", "--alpha", "0.5", "--beta", "0.2", "--r2",
+                  "-1", "--method", "dfdm"], 2, "error: r2 must be finite and >= 0",
+                 id="nearfar-bounds-dfdm-negative-target"),
     # A nan alpha used to exit 0 with NaN in the JSON.
     pytest.param(["nearfar-bounds", "--alpha", "nan", "--beta", "0.5", "--r2",
                   "2"], 2, "error: alpha must be finite and > 0",
@@ -489,6 +504,13 @@ CONSOLE_CHECKS = [
                    id=f"iwf-wide-grid-{form}")
       for form, noise in (("noise-file", ["--noise", "{inputs}/wide_noise.csv"]),
                           ("noise-psd", ["--noise-psd-dbm-hz", "-140"]))),
+    *(pytest.param(["iwf", "--channel", f"{{inputs}}/{name}.csv", *TWO_TONE[2:]],
+                   2, f"config error: {{inputs}}/{name}.csv: {message}",
+                   id=f"iwf-csv-{name}")
+      for name, message in (
+          ("three_gains", "header must be freq_hz,g_1_1,...,g_N_N"),
+          ("short_row", "line 2: expected 5 fields, got 4"),
+          ("zero_hz", "cannot reconstruct a positive first tone width"))),
     pytest.param(["iwf", "--channel", "{inputs}/nan.csv", *TWO_TONE[2:]], 2,
                  "config error: {inputs}/nan.csv: line 2: not a finite number: "
                  "'nan'", id="iwf-nan-gain"),

@@ -123,6 +123,14 @@ class TestValidateStrategy:
         with pytest.raises(ValueError, match="budget must be finite"):
             PowerAllocation(0, np.array([0.5, 0.5]), math.inf)
 
+    def test_power_not_a_vector_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="^power must be a 1-D vector$"):
+            PowerAllocation(0, np.ones((2, 2)), 1.0)
+
+    def test_unknown_mode_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="^unknown mode 'greedy'$"):
+            PowerAllocation(0, np.array([0.5, 0.5]), 1.0, "greedy")
+
     def test_overspend_rejected_in_both_modes(self):
         for mode in (FULL_POWER, AT_MOST_POWER):
             alloc = PowerAllocation(0, np.array([0.7, 0.7]), 1.0, mode)
@@ -144,6 +152,11 @@ class TestPowerMatrix:
     def test_rejects_out_of_range_user(self):
         with pytest.raises(ValueError):
             power_matrix([PowerAllocation(5, np.array([1.0]), 1.0)], 2, 1)
+
+    def test_rejects_another_tone_count(self):
+        with pytest.raises(ValueError, match="^allocation length does not "
+                           "match tone count$"):
+            power_matrix([PowerAllocation(0, np.array([1.0, 0.0]), 1.0)], 2, 3)
 
 
 class TestSinr:

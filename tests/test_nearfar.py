@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from specoord.channel import _texts, _write_rows
 from specoord.cli import main
+from specoord.game import InfeasibleError
 from specoord.nearfar import (NearFarParams, RateBoundPair, bully_power_split,
                               compare_regions, dfdm_lambda_bounds, dfdm_r1,
                               dfdm_rate_bounds, fdm_threshold_rate,
@@ -23,9 +24,14 @@ from specoord.nearfar import (NearFarParams, RateBoundPair, bully_power_split,
                               strong_tau_for_rate,
                               strong_user_rate, symmetric_nearfar_rates,
                               tau_for_strong_rate, weak_user_rate_for_p1)
+from specoord.nearfar import _strong_rate_of_lambda
 
 BASE = NearFarParams(alpha=0.01, beta=0.5, gamma=0.0, power=1.0,
                      n1=0.01, n2=0.01)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
 
 
 class TestParams:
@@ -70,6 +76,13 @@ class TestBullySplit:
     def test_boundary_tau_equals_gamma(self):
         p = NearFarParams(alpha=1, beta=0, gamma=0.4, power=2.0, tau=0.4)
         assert bully_power_split(p) == (0.0, 0.8)
+
+    @pytest.mark.parametrize("fn", [bully_power_split, symmetric_nearfar_rates,
+                                    interference_min_p1])
+    def test_refuses_unequal_widths(self, fn):
+        with pytest.raises(ValueError, match=r"^\w+ assumes equal band widths "
+                           r"\(w1 == w2\)$"):
+            fn(NearFarParams(alpha=1, beta=0, w1=1.0, w2=2.0))
 
     def test_tau_below_gamma_clamps_with_warning(self):
         p = NearFarParams(alpha=1, beta=0, gamma=0.5, power=1.0, tau=0.3)
@@ -346,6 +359,29 @@ class TestDfdmLambda:
         with pytest.raises(ValueError, match="exceeds"):
             solve_lambda(6.3, self.P15)
 
+    # One rule decides feasibility at the full-spectrum rate: the two
+    # brackets' flags agree, and solve_lambda solves exactly the targets
+    # they flag.  The tests used to disagree within rounding of that rate.
+    # W2 >= W1, where the DFDM bracket is defined (ROADMAP item 16).
+    @given(w1=_log_uniform(-1.5, 1.5), wider=_log_uniform(0, 1.5),
+           power=_log_uniform(-3, 3), n2=_log_uniform(-3, 2),
+           shift=st.just(0.0) | st.floats(min_value=-3e-12, max_value=3e-12))
+    @example(w1=1.0, wider=1.0, power=1.0, n2=1.0, shift=1e-13)
+    def test_one_rule_at_the_full_spectrum_rate(self, w1, wider, power, n2,
+                                                shift):
+        p = NearFarParams(alpha=0.5, beta=0.2, power=power, n2=n2, w1=w1,
+                          w2=w1 * wider)
+        full = _strong_rate_of_lambda(1.0, p)
+        r2 = full * (1 + shift)
+        feasible = rr_iwf_bounds(r2, p).flags["feasible"]
+        assert dfdm_rate_bounds(r2, p).flags["feasible"] == feasible
+        if feasible:
+            assert 0.0 <= solve_lambda(r2, p) <= 1.0
+        else:
+            with pytest.raises(InfeasibleError) as info:
+                solve_lambda(r2, p)
+            assert info.value.max_achievable == full
+
     @given(w1=st.floats(min_value=0.1, max_value=10.0),
            w2=st.floats(min_value=0.1, max_value=10.0),
            power=st.floats(min_value=0.1, max_value=100.0),
@@ -519,10 +555,6 @@ def _ref_row(r2, p):
 def _ref_table(r2_values, p):
     return np.array([_ref_row(float(r2), p) for r2 in r2_values]
                     ).reshape(len(r2_values), 4)
-
-
-def _log_uniform(lo, hi):
-    return st.floats(min_value=lo, max_value=hi).map(lambda e: 10.0 ** e)
 
 
 # Endpoints of the target range, as multiples of W1 + W2: the refused

@@ -143,6 +143,13 @@ class TestDominates:
         assert not dominates(curves["fm-iwf"], oracle, tol=0.01)
         assert dominates(oracle, curves["fm-iwf"], tol=0.05)
 
+    def test_an_empty_curve_dominates_only_an_empty_one(self):
+        empty = RateRegionCurve("empty", np.empty((0, 2)))
+        point = RateRegionCurve("point", np.array([[0.0, 0.0]]))
+        assert dominates(empty, empty)
+        assert not dominates(empty, point)
+        assert dominates(point, empty)
+
 
 def pareto_front_loop(points):
     """Row-by-row Pareto filter: the reference for oracle._pareto_front."""

@@ -219,12 +219,26 @@ class TestLoadConfig:
         cfg = base_config(tmp_path, sweep={"count": 2})
         cfg["channel"].pop("group_sizes")
         config = load_config(cfg)
-        assert config.channel["group_sizes"] == [1, 1]
+        assert config.channel["group_sizes"] == (1, 1)
         assert config.sweep == {"count": 2, "max_fraction": 0.95}
         assert (config.near_user, config.gap_db, config.oracle_levels,
                 config.band_plan_hz) == (1, 0.0, 11, None)
         cfg.pop("output_dir")
         assert load_config(cfg).output_dir == "scenario_out"
+
+    # A block was a dict and an array a list, so a caller could change a
+    # field after it was checked: a zero count then ended in a raw
+    # IndexError, and a size past the float range in an OverflowError.
+    @pytest.mark.parametrize("field,key,value", [
+        (lambda c: c.sweep, "count", 0), (lambda c: c.grid, "num_tones", 0),
+        (lambda c: c.channel["group_sizes"], 0, 10 ** 400),
+        (lambda c: c.channel["lengths_km"], 0, -1.0)],
+        ids=["sweep.count", "grid.num_tones", "channel.group_sizes[0]",
+             "channel.lengths_km[0]"])
+    def test_checked_fields_are_read_only(self, tmp_path, field, key, value):
+        held = field(load_config(base_config(tmp_path)))
+        with pytest.raises(TypeError):
+            held[key] = value
 
     def test_csv_channel_requires_path(self, tmp_path):
         cfg = base_config(tmp_path, channel={"kind": "csv"})

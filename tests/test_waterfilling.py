@@ -71,6 +71,13 @@ class TestEffectiveNoise:
         with pytest.raises(ValueError, match="finite and > 0"):
             EffectiveNoise(0, [0.5, bad], [True, True])
 
+    @pytest.mark.parametrize("values,usable", [([0.5, 0.5], [True]),
+                                               ([[0.5, 0.5]], [[True, True]])])
+    def test_rejects_values_and_usable_not_matching_vectors(self, values, usable):
+        with pytest.raises(ValueError, match="^values and usable must be "
+                           "matching 1-D arrays$"):
+            EffectiveNoise(0, values, usable)
+
     def test_unusable_tone_may_hold_anything(self):
         eff = EffectiveNoise(0, [0.5, math.nan], [True, False])
         assert eff.usable.tolist() == [True, False]
