@@ -88,9 +88,8 @@ class _Search:
         (cutoff index, power, achieved rate).
 
         A suffix carries the target by _carries, the one feasibility
-        rule.  The cutoff is the first tone of the shortest such suffix (K
-        for a zero target), and the fill aims at the smaller of the target
-        and that suffix's rate.
+        rule, which the fill above the cutoff follows too.  The cutoff is
+        the first tone of the shortest such suffix (K for a zero target).
         """
         _check_target(target)
         tones = self.rx.tones
@@ -109,8 +108,7 @@ class _Search:
                     hi = mid
         cutoff = int(tones[lo]) if lo < tones.size else self.k
         above = self._above(lo)
-        power, _, _ = _fill(*above, self.k, self.budget,
-                            min(target, self.rate_from(lo)))
+        power, _, _ = _fill(*above, self.k, self.budget, target)
         return cutoff, power, _rate(power, *above)
 
 

@@ -229,8 +229,9 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
     it is the rate-adaptive response to the whole budget; with a target,
     the fixed-margin response, whose level comes from the same sort of the
     per-Hz floors.  Returns (power over the k tones, mu, short).  short is
-    None unless the target exceeds the full-budget rate: it is then that
-    rate, and power and mu are the full-budget response.  Inputs are not
+    None unless the full-budget rate does not carry the target (_carries):
+    it is then that rate, and power and mu are the full-budget response;
+    a carried target at or past it keeps that level.  Inputs are not
     validated here; the callers check budgets and targets, and _floor
     checks the floors.
 
@@ -280,9 +281,9 @@ def _fill(tones: np.ndarray, floors: np.ndarray, widths: np.ndarray, k: int,
         return power, float(mu), None
 
     max_rate = _rate(power, tones, floors, widths)
-    if target > max_rate:
+    if not _carries(max_rate, target):
         return power, float(mu), max_rate
-    if target != max_rate:
+    if target < max_rate:
         # Overflowing prefix levels are harmless: an inf level never fits
         # under the next floor, so those prefixes are skipped.
         with np.errstate(over="ignore"):

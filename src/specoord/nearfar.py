@@ -171,14 +171,15 @@ def tau_for_strong_rate(params: NearFarParams, r2: float) -> float:
     With A = N2 + gamma P and B = N2 the band noise seen by the strong
     user, both bands' signal-plus-noise equal c + u with c = N2 + gamma P/2
     and u = tau P / 2, so 2^C2 = (c + u)^2 / (A B) and u is the positive
-    root of that quadratic.
+    root of that quadratic.  Any r2 the rate at tau = 1 carries
+    (game._carries) is accepted, and from that rate on tau is 1.
     """
     params._require_symmetric("tau_for_strong_rate")
     lo = max(params.gamma, 1e-12)
     lo_rate, hi_rate = strong_user_rate(params, lo), strong_user_rate(params, 1.0)
-    if not lo_rate <= r2 <= hi_rate:  # also rejects nan
+    if not (lo_rate <= r2 and _carries(hi_rate, r2)):  # also rejects nan
         raise ValueError(f"r2 must lie in [{lo_rate}, {hi_rate}] for these parameters")
-    if r2 == hi_rate:
+    if r2 >= hi_rate:
         return 1.0
     n2b, gp = params.n2_band, params.gamma * params.power
     u = 2.0 ** (0.5 * r2) * math.sqrt((n2b + gp) * n2b) - (n2b + 0.5 * gp)

@@ -43,7 +43,8 @@ class RateRegionCurve:
     columns: tuple = ("r2", "r1")
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
+        pts = np.asarray(self.points, dtype=float)
+        pts = np.atleast_2d(pts) if pts.size else pts.reshape(0, len(self.columns))
         if pts.shape[1] != len(self.columns):
             raise ValueError("points width does not match columns")
         pts = pts[np.argsort(pts[:, 0], kind="stable")]

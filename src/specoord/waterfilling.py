@@ -128,6 +128,19 @@ def achievable_rate(power: np.ndarray, eff: EffectiveNoise,
     return _rate(power, tones, floors, widths)
 
 
+def _waterfill(eff: EffectiveNoise, budget: float, grid: FrequencyGrid,
+               mode: str, target: float | None = None) -> tuple:
+    """The one body of waterfill_ra and, with a target, waterfill_fm."""
+    _check_budget(budget)
+    usable = _usable(eff, grid)
+    _check_ratio(budget, usable[1], "budget")
+    power, mu, short = _fill(*usable, eff.values.size, budget, target)
+    if short is not None:
+        raise InfeasibleError(f"target rate {target} exceeds achievable {short}",
+                              max_achievable=short)
+    return PowerAllocation(eff.user, power, budget, mode), mu
+
+
 def waterfill_ra(eff: EffectiveNoise, budget: float,
                  grid: FrequencyGrid) -> tuple[PowerAllocation, float]:
     """Rate-adaptive water-filling: maximise rate spending the whole budget.
@@ -137,11 +150,7 @@ def waterfill_ra(eff: EffectiveNoise, budget: float,
     have a floor at or above it.  Solved exactly by sorting the per-Hz
     floors and picking the active set in closed form.
     """
-    _check_budget(budget)
-    usable = _usable(eff, grid)
-    _check_ratio(budget, usable[1], "budget")
-    power, mu, _ = _fill(*usable, eff.values.size, budget)
-    return PowerAllocation(eff.user, power, budget, FULL_POWER), mu
+    return _waterfill(eff, budget, grid, FULL_POWER)
 
 
 def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
@@ -153,22 +162,12 @@ def waterfill_fm(eff: EffectiveNoise, budget: float, target_rate: float,
     the correct m is the smallest one whose level fits under the next floor.
     The result keeps the water-filling shape and is therefore the
     minimum-power allocation for the target.  Raises InfeasibleError
-    (carrying the best achievable rate) when the target exceeds the
-    rate-adaptive rate at the full budget.
+    (carrying the best achievable rate) when the full-budget rate does not
+    carry the target (game._carries); a carried target at or past that
+    rate gets the full-budget fill.
     """
     _check_target(target_rate)
-    usable = _usable(eff, grid)
-    if target_rate > 0:
-        if usable[0].size == 0:
-            raise InfeasibleError("no usable tones", max_achievable=0.0)
-        _check_budget(budget)
-        _check_ratio(budget, usable[1], "budget")
-    power, mu, short = _fill(*usable, eff.values.size, budget, target_rate)
-    if short is not None:
-        raise InfeasibleError(
-            f"target rate {target_rate} exceeds achievable {short}",
-            max_achievable=short)
-    return PowerAllocation(eff.user, power, budget, AT_MOST_POWER), mu
+    return _waterfill(eff, budget, grid, AT_MOST_POWER, target_rate)
 
 
 def _step(power: np.ndarray, old: np.ndarray) -> float:
@@ -248,9 +247,9 @@ def iterate_iwf(channel: ChannelMatrixSet, noise: NoiseProfile,
 
     mode "ra": every user spends its full budget to maximise rate.
     mode "fm": users with a target rate spend the least power achieving it
-    (capped by their budget; an unreachable target degrades to full-budget
-    RA play for that sweep); users whose target is None play RA.  Targets
-    are refused outside fm mode.
+    (capped by their budget; a target the full-budget rate does not carry,
+    by game._carries, degrades to full-budget RA play for that sweep);
+    users whose target is None play RA.  Targets are refused outside fm mode.
 
     Users update in index order by default (Gauss-Seidel); schedule JACOBI
     makes all users respond to the previous sweep's allocations instead.

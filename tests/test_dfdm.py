@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -315,6 +315,14 @@ class TestRegionSweep:
         assert np.allclose(clean, curves["fm-iwf"].points[:, 1], rtol=1e-9)
         assert np.allclose(clean, clean[0], rtol=1e-9)
 
+    def test_empty_sweep_gives_empty_curves(self):
+        # It used to raise "points width does not match columns".
+        channel, noise = coupled_channel()
+        curves = dfdm_vs_fmiwf_region(channel, noise, [1.0, 1.0], [])
+        assert {m: c.points.shape for m, c in curves.items()} == {
+            "dfdm": (0, 2), "fm-iwf": (0, 2)}
+
+
 class TestTwoUserEntry:
     """A sweep and the region curves take two budgets and a near user of 0
     or 1."""
@@ -550,3 +558,73 @@ class TestRelabelling:
             assert (run2.converged, run2.shortfall) == (run.converged,
                                                         run.shortfall)
             assert p2[::-1].tobytes() == p.tobytes()
+
+
+class TestOneReachRule:
+    """Every caller decides whether the near user's full budget carries
+    its target by game._carries: DFDM, the fixed-margin fill on the same
+    floor, a sweep's DFDM round and FM-IWF run, and iterate_iwf."""
+
+    @given(seed=st.integers(0, 39),
+           rel=st.floats(min_value=-3e-12, max_value=3e-12))
+    @example(seed=3, rel=0.0)
+    @example(seed=3, rel=5e-13)
+    def test_all_callers_agree_at_the_full_band_rate(self, seed, rel):
+        # At rel = 5e-13 DFDM carried the target, while the fixed-margin
+        # fill refused it and FM-IWF reported a shortfall.
+        channel, noise, near, _, gap, budget = random_instance(seed)
+        gains = channel.gains.copy()
+        gains[:, near, 1 - near] = 0.0  # one near floor for every caller
+        channel = ChannelMatrixSet(gains, channel.grid)
+        budgets = [budget, 0.5 * budget + 1.0]
+        sweep = _Sweep(channel, noise, budgets, near, gap)
+        target = sweep.search.full * (1 + rel)
+        targets = [None, None]
+        targets[near] = target
+        eff = effective_noise(near, [], channel, noise, gap)
+
+        def carries(solve):
+            try:
+                solve()
+            except InfeasibleError:
+                return False
+            return True
+
+        got = [
+            carries(lambda: dfdm_allocate(channel, noise, near, target,
+                                          budgets[near], gap=gap)),
+            carries(lambda: waterfill_fm(eff, budgets[near], target,
+                                         channel.grid)),
+            carries(lambda: sweep.round(target)),
+            not sweep.fmiwf(target)[3].shortfall,
+            not iterate_iwf(channel, noise, budgets, mode="fm",
+                            targets=targets, gap=gap).shortfall_users,
+        ]
+        assert got == [got[0]] * len(got)
+        assert got[0] or rel > 0
+
+
+class TestFmiwfOrder:
+    """FM-IWF can have more than one fixed point, and the update order
+    picks one in silence.  Over random_instance seeds 0-39 at 0.3, 0.6 and
+    0.9 of the near user's full-band rate, with budgets [b, 0.5 b + 1],
+    far first and near first agree within 1e-6 except at 0.9 for seeds 3,
+    22 and 33."""
+
+    def test_far_first_and_near_first_reach_different_fixed_points(self):
+        channel, noise, near, _, gap, budget = random_instance(3)
+        budgets = [budget, 0.5 * budget + 1.0]
+        sweep = _Sweep(channel, noise, budgets, near, gap)
+        target = 0.9 * sweep.search.full
+        _, _, far_first, run = sweep.fmiwf(target)
+        # Near first: iterate_iwf on the instance relabelled near user 0.
+        assert near == 1
+        channel2, noise2, budgets2 = relabelled(channel, noise, budgets)
+        report = iterate_iwf(channel2, noise2, budgets2, mode="fm",
+                             targets=[target, None], gap=gap)
+        near_first = capacity(1, report.allocations, channel2, noise2, gap)
+        assert run.converged and report.converged
+        assert not run.shortfall and not report.shortfall_users
+        assert far_first == pytest.approx(46148.6, abs=0.05)
+        assert near_first == pytest.approx(42688.3, abs=0.05)
+        assert far_first - near_first > 0.01 * far_first

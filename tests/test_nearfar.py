@@ -500,6 +500,28 @@ class TestCompareRegions:
             compare_regions(p, [2.0])
 
 
+    def test_empty_sweep_gives_empty_curves(self):
+        # It used to raise "points width does not match columns".
+        curves = compare_regions(BASE, [])
+        assert {m: c.points.shape for m, c in curves.items()} == {
+            "fm-iwf": (0, 2), "interference-min": (0, 2),
+            "dfdm-bounds": (0, 3)}
+
+    def test_a_target_the_tau_1_rate_carries(self):
+        # 1e-13 relative past strong_user_rate(p, 1.0): rr_iwf_bounds
+        # flagged it feasible, and tau_for_strong_rate refused it.
+        p = NearFarParams(alpha=0.5, beta=0.2)
+        r2 = 1.1699250014424292
+        assert r2 > strong_user_rate(p, 1.0)
+        assert rr_iwf_bounds(r2, p).flags["feasible"]
+        assert tau_for_strong_rate(p, r2) == 1.0
+        curves = compare_regions(p, [r2])
+        assert all(c.points.shape[0] == 1 for c in curves.values())
+        p1, _ = bully_power_split(replace(p, tau=1.0))
+        assert curves["fm-iwf"].points.tolist() == [
+            [r2, weak_user_rate_for_p1(p, p1)]]
+
+
 # --- the region sweep against an independent per-target reference ---------
 #
 # A copy of the per-target code that `specoord region-sweep` ran before its

@@ -384,6 +384,30 @@ class TestWaterfillFm:
         with pytest.raises(ValueError):
             waterfill_fm(eff_of([1.0]), 1.0, -0.1, unit_grid(1))
 
+    def test_no_usable_tones_is_the_kernel_refusal(self):
+        # It used to raise its own "no usable tones" before the kernel's.
+        with pytest.raises(InfeasibleError) as exc:
+            waterfill_fm(eff_of([math.inf]), 1.0, 0.5, unit_grid(1))
+        assert str(exc.value) == "no usable tones to allocate power on"
+        assert exc.value.max_achievable == 0.0
+
+    def test_zero_target_refuses_a_budget_past_the_rule(self):
+        # Its budget checks used to run only for a target above 0.
+        with pytest.raises(ValueError, match="^budget is too large: "):
+            waterfill_fm(eff_of([1e-300, 1.0]), 1e10, 0.0, unit_grid(2))
+
+    def test_carried_target_past_the_full_budget_rate(self):
+        # A target the full-budget rate carries by game._carries, though
+        # above it, gets the full-budget fill; it used to be refused.
+        eff, grid = eff_of([0.5, 1.5, 4.0]), unit_grid(3)
+        ra, _ = waterfill_ra(eff, 3.0, grid)
+        max_rate = achievable_rate(ra.power, eff, grid)
+        past, _ = waterfill_fm(eff, 3.0, max_rate * (1 + 5e-13), grid)
+        at, _ = waterfill_fm(eff, 3.0, max_rate, grid)
+        assert past.power.tobytes() == at.power.tobytes()
+        with pytest.raises(InfeasibleError):
+            waterfill_fm(eff, 3.0, max_rate * (1 + 2e-12), grid)
+
     @pytest.mark.parametrize("target", [0.0, 0.5])
     def test_rejects_a_grid_of_another_size_at_any_target(self, target):
         # At target 0 it used to return a 3-tone allocation.
